@@ -3,19 +3,27 @@
 Morse numbers and zero numbers determine all heteroclinic connections:
 a source runs to a target exactly when its Morse number is larger and no
 third equilibrium between them (in left-boundary order) realizes the
-triple zero-number equality that blocks the connection.
+triple zero-number equality that blocks the connection. The connection
+set is computed once per model, one vectorized source row at a time.
 
 On top of the connection criterion this module identifies, for a chosen
 unstable equilibrium, its four boundary neighbors, the signed target
 sets, and the minimax equilibria (closest at one boundary, most distant
 at the other), and machine-checks the minimax property relating them.
+A signed target set is a slice of the connection set: the successors of
+the base whose signed zero number against it is the given level. One
+pass over a base's successors buckets them all, and the analysis of that
+base (sets, extrema, identifications, verdicts) is derived from the one
+table of buckets and their extrema.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Literal, NamedTuple, Optional
 
 import networkx as nx
+import numpy as np
 
 from .errors import NotSturmError
 from .meander import is_sturm
@@ -70,6 +78,14 @@ class AttractorModel:
         """Labels with positive Morse number, ascending."""
         return (j for j in range(1, self.n + 1) if self.morse[j - 1] > 0)
 
+    @cached_property
+    def _successors(self) -> dict[int, tuple[int, ...]]:
+        # Targets of each source, ascending; sources without targets are absent.
+        out: dict[int, list[int]] = {}
+        for j, k in sorted(self.connections):
+            out.setdefault(j, []).append(k)
+        return {j: tuple(ks) for j, ks in out.items()}
+
 
 def _blocker(z: ZeroMatrix, j: int, k: int) -> Optional[int]:
     lo, hi = min(j, k), max(j, k)
@@ -112,11 +128,23 @@ def build_model(p: SturmPermutation) -> AttractorModel:
         raise NotSturmError(f"not a Sturm permutation: {p}")
     morse = p.morse
     z = z_matrix(p)
+    zv = z.values
+    depth = np.asarray(morse)
+    idx = np.arange(p.n)
     edges = []
-    for j in range(1, p.n + 1):
-        for k in range(1, p.n + 1):
-            if j != k and morse[j - 1] > morse[k - 1] and _blocker(z, j, k) is None:
-                edges.append((j, k))
+    for j in range(p.n):
+        # Candidate targets k (Morse drop), tested all at once: some w
+        # strictly between j and k with Z[j,w] == Z[j,k] == Z[w,k] blocks.
+        ks = np.flatnonzero(depth < depth[j])
+        if not ks.size:
+            continue
+        level = zv[j, ks][:, None]
+        lo = np.minimum(ks, j)[:, None]
+        hi = np.maximum(ks, j)[:, None]
+        blocked = (
+            (idx > lo) & (idx < hi) & (zv[j] == level) & (zv[ks] == level)
+        ).any(axis=1)
+        edges.extend((j + 1, int(k) + 1) for k in ks[~blocked])
     return AttractorModel(p=p, morse=morse, z=z, connections=frozenset(edges))
 
 
@@ -177,13 +205,16 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
         raise ValueError(f"equilibrium {base} is stable, it has no targets")
     if not 0 <= k < n_base:
         raise ValueError(f"level k={k} out of range 0..{n_base - 1}")
-    out = set()
-    for w in range(1, model.n + 1):
-        if w == base:
-            continue
-        if model.signed_z(base, w) == (k, sign) and connects(model, base, w):
-            out.add(w)
-    return out
+    return set(_buckets(model, base).get((k, sign), ()))
+
+
+def _buckets(model: AttractorModel, base: int) -> dict[tuple[int, Sign], tuple[int, ...]]:
+    # Non-empty signed target sets of base, keyed by (z, sign), members ascending.
+    row = model.z.values[base - 1].tolist()
+    out: dict[tuple[int, Sign], list[int]] = {}
+    for w in model._successors.get(base, ()):
+        out.setdefault((row[w - 1], "+" if w > base else "-"), []).append(w)
+    return {key: tuple(ws) for key, ws in out.items()}
 
 
 class MinimaxExtrema(NamedTuple):
@@ -206,7 +237,13 @@ def minimax(model: AttractorModel, base: int, k: int, sign: Sign) -> MinimaxExtr
     members = target_set(model, base, k, sign)
     if not members:
         raise ValueError(f"target set {k}{sign} of {base} is empty")
-    p = model.p
+    return _extrema(model.p, base, members)
+
+
+def _extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
+    if len(members) == 1:
+        (w,) = members
+        return MinimaxExtrema(w, w, w, w)
     pos0 = p.position(base)
 
     def d0(w: int) -> tuple[int, int]:
@@ -221,6 +258,30 @@ def minimax(model: AttractorModel, base: int, k: int, sign: Sign) -> MinimaxExtr
         farthest_at_0=max(members, key=lambda w: (d0(w)[0], -w)),
         farthest_at_1=max(members, key=lambda w: (d1(w)[0], -w)),
     )
+
+
+_LevelTable = dict[tuple[int, Sign], tuple[tuple[int, ...], MinimaxExtrema]]
+
+
+def _unstable_morse(model: AttractorModel, base: int) -> int:
+    n_base = model.morse[base - 1]
+    if n_base < 1:
+        raise ValueError(f"equilibrium {base} is stable")
+    return n_base
+
+
+def _level_table(model: AttractorModel, base: int) -> _LevelTable:
+    # Every non-empty signed level of base: its members and their extrema.
+    return {
+        key: (members, _extrema(model.p, base, members))
+        for key, members in _buckets(model, base).items()
+    }
+
+
+def _level_extrema(table: _LevelTable, base: int, k: int, sign: Sign) -> MinimaxExtrema:
+    if (k, sign) not in table:
+        raise ValueError(f"target set {k}{sign} of {base} is empty")
+    return table[k, sign][1]
 
 
 def _associated_sign(slot: str, n_base: int) -> Sign:
@@ -256,9 +317,13 @@ def identify_neighbors(model: AttractorModel, base: int) -> dict[str, NeighborId
     applicable. For applicable ones the prediction is the closest member
     of the associated signed target set at the neighbor's own boundary.
     """
-    n_base = model.morse[base - 1]
-    if n_base < 1:
-        raise ValueError(f"equilibrium {base} is stable")
+    n_base = _unstable_morse(model, base)
+    return _identify(model, base, n_base, _level_table(model, base))
+
+
+def _identify(
+    model: AttractorModel, base: int, n_base: int, table: _LevelTable
+) -> dict[str, NeighborIdentification]:
     quartet = boundary_neighbors(model, base)
     out: dict[str, NeighborIdentification] = {}
     for slot in NEIGHBOR_SLOTS:
@@ -271,7 +336,7 @@ def identify_neighbors(model: AttractorModel, base: int) -> dict[str, NeighborId
             continue
         sign = _associated_sign(slot, n_base)
         iota: Iota = 0 if slot.startswith("w0") else 1
-        extrema = minimax(model, base, n_base - 1, sign)
+        extrema = _level_extrema(table, base, n_base - 1, sign)
         predicted = extrema.closest_at_0 if iota == 0 else extrema.closest_at_1
         out[slot] = NeighborIdentification(
             slot=slot,
@@ -356,10 +421,17 @@ def verify_minimax_theorem(model: AttractorModel, base: int) -> TheoremVerdict:
     boundary. Levels below the top one are evaluated as well and reported
     separately; they are not part of the theorem's hypothesis.
     """
-    n_base = model.morse[base - 1]
-    if n_base < 1:
-        raise ValueError(f"equilibrium {base} is stable")
-    idents = identify_neighbors(model, base)
+    n_base = _unstable_morse(model, base)
+    table = _level_table(model, base)
+    return _verdict(base, n_base, _identify(model, base, n_base, table), table)
+
+
+def _verdict(
+    base: int,
+    n_base: int,
+    idents: dict[str, NeighborIdentification],
+    table: _LevelTable,
+) -> TheoremVerdict:
     cases = []
     for slot in NEIGHBOR_SLOTS:
         ident = idents[slot]
@@ -368,7 +440,7 @@ def verify_minimax_theorem(model: AttractorModel, base: int) -> TheoremVerdict:
                 MinimaxCase(slot=slot, neighbor=ident.neighbor, applicable=False)
             )
             continue
-        extrema = minimax(model, base, n_base - 1, ident.sign)
+        extrema = _level_extrema(table, base, n_base - 1, ident.sign)
         if ident.iota == 0:
             closest, far_opposite = extrema.closest_at_0, extrema.farthest_at_1
         else:
@@ -389,11 +461,10 @@ def verify_minimax_theorem(model: AttractorModel, base: int) -> TheoremVerdict:
     extended = []
     for k in range(n_base):
         for sign in ("+", "-"):
-            members = target_set(model, base, k, sign)
-            if not members:
+            if (k, sign) not in table:
                 extended.append(ExtendedCheck(k=k, sign=sign, empty=True))
                 continue
-            ex = minimax(model, base, k, sign)
+            ex = table[k, sign][1]
             extended.append(
                 ExtendedCheck(
                     k=k,
@@ -424,24 +495,24 @@ class MinimaxReport:
 def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     """Full per-equilibrium record: neighbors, target sets at every
     signed level, top-level extrema, identifications, and verdicts."""
-    n_base = model.morse[base - 1]
-    if n_base < 1:
-        raise ValueError(f"equilibrium {base} is stable")
+    n_base = _unstable_morse(model, base)
+    table = _level_table(model, base)
     sets: dict[str, tuple[int, ...]] = {}
     for k in range(n_base):
         for sign in ("+", "-"):
-            sets[f"{k}{sign}"] = tuple(sorted(target_set(model, base, k, sign)))
-    extrema: dict[str, MinimaxExtrema] = {}
-    for sign in ("+", "-"):
-        key = f"{n_base - 1}{sign}"
-        if sets[key]:
-            extrema[key] = minimax(model, base, n_base - 1, sign)
+            sets[f"{k}{sign}"] = table[k, sign][0] if (k, sign) in table else ()
+    extrema = {
+        f"{n_base - 1}{sign}": table[n_base - 1, sign][1]
+        for sign in ("+", "-")
+        if (n_base - 1, sign) in table
+    }
+    idents = _identify(model, base, n_base, table)
     return MinimaxReport(
         base=base,
         n=n_base,
         neighbors=boundary_neighbors(model, base),
         target_sets=sets,
         extrema=extrema,
-        identifications=identify_neighbors(model, base),
-        verdict=verify_minimax_theorem(model, base),
+        identifications=idents,
+        verdict=_verdict(base, n_base, idents, table),
     )

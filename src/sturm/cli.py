@@ -40,6 +40,9 @@ def _read_permutation(args: argparse.Namespace) -> SturmPermutation:
     text = args.permutation
     if text is None or text == "-":
         text = sys.stdin.read()
+    lines = sum(1 for line in text.splitlines() if line.strip())
+    if lines > 1:
+        raise ParseError(f"expected one line, got {lines} non-blank lines")
     return parse_permutation(text, zero_based=args.zero_based_input)
 
 
@@ -93,6 +96,8 @@ def cmd_minimax(args: argparse.Namespace) -> int:
 
 
 def cmd_suspend(args: argparse.Namespace) -> int:
+    if args.times < 0:
+        raise ParseError(f"--times must be non-negative, got {args.times}")
     p = _read_permutation(args)
     for _ in range(args.times):
         p = suspend(p).suspended

@@ -221,7 +221,7 @@ def window_morse(win: MeanderWindow) -> tuple[int, ...]:
     Raises :class:`WindowError` when the recursion dips below zero, in
     which case no Sturm permutation can contain the window.
 
-    >>> window_morse(MeanderWindow.from_axis_order([2, 1], anchor_morse=0))
+    >>> window_morse(MeanderWindow.from_axis_order([1, 2], anchor_morse=0))
     (0, 1)
     """
     ranks = win.axis_rank

@@ -1,13 +1,15 @@
-"""Independent geometric oracles for the combinatorial routines.
+"""Independent oracles for the combinatorial routines.
 
-Both oracles work on the rendered geometry of the canonical diagram
-(crossings at integer abscissae, arcs as true semicircles) with float
-arithmetic, so they share no code path with the sign-bookkeeping they
-cross-check.
+The two geometric oracles work on the rendered geometry of the canonical
+diagram (crossings at integer abscissae, arcs as true semicircles) with
+float arithmetic, so they share no code path with the sign-bookkeeping
+they cross-check. The scan oracles recompute the connection set and the
+signed target sets pair by pair from the scalar criterion, the reference
+for the vectorized connection scan and the bucketed target sets.
 """
 import math
 
-from sturm import SturmPermutation, build_diagram
+from sturm import SturmPermutation, build_diagram, connects, is_z_adjacent
 
 
 def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
@@ -61,3 +63,23 @@ def geometric_is_meander(p: SturmPermutation) -> bool:
                 if _circles_cross(arcs[i], arcs[j]):
                     return False
     return True
+
+
+def scan_target_set(model, base: int, k: int, sign: str) -> set[int]:
+    """Signed target set by a scan over every label: signed zero number
+    at the level, then the scalar connection criterion for each one."""
+    return {
+        w
+        for w in range(1, model.n + 1)
+        if w != base and model.signed_z(base, w) == (k, sign) and connects(model, base, w)
+    }
+
+
+def scalar_connections(model) -> set[tuple[int, int]]:
+    """Connection set by the scalar criterion: Morse drop plus z-adjacency."""
+    return {
+        (j, k)
+        for j in range(1, model.n + 1)
+        for k in range(1, model.n + 1)
+        if j != k and model.morse[j - 1] > model.morse[k - 1] and is_z_adjacent(model, j, k)[0]
+    }

@@ -2,16 +2,22 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
+from conftest import PERM7, PERM15
+from oracles import scalar_connections, scan_target_set
 from sturm import (
     MinimaxExtrema,
     NeighborQuartet,
     NotSturmError,
     SturmPermutation,
+    apply_kappa,
+    apply_tau,
     boundary_neighbors,
     build_model,
     connection_graph,
     connects,
+    enumerate_sturm,
     identity,
+    is_sturm,
     identify_neighbors,
     is_z_adjacent,
     minimax,
@@ -273,3 +279,82 @@ class TestMinimaxReport:
     def test_stable_base_rejected(self, model7):
         with pytest.raises(ValueError):
             minimax_report(model7, 7)
+
+
+def _concat(p, q):
+    """Glue the last crossing of p to the first crossing of q."""
+    return SturmPermutation(p.map + tuple(v + p.n - 1 for v in q.map[1:]))
+
+
+def _suspended(p, times):
+    for _ in range(times):
+        p = suspend(p).suspended
+    return p
+
+
+@pytest.fixture(scope="module")
+def family11():
+    """All Sturm permutations of size 1..11."""
+    return tuple(p for n in range(1, 12, 2) for p in enumerate_sturm(n))
+
+
+@pytest.fixture(scope="module")
+def large_inputs(pool9):
+    """Suspension-chain members up to n=61 and a few concatenations."""
+    p7, p15 = SturmPermutation(PERM7), SturmPermutation(PERM15)
+    chain = [_suspended(p7, t) for t in (1, 2, 5, 12, 20, 27)]
+    glued = [
+        _concat(p7, p15),
+        _concat(_suspended(p15, 3), apply_kappa(p7)),
+        _concat(_concat(pool9[5], apply_tau(pool9[17])), _suspended(pool9[30], 5)),
+    ]
+    assert [p.n for p in chain] == [9, 11, 17, 31, 47, 61]
+    assert all(is_sturm(p) for p in glued)
+    return chain + glued
+
+
+def _assert_matches_scan(model):
+    assert set(model.connections) == scalar_connections(model)
+    for base in model.unstable():
+        for k in range(model.morse[base - 1]):
+            for sign in ("+", "-"):
+                assert target_set(model, base, k, sign) == scan_target_set(model, base, k, sign)
+
+
+class TestAgainstScan:
+    """Vectorized connections and bucketed target sets against the
+    pair-by-pair scalar criterion."""
+
+    def test_all_small(self, pool, pool9):
+        for p in [q for n in (1, 3, 5, 7) for q in pool[n]] + list(pool9):
+            _assert_matches_scan(build_model(p))
+
+    def test_large(self, large_inputs):
+        for p in large_inputs:
+            _assert_matches_scan(build_model(p))
+
+
+class TestCellInvariants:
+    """Signed Thom-Smale cell structure, over every Sturm permutation
+    with n <= 11."""
+
+    def test_cell_closure_is_ball(self, family11):
+        # Euler characteristic of each closed cell: (-1)^i(v) + sum over targets.
+        for p in family11:
+            model = build_model(p)
+            succ = {j: [] for j in range(1, p.n + 1)}
+            for j, k in model.connections:
+                succ[j].append(k)
+            for v, targets in succ.items():
+                chi = (-1) ** model.morse[v - 1] + sum((-1) ** model.morse[w - 1] for w in targets)
+                assert chi == 1, (p, v)
+
+    def test_signed_hemispheres(self, family11):
+        # Each signed target set closes a hemisphere of dimension k.
+        for p in family11:
+            model = build_model(p)
+            for v in model.unstable():
+                for k in range(model.morse[v - 1]):
+                    for sign in ("+", "-"):
+                        chi = sum((-1) ** model.morse[w - 1] for w in target_set(model, v, k, sign))
+                        assert chi == (-1) ** k, (p, v, k, sign)

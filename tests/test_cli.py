@@ -40,6 +40,21 @@ class TestValidate:
         status, out, _ = run(capsys, "validate")
         assert status == 0 and "sturm: true" in out
 
+    def test_stdin_trailing_newline(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO(PERM7_TEXT + "\n\n"))
+        status, out, _ = run(capsys, "validate")
+        assert status == 0 and "sturm: true" in out
+
+    def test_stdin_multiple_lines_rejected(self, capsys, monkeypatch):
+        import io
+
+        monkeypatch.setattr(sys, "stdin", io.StringIO("1 2 3\n4 5 6 7 8\n"))
+        status, out, err = run(capsys, "validate")
+        assert status == 2 and out == ""
+        assert err.startswith("error: parse:") and err.count("\n") == 1
+
     def test_zero_based_input(self, capsys):
         status, out, _ = run(capsys, "validate", "0 3 4 5 2 1 6", "--zero-based-input")
         assert status == 0 and "sturm: true" in out
@@ -105,6 +120,15 @@ class TestSuspend:
     def test_times(self, capsys):
         _, out, _ = run(capsys, "suspend", "1", "--times", "2")
         assert out == "1 4 3 2 5\n"
+
+    def test_times_zero_is_identity(self, capsys):
+        status, out, _ = run(capsys, "suspend", PERM7_TEXT, "--times", "0")
+        assert status == 0 and out == PERM7_TEXT + "\n"
+
+    def test_negative_times_rejected(self, capsys):
+        status, out, err = run(capsys, "suspend", PERM7_TEXT, "--times", "-3")
+        assert status == 2 and out == ""
+        assert err.startswith("error: parse:") and err.count("\n") == 1
 
 
 class TestWindow:
