@@ -25,9 +25,7 @@ from typing import Iterator, Literal, NamedTuple, Optional
 import networkx as nx
 import numpy as np
 
-from .errors import NotSturmError
-from .meander import is_sturm
-from .perm import SturmPermutation
+from .perm import SturmPermutation, _require_sturm
 from .zeros import Sign, SignedZero, ZeroMatrix, z_matrix
 
 __all__ = [
@@ -124,8 +122,7 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     >>> sorted(build_model(SturmPermutation((1, 2, 3))).connections)
     [(2, 1), (2, 3)]
     """
-    if not is_sturm(p):
-        raise NotSturmError(f"not a Sturm permutation: {p}")
+    _require_sturm(p)
     morse = p.morse
     z = z_matrix(p)
     zv = z.values

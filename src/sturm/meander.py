@@ -5,14 +5,21 @@ crossings (by label) are joined by semicircles that alternate sides,
 starting above. The permutation is a meander permutation exactly when
 the arcs above the axis are pairwise non-crossing and so are the arcs
 below; the test runs as a stack sweep over axis positions.
+
+Crossing counts and the pairwise zero-number identity share one kernel
+over a sequence of axis coordinates with an anchor Morse parity:
+:func:`crossing_number` runs it over axis positions with anchor 0,
+``zeros.z_pair_nsl`` over the same positions, and ``zeros.window_z``
+over the axis ranks of a window with the window's anchor Morse number.
+The descending recursion of ``zeros.z_matrix`` stays an independent
+route that the kernel is checked against.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple
+from typing import Literal, NamedTuple, Sequence
 
-from .errors import NotSturmError
-from .perm import SturmPermutation, is_dissipative, is_morse
+from .perm import SturmPermutation, _require_sturm, is_dissipative, is_morse
 
 __all__ = [
     "Arc",
@@ -129,20 +136,43 @@ class CrossingCount(NamedTuple):
     ell: int
 
 
-def _doubled_step(p: SturmPermutation, m: int, ell: int) -> int:
-    """Twice the signed crossing of arc step m with the vertical line at ell.
+def _check_labels(n: int, **labels: int) -> None:
+    for name, label in labels.items():
+        if not 1 <= label <= n:
+            raise ValueError(f"label {name}={label} out of range 1..{n}")
 
-    Steps whose arc ends at the crossing ell contribute nothing: touching
-    the line at the crossing itself is not a transverse crossing.
+
+def _crossings(xs: Sequence[int], anchor: int, lo: int, hi: int, ell: int) -> int:
+    """Signed crossings of the curve steps lo..hi-1 (lo <= hi) with the
+    vertical line through the crossing labeled ell.
+
+    ``xs[t-1]`` is the axis coordinate of label t: an axis position, or a
+    rank among the labels of a window. Step m is oriented as in the Morse
+    recursion, clockwise when ``anchor + m`` is odd. Steps whose arc ends
+    at ell contribute nothing: touching the line at the crossing itself
+    is not a transverse crossing.
     """
-    if ell == m or ell == m + 1:
-        return 0
-    inv = p.inv
-    x_ell = inv[ell - 1]
-    d_hi = (inv[m] > x_ell) - (inv[m] < x_ell)
-    d_lo = (inv[m - 1] > x_ell) - (inv[m - 1] < x_ell)
-    diff = d_hi - d_lo
-    return diff if m % 2 == 1 else -diff
+    x = xs[ell - 1]
+    doubled = 0
+    for m in range(lo, hi):
+        if m == ell or m + 1 == ell:
+            continue
+        diff = ((xs[m] > x) - (xs[m] < x)) - ((xs[m - 1] > x) - (xs[m - 1] < x))
+        doubled += diff if (anchor + m) % 2 == 1 else -diff
+    assert doubled % 2 == 0, "crossing count must be an integer"
+    return doubled // 2
+
+
+def _pair_zero(xs: Sequence[int], morse: Sequence[int], s: int, t: int) -> int:
+    """Zero number z(v_t - v_s) of labels s < t by the nonlinear
+    Sturm-Liouville identity: the Morse number of s plus the crossings
+    of the segment s..t with the line at s, minus one when the Morse
+    number falls across step s ("even" quadrant parity).
+
+    ``morse[0]`` anchors the orientation; ``xs`` as in :func:`_crossings`.
+    """
+    value = morse[s - 1] + _crossings(xs, morse[0], s, t, s)
+    return value - 1 if morse[s] < morse[s - 1] else value
 
 
 def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCount:
@@ -158,17 +188,9 @@ def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCo
     >>> crossing_number(p, 7, 1, 4).value
     -1
     """
-    n = p.n
-    for name, label in (("j", j), ("k", k), ("ell", ell)):
-        if not 1 <= label <= n:
-            raise ValueError(f"label {name}={label} out of range 1..{n}")
-    lo, hi = min(j, k), max(j, k)
-    doubled = sum(_doubled_step(p, m, ell) for m in range(lo, hi))
-    assert doubled % 2 == 0, "crossing count must be an integer"
-    value = doubled // 2
-    if j > k:
-        value = -value
-    return CrossingCount(value=value, j=j, k=k, ell=ell)
+    _check_labels(p.n, j=j, k=k, ell=ell)
+    value = _crossings(p.inv, 0, min(j, k), max(j, k), ell)
+    return CrossingCount(value=-value if j > k else value, j=j, k=k, ell=ell)
 
 
 def quadrant_parity(p: SturmPermutation, j: int) -> Literal["odd", "even"]:
@@ -179,7 +201,6 @@ def quadrant_parity(p: SturmPermutation, j: int) -> Literal["odd", "even"]:
     """
     if not 1 <= j < p.n:
         raise ValueError(f"label {j} has no outgoing arc (need 1 <= j < {p.n})")
-    if not is_sturm(p):
-        raise NotSturmError(f"not a Sturm permutation: {p}")
+    _require_sturm(p)
     morse = p.morse
     return "odd" if morse[j] == morse[j - 1] + 1 else "even"

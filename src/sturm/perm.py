@@ -85,6 +85,13 @@ class SturmPermutation:
     def morse(self) -> tuple[int, ...]:
         return _morse_recursion(self.inv)
 
+    @cached_property
+    def _sturm(self) -> bool:
+        # local import: meander.py needs perm.py types
+        from .meander import is_sturm
+
+        return is_sturm(self)
+
     def sigma(self, k: int) -> int:
         """Label at axis position k (1-based)."""
         return self.map[k - 1]
@@ -160,13 +167,14 @@ def is_dissipative(p: SturmPermutation) -> bool:
     return p.map[0] == 1 and p.map[-1] == p.n
 
 
-def _morse_recursion(inv: Sequence[int]) -> tuple[int, ...]:
-    n = len(inv)
-    out = [0] * n
-    for j in range(1, n):
-        # step from label j to j+1, 1-based, with alternating orientation
-        step = _sign(inv[j] - inv[j - 1])
-        out[j] = out[j - 1] + (step if j % 2 == 1 else -step)
+def _morse_recursion(xs: Sequence[int], anchor: int = 0) -> tuple[int, ...]:
+    # xs[t-1] is the axis coordinate (position or window rank) of label t;
+    # entry 0 is the anchor Morse number, whose parity orients step t as
+    # +1 iff anchor + t is odd (the full curve has anchor 0).
+    out = [anchor] * len(xs)
+    for t in range(1, len(xs)):
+        step = _sign(xs[t] - xs[t - 1])
+        out[t] = out[t - 1] + (step if (anchor + t) % 2 == 1 else -step)
     return tuple(out)
 
 
@@ -189,10 +197,8 @@ def is_morse(p: SturmPermutation) -> bool:
 
 
 def _require_sturm(p: SturmPermutation) -> None:
-    # local import: meander.py needs perm.py types
-    from .meander import is_sturm
-
-    if not is_sturm(p):
+    # The one Sturm gate of the package: decided once per permutation.
+    if not p._sturm:
         raise NotSturmError(f"not a Sturm permutation: {p}")
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .attractor import build_model, minimax, target_set
-from .errors import NotSturmError
 from .meander import is_sturm
-from .perm import SturmPermutation
+from .perm import SturmPermutation, _require_sturm
 from .zeros import z_matrix
 
 __all__ = ["SuspensionResult", "suspend", "CheckItem", "SuspensionReport", "verify_suspension"]
@@ -42,8 +41,7 @@ def suspend(p: SturmPermutation) -> SuspensionResult:
     >>> suspend(SturmPermutation((1,))).suspended.map
     (1, 2, 3)
     """
-    if not is_sturm(p):
-        raise NotSturmError(f"not a Sturm permutation: {p}")
+    _require_sturm(p)
     n = p.n
     inner = tuple(p.sigma(n + 1 - j) + 1 for j in range(1, n + 1))
     return SuspensionResult(

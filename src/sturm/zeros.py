@@ -10,25 +10,28 @@ Two independent routes compute the same quantity:
   quadrant-parity correction.
 
 Their exact agreement on every pair is a core invariant of the test
-suite, which is also what pins down the quadrant-parity convention.
+suite, which is also what pins down the quadrant-parity convention. The
+pairwise identity is the kernel ``meander._pair_zero``, shared with
+:func:`window_z`; the recursion shares nothing with it but Morse numbers.
 
 A :class:`MeanderWindow` captures the purely local data of a contiguous
 label range: the relative axis order of its labels plus one anchoring
 Morse number. That data suffices to reproduce the exact sub-block of the
-full zero-number matrix, because every sign comparison in the recursion
-for a window pair involves window labels only.
+full zero-number matrix, because every sign comparison in the pairwise
+identity for a window pair involves window labels only: :func:`window_z`
+runs the kernel over window ranks, and :func:`z_pair_nsl` is the window
+of all n labels.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Literal, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import NotSturmError, WindowError
-from .meander import crossing_number, is_sturm, quadrant_parity
-from .perm import SturmPermutation
+from .errors import WindowError
+from .meander import _check_labels, _pair_zero
+from .perm import SturmPermutation, _morse_recursion, _require_sturm
 
 __all__ = [
     "ZeroMatrix",
@@ -67,9 +70,11 @@ class ZeroMatrix:
         """Zero number z(v_k - v_j) for distinct labels j, k."""
         if j == k:
             raise ValueError("zero number of a pair requires distinct labels")
+        _check_labels(self.n, j=j, k=k)
         return int(self.values[j - 1, k - 1])
 
     def morse(self, j: int) -> int:
+        _check_labels(self.n, j=j)
         return int(self.values[j - 1, j - 1])
 
 
@@ -102,8 +107,7 @@ def z_matrix(p: SturmPermutation) -> ZeroMatrix:
     >>> m.pair(2, 3), m.pair(2, 6), m.pair(4, 5), m.pair(3, 5)
     (1, 1, 0, 1)
     """
-    if not is_sturm(p):
-        raise NotSturmError(f"not a Sturm permutation: {p}")
+    _require_sturm(p)
     values = _zero_matrix_values(p)
     off = ~np.eye(p.n, dtype=bool)
     assert np.all(values[off] >= 0), "zero numbers must be non-negative"
@@ -119,10 +123,9 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     if j == k:
         raise ValueError("zero number of a pair requires distinct labels")
     lo, hi = min(j, k), max(j, k)
-    base = p.morse[lo - 1] + crossing_number(p, lo, hi, lo).value
-    if quadrant_parity(p, lo) == "even":
-        base -= 1
-    return base
+    _check_labels(p.n, j=lo, k=hi)
+    _require_sturm(p)
+    return _pair_zero(p.inv, p.morse, lo, hi)
 
 
 class SignedZero(NamedTuple):
@@ -146,7 +149,7 @@ def signed_z(p: SturmPermutation, base: int, w: int) -> SignedZero:
     """
     if base == w:
         raise ValueError("signed zero number requires distinct labels")
-    return SignedZero(z=z_matrix(p).pair(base, w), sign="+" if w > base else "-")
+    return SignedZero(z=z_pair_nsl(p, base, w), sign="+" if w > base else "-")
 
 
 @dataclass(frozen=True)
@@ -205,15 +208,6 @@ class MeanderWindow:
             ranks[t] = rank
         return cls(axis_rank=tuple(ranks), anchor_morse=p.morse[first - 1])
 
-    @cached_property
-    def _step_signs(self) -> tuple[int, ...]:
-        # Orientation of step t (window label t to t+1): the anchor Morse
-        # parity recovers the absolute label parity, so the alternating
-        # factor of the Morse recursion is (+1 iff anchor_morse + t odd).
-        return tuple(
-            1 if (self.anchor_morse + t) % 2 == 1 else -1 for t in range(1, self.length)
-        )
-
 
 def window_morse(win: MeanderWindow) -> tuple[int, ...]:
     """Morse numbers of the window labels, grown from the anchor.
@@ -224,35 +218,14 @@ def window_morse(win: MeanderWindow) -> tuple[int, ...]:
     >>> window_morse(MeanderWindow.from_axis_order([1, 2], anchor_morse=0))
     (0, 1)
     """
-    ranks = win.axis_rank
-    out = [win.anchor_morse]
-    for t, orient in enumerate(win._step_signs, start=1):
-        step = (ranks[t] > ranks[t - 1]) - (ranks[t] < ranks[t - 1])
-        value = out[-1] + orient * step
+    morse = _morse_recursion(win.axis_rank, win.anchor_morse)
+    for label, value in enumerate(morse, start=1):
         if value < 0:
             raise WindowError(
-                f"window label {t + 1} gets Morse number {value}; "
+                f"window label {label} gets Morse number {value}; "
                 "window is inconsistent with any Sturm completion"
             )
-        out.append(value)
-    return tuple(out)
-
-
-def _window_crossing(win: MeanderWindow, s: int, t: int) -> int:
-    # Crossing count of the window segment from label s to t (s < t)
-    # with the vertical line through label s, all in window indices.
-    ranks = win.axis_rank
-    signs = win._step_signs
-    x = ranks[s - 1]
-    doubled = 0
-    for m in range(s, t):
-        if m == s or m + 1 == s:
-            continue
-        d_hi = (ranks[m] > x) - (ranks[m] < x)
-        d_lo = (ranks[m - 1] > x) - (ranks[m - 1] < x)
-        doubled += signs[m - 1] * (d_hi - d_lo)
-    assert doubled % 2 == 0
-    return doubled // 2
+    return morse
 
 
 def window_z(win: MeanderWindow) -> np.ndarray:
@@ -267,11 +240,8 @@ def window_z(win: MeanderWindow) -> np.ndarray:
     L = win.length
     out = np.zeros((L, L), dtype=np.int64)
     for s in range(1, L):
-        odd_quadrant = morse[s] == morse[s - 1] + 1
         for t in range(s + 1, L + 1):
-            value = morse[s - 1] + _window_crossing(win, s, t)
-            if not odd_quadrant:
-                value -= 1
+            value = _pair_zero(win.axis_rank, morse, s, t)
             if value < 0:
                 raise WindowError(
                     f"window pair ({s}, {t}) gets zero number {value}; "

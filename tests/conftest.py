@@ -1,6 +1,14 @@
 import pytest
 
-from sturm import SturmPermutation, build_model, enumerate_sturm
+from sturm import (
+    SturmPermutation,
+    apply_kappa,
+    apply_tau,
+    build_model,
+    enumerate_sturm,
+    is_sturm,
+    suspend,
+)
 
 # Seven-crossing workhorse example used throughout the suite.
 PERM7 = (1, 4, 5, 6, 3, 2, 7)
@@ -56,3 +64,29 @@ def pool():
 @pytest.fixture(scope="session")
 def pool9():
     return tuple(enumerate_sturm(9))
+
+
+def _concat(p, q):
+    """Glue the last crossing of p to the first crossing of q."""
+    return SturmPermutation(p.map + tuple(v + p.n - 1 for v in q.map[1:]))
+
+
+def _suspended(p, times):
+    for _ in range(times):
+        p = suspend(p).suspended
+    return p
+
+
+@pytest.fixture(scope="session")
+def large_inputs(pool9):
+    """Suspension-chain members up to n=61 and a few concatenations."""
+    p7, p15 = SturmPermutation(PERM7), SturmPermutation(PERM15)
+    chain = [_suspended(p7, t) for t in (1, 2, 5, 12, 20, 27)]
+    glued = [
+        _concat(p7, p15),
+        _concat(_suspended(p15, 3), apply_kappa(p7)),
+        _concat(_concat(pool9[5], apply_tau(pool9[17])), _suspended(pool9[30], 5)),
+    ]
+    assert [p.n for p in chain] == [9, 11, 17, 31, 47, 61]
+    assert all(is_sturm(p) for p in glued)
+    return chain + glued

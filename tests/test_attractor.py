@@ -2,22 +2,17 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
-from conftest import PERM7, PERM15
 from oracles import scalar_connections, scan_target_set
 from sturm import (
     MinimaxExtrema,
     NeighborQuartet,
-    NotSturmError,
     SturmPermutation,
-    apply_kappa,
-    apply_tau,
     boundary_neighbors,
     build_model,
     connection_graph,
     connects,
     enumerate_sturm,
     identity,
-    is_sturm,
     identify_neighbors,
     is_z_adjacent,
     minimax,
@@ -58,10 +53,6 @@ class TestBuildModel:
 
     def test_singleton(self):
         assert build_model(SturmPermutation((1,))).connections == frozenset()
-
-    def test_rejects_non_sturm(self):
-        with pytest.raises(NotSturmError):
-            build_model(SturmPermutation((1, 3, 2, 4, 5)))
 
     def test_morse_strictly_drops_along_edges(self, model7):
         for j, k in model7.connections:
@@ -281,36 +272,10 @@ class TestMinimaxReport:
             minimax_report(model7, 7)
 
 
-def _concat(p, q):
-    """Glue the last crossing of p to the first crossing of q."""
-    return SturmPermutation(p.map + tuple(v + p.n - 1 for v in q.map[1:]))
-
-
-def _suspended(p, times):
-    for _ in range(times):
-        p = suspend(p).suspended
-    return p
-
-
 @pytest.fixture(scope="module")
 def family11():
     """All Sturm permutations of size 1..11."""
     return tuple(p for n in range(1, 12, 2) for p in enumerate_sturm(n))
-
-
-@pytest.fixture(scope="module")
-def large_inputs(pool9):
-    """Suspension-chain members up to n=61 and a few concatenations."""
-    p7, p15 = SturmPermutation(PERM7), SturmPermutation(PERM15)
-    chain = [_suspended(p7, t) for t in (1, 2, 5, 12, 20, 27)]
-    glued = [
-        _concat(p7, p15),
-        _concat(_suspended(p15, 3), apply_kappa(p7)),
-        _concat(_concat(pool9[5], apply_tau(pool9[17])), _suspended(pool9[30], 5)),
-    ]
-    assert [p.n for p in chain] == [9, 11, 17, 31, 47, 61]
-    assert all(is_sturm(p) for p in glued)
-    return chain + glued
 
 
 def _assert_matches_scan(model):

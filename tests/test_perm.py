@@ -1,11 +1,14 @@
 import pytest
 
+import sturm.meander
 from sturm import (
     KleinOrbit,
+    NotSturmError,
     ParseError,
     SturmPermutation,
     apply_kappa,
     apply_tau,
+    build_model,
     format_permutation,
     identity,
     inverse,
@@ -14,6 +17,10 @@ from sturm import (
     klein_orbit,
     morse_indices,
     parse_permutation,
+    quadrant_parity,
+    suspend,
+    z_matrix,
+    z_pair_nsl,
 )
 
 
@@ -153,9 +160,39 @@ class TestInvolutions:
             assert all(t.morse[i] == p.morse[p.map[i] - 1] for i in range(n))
             assert k.morse == tuple(reversed(p.morse))
 
-    def test_rejects_non_sturm(self):
-        with pytest.raises(ValueError):
-            apply_tau(SturmPermutation((1, 3, 2, 4, 5)))
+
+# Every entry point behind the one Sturm gate, applied to a permutation.
+GATED = {
+    "z_matrix": z_matrix,
+    "z_pair_nsl": lambda p: z_pair_nsl(p, 1, 3),
+    "quadrant_parity": lambda p: quadrant_parity(p, 1),
+    "build_model": build_model,
+    "suspend": suspend,
+    "apply_tau": apply_tau,
+    "apply_kappa": apply_kappa,
+    "klein_orbit": klein_orbit,
+}
+
+
+class TestSturmGate:
+    @pytest.mark.parametrize("entry", GATED.values(), ids=GATED.keys())
+    def test_rejects_non_sturm(self, entry):
+        # arcs above the axis cross: dissipative and Morse, but no meander
+        with pytest.raises(NotSturmError, match=r"^not a Sturm permutation: 1 3 2 4 5$"):
+            entry(SturmPermutation((1, 3, 2, 4, 5)))
+
+    def test_meander_test_runs_once_per_permutation(self, monkeypatch):
+        seen = []
+        is_meander = sturm.meander.is_meander
+        monkeypatch.setattr(sturm.meander, "is_meander", lambda p: seen.append(p) or is_meander(p))
+        p = suspend(SturmPermutation((1, 4, 5, 6, 3, 2, 7))).suspended
+        seen.clear()
+        build_model(p)
+        for j in range(1, p.n + 1):
+            for k in range(1, p.n + 1):
+                if j != k:
+                    z_pair_nsl(p, j, k)
+        assert seen == [p]
 
 
 class TestKleinOrbit:

@@ -1,7 +1,6 @@
 import pytest
 
 from sturm import (
-    NotSturmError,
     SturmPermutation,
     format_permutation,
     suspend,
@@ -41,10 +40,6 @@ class TestSuspend:
         assert result.inner_image(3) == 4
         with pytest.raises(ValueError):
             result.inner_image(8)
-
-    def test_rejects_non_sturm(self):
-        with pytest.raises(NotSturmError):
-            suspend(SturmPermutation((1, 3, 2, 4, 5)))
 
 
 class TestVerifySuspension:

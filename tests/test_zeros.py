@@ -4,9 +4,7 @@ import pytest
 from conftest import WINDOW_MORSE, WINDOW_ORDER, WINDOW_Z
 from sturm import (
     MeanderWindow,
-    NotSturmError,
     SignedZero,
-    SturmPermutation,
     WindowError,
     identity,
     matrix_text,
@@ -62,13 +60,23 @@ class TestZMatrix:
                 for j in range(1, p.n):
                     assert zm.pair(j, j + 1) == min(p.morse[j - 1], p.morse[j])
 
-    def test_rejects_non_sturm(self):
-        with pytest.raises(NotSturmError):
-            z_matrix(SturmPermutation((1, 3, 2, 4, 5)))
-
     def test_diagonal_is_not_a_zero_number(self, perm7):
         with pytest.raises(ValueError):
             z_matrix(perm7).pair(3, 3)
+
+    def test_labels_out_of_range_rejected(self, perm7):
+        # numpy would wrap label 0 or a negative label to the last row
+        zm = z_matrix(perm7)
+        reads = [
+            (lambda: zm.pair(0, 3), "j=0"),
+            (lambda: zm.pair(-1, 2), "j=-1"),
+            (lambda: zm.pair(3, 0), "k=0"),
+            (lambda: zm.pair(2, 8), "k=8"),
+            (lambda: zm.morse(0), "j=0"),
+        ]
+        for read, message in reads:
+            with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
+                read()
 
     def test_values_are_immutable(self, perm7):
         with pytest.raises(ValueError):
@@ -92,6 +100,12 @@ class TestPairFormula:
     def test_equal_labels_rejected(self, perm7):
         with pytest.raises(ValueError):
             z_pair_nsl(perm7, 3, 3)
+
+    @pytest.mark.parametrize("j, k, message", [(0, 3, "j=0"), (3, 8, "k=8"), (8, 3, "k=8")])
+    def test_labels_out_of_range_rejected(self, perm7, j, k, message):
+        # the smaller label is reported as j, the larger as k
+        with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
+            z_pair_nsl(perm7, j, k)
 
     def test_agrees_with_matrix_everywhere(self, pool):
         for n in (1, 3, 5, 7):
@@ -119,6 +133,10 @@ class TestSignedZ:
     def test_same_label_rejected(self, perm7):
         with pytest.raises(ValueError):
             signed_z(perm7, 3, 3)
+
+    def test_label_out_of_range_rejected(self, perm7):
+        with pytest.raises(ValueError, match="out of range"):
+            signed_z(perm7, 0, 3)
 
     def test_str(self):
         assert str(SignedZero(1, "-")) == "1-"
@@ -185,3 +203,22 @@ class TestWindow:
     def test_matrix_text(self):
         win = MeanderWindow.from_axis_order((1, 2), anchor_morse=0)
         assert matrix_text(window_z(win)) == "0 0\n0 1"
+
+
+class TestLargeInputs:
+    """The pairwise kernel against the descending recursion far beyond
+    the exhaustive sizes: suspension-chain members up to n=61 and three
+    concatenations."""
+
+    def test_pair_formula_agrees_with_matrix(self, large_inputs):
+        for p in large_inputs:
+            zm = z_matrix(p)
+            for j in range(1, p.n + 1):
+                for k in range(1, p.n + 1):
+                    if j != k:
+                        assert z_pair_nsl(p, j, k) == zm.pair(j, k), (p, j, k)
+
+    def test_full_range_window_reproduces_matrix(self, large_inputs):
+        for p in large_inputs:
+            win = MeanderWindow.from_permutation(p, 1, p.n)
+            assert np.array_equal(window_z(win), z_matrix(p).values), p
