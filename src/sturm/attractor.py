@@ -20,13 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional
 
-import networkx as nx
-import numpy as np
-
-from .perm import SturmPermutation, _require_sturm
+from .perm import SturmPermutation, _check_labels, _require_sturm
 from .zeros import Sign, SignedZero, ZeroMatrix, z_matrix
+
+if TYPE_CHECKING:
+    # numpy and networkx are imported inside the functions that use them,
+    # so importing the package loads neither.
+    import networkx as nx
 
 __all__ = [
     "AttractorModel",
@@ -111,6 +113,7 @@ def connects(model: AttractorModel, j: int, k: int) -> bool:
     """Heteroclinic connection criterion: Morse drop plus z-adjacency."""
     if j == k:
         raise ValueError("connection test requires distinct labels")
+    _check_labels(model.n, j=j, k=k)
     if model.morse[j - 1] <= model.morse[k - 1]:
         return False
     return _blocker(model.z, j, k) is None
@@ -122,6 +125,8 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     >>> sorted(build_model(SturmPermutation((1, 2, 3))).connections)
     [(2, 1), (2, 3)]
     """
+    import numpy as np
+
     _require_sturm(p)
     morse = p.morse
     z = z_matrix(p)
@@ -151,6 +156,8 @@ def connection_graph(model: AttractorModel) -> nx.DiGraph:
     Nodes are inserted in label order and edges in sorted order, so
     iteration order (and any serialization of it) is deterministic.
     """
+    import networkx as nx
+
     g = nx.DiGraph()
     for j in range(1, model.n + 1):
         g.add_node(j, morse=model.morse[j - 1])
@@ -181,12 +188,13 @@ def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
     n = model.n
     if not 1 <= base <= n:
         raise ValueError(f"label {base} out of range 1..{n}")
-    pos = p.position(base)
+    # base is checked above, so the raw tuples skip the accessors' checks
+    pos = p.inv[base - 1]
     return NeighborQuartet(
         w0_minus=base - 1 if base > 1 else None,
         w0_plus=base + 1 if base < n else None,
-        w1_minus=p.sigma(pos - 1) if pos > 1 else None,
-        w1_plus=p.sigma(pos + 1) if pos < n else None,
+        w1_minus=p.map[pos - 2] if pos > 1 else None,
+        w1_plus=p.map[pos] if pos < n else None,
     )
 
 
@@ -197,6 +205,7 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
     >>> sorted(target_set(model, 3, 1, "+"))
     [4, 5, 6]
     """
+    _check_labels(model.n, base=base)
     n_base = model.morse[base - 1]
     if n_base == 0:
         raise ValueError(f"equilibrium {base} is stable, it has no targets")
@@ -241,13 +250,14 @@ def _extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
     if len(members) == 1:
         (w,) = members
         return MinimaxExtrema(w, w, w, w)
-    pos0 = p.position(base)
+    inv = p.inv
+    pos0 = inv[base - 1]
 
     def d0(w: int) -> tuple[int, int]:
         return abs(w - base), w
 
     def d1(w: int) -> tuple[int, int]:
-        return abs(p.position(w) - pos0), w
+        return abs(inv[w - 1] - pos0), w
 
     return MinimaxExtrema(
         closest_at_0=min(members, key=d0),

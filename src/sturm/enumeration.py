@@ -21,8 +21,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Optional
 
-import numpy as np
-
 from .attractor import (
     AttractorModel,
     boundary_neighbors,
@@ -270,6 +268,8 @@ class HarnessReport:
 def _check_permutation_properties(
     report: HarnessReport, p: SturmPermutation, rng: random.Random
 ) -> None:
+    import numpy as np
+
     n = p.n
     morse = p.morse
     ctx = str(p)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
-from .perm import SturmPermutation, _require_sturm, is_dissipative, is_morse
+from .perm import SturmPermutation, _check_labels, _require_sturm, is_dissipative, is_morse
 
 __all__ = [
     "Arc",
@@ -134,12 +134,6 @@ class CrossingCount(NamedTuple):
     j: int
     k: int
     ell: int
-
-
-def _check_labels(n: int, **labels: int) -> None:
-    for name, label in labels.items():
-        if not 1 <= label <= n:
-            raise ValueError(f"label {name}={label} out of range 1..{n}")
 
 
 def _crossings(xs: Sequence[int], anchor: int, lo: int, hi: int, ell: int) -> int:

@@ -34,6 +34,12 @@ __all__ = [
 ]
 
 
+def _check_labels(n: int, **labels: int) -> None:
+    for name, label in labels.items():
+        if not 1 <= label <= n:
+            raise ValueError(f"label {name}={label} out of range 1..{n}")
+
+
 def _sign(x: int) -> int:
     # sign(0) := 0; the Morse recursion never hits it for a bijection.
     return (x > 0) - (x < 0)
@@ -94,10 +100,12 @@ class SturmPermutation:
 
     def sigma(self, k: int) -> int:
         """Label at axis position k (1-based)."""
+        _check_labels(self.n, k=k)
         return self.map[k - 1]
 
     def position(self, j: int) -> int:
         """Axis position of meander label j (1-based)."""
+        _check_labels(self.n, j=j)
         return self.inv[j - 1]
 
     def __str__(self) -> str:

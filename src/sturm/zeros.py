@@ -25,13 +25,16 @@ of all n labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
 
 from .errors import WindowError
-from .meander import _check_labels, _pair_zero
-from .perm import SturmPermutation, _morse_recursion, _require_sturm
+from .meander import _pair_zero
+from .perm import SturmPermutation, _check_labels, _morse_recursion, _require_sturm
+
+if TYPE_CHECKING:
+    # numpy is imported inside the functions that build arrays, so
+    # importing the package does not load it.
+    import numpy as np
 
 __all__ = [
     "ZeroMatrix",
@@ -79,6 +82,8 @@ class ZeroMatrix:
 
 
 def _zero_matrix_values(p: SturmPermutation) -> np.ndarray:
+    import numpy as np
+
     n = p.n
     out = np.zeros((n, n), dtype=np.int64)
     if n > 1:
@@ -107,6 +112,8 @@ def z_matrix(p: SturmPermutation) -> ZeroMatrix:
     >>> m.pair(2, 3), m.pair(2, 6), m.pair(4, 5), m.pair(3, 5)
     (1, 1, 0, 1)
     """
+    import numpy as np
+
     _require_sturm(p)
     values = _zero_matrix_values(p)
     off = ~np.eye(p.n, dtype=bool)
@@ -201,7 +208,8 @@ class MeanderWindow:
         """Window of the labels first..last of a Sturm permutation."""
         if not 1 <= first < last <= p.n:
             raise ValueError(f"need 1 <= first < last <= {p.n}")
-        positions = [p.position(j) for j in range(first, last + 1)]
+        _require_sturm(p)
+        positions = p.inv[first - 1 : last]
         by_pos = sorted(range(len(positions)), key=positions.__getitem__)
         ranks = [0] * len(positions)
         for rank, t in enumerate(by_pos, start=1):
@@ -236,6 +244,8 @@ def window_z(win: MeanderWindow) -> np.ndarray:
     the full matrix whenever the window comes from an actual Sturm
     permutation with the correct anchor.
     """
+    import numpy as np
+
     morse = window_morse(win)
     L = win.length
     out = np.zeros((L, L), dtype=np.int64)

@@ -105,6 +105,15 @@ class TestConnects:
         model = build_model(perm15)
         assert connects(model, 3, 8)
 
+    @pytest.mark.parametrize("j, k", [(0, 3), (-4, 3), (8, 3), (3, 0), (3, 8)])
+    def test_labels_out_of_range(self, model7, j, k):
+        with pytest.raises(ValueError, match=r"out of range 1\.\.7$"):
+            connects(model7, j, k)
+
+    def test_equal_labels_rejected(self, model7):
+        with pytest.raises(ValueError, match="^connection test requires distinct labels$"):
+            connects(model7, 3, 3)
+
 
 class TestConnectionGraph:
     def test_structure(self, model7):
@@ -170,6 +179,12 @@ class TestTargetSets:
     def test_level_out_of_range(self, model7):
         with pytest.raises(ValueError):
             target_set(model7, 3, 2, "+")
+
+    @pytest.mark.parametrize("base", [-4, 0, 8])
+    def test_base_out_of_range(self, model7, base):
+        # -4 used to give an empty set and 8 an IndexError
+        with pytest.raises(ValueError, match=rf"^label base={base} out of range 1\.\.7$"):
+            target_set(model7, base, 0, "+")
 
 
 class TestMinimax:

@@ -216,6 +216,50 @@ def test_module_invocation():
     assert "sturm: true" in proc.stdout
 
 
+# Runs CLI commands in one fresh interpreter and prints, after the import
+# and after each command, its exit status and which of numpy and networkx
+# are loaded by then.
+_LOADED_PROBE = """
+import contextlib, io, json, sys
+import sturm
+from sturm.cli import main
+
+def loaded():
+    return [m for m in ("numpy", "networkx") if m in sys.modules]
+
+seen = [[None, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def test_heavy_imports_load_on_first_use():
+    # The test process has numpy loaded already, so a fresh one is probed.
+    commands = [
+        ["validate", PERM7_TEXT],
+        ["suspend", PERM7_TEXT],
+        ["enumerate", "--n", "7", "--count-only"],
+        ["render", "--format", "svg", PERM7_TEXT],
+        ["analyze", PERM7_TEXT],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, json.dumps(commands)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        [None, []],  # import sturm
+        [0, []],  # validate
+        [0, []],  # suspend
+        [0, []],  # enumerate
+        [0, []],  # render --format svg
+        [0, ["numpy"]],  # analyze
+    ]
+
+
 def test_round_trip_over_family(capsys):
     # parse(serialize(p)) is the identity on every enumerated permutation
     from sturm import enumerate_sturm, format_permutation, parse_permutation

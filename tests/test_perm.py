@@ -3,6 +3,7 @@ import pytest
 import sturm.meander
 from sturm import (
     KleinOrbit,
+    MeanderWindow,
     NotSturmError,
     ParseError,
     SturmPermutation,
@@ -82,6 +83,14 @@ class TestConstruction:
         assert perm7.sigma(2) == 4
         assert perm7.position(4) == 2
         assert str(perm7) == "1 4 5 6 3 2 7"
+
+    @pytest.mark.parametrize("value", [0, -1, 8])
+    def test_accessors_reject_out_of_range(self, perm7, value):
+        # 0 and -1 used to wrap to the last entries through negative indexing
+        with pytest.raises(ValueError, match=rf"^label k={value} out of range 1\.\.7$"):
+            perm7.sigma(value)
+        with pytest.raises(ValueError, match=rf"^label j={value} out of range 1\.\.7$"):
+            perm7.position(value)
 
 
 class TestInverse:
@@ -171,6 +180,7 @@ GATED = {
     "apply_tau": apply_tau,
     "apply_kappa": apply_kappa,
     "klein_orbit": klein_orbit,
+    "window_from_permutation": lambda p: MeanderWindow.from_permutation(p, 1, 5),
 }
 
 
