@@ -6,8 +6,8 @@ from sturm import (
     boundary_neighbors,
     build_model,
     minimax,
+    minimax_report,
     target_set,
-    verify_minimax_theorem,
 )
 
 star = SturmPermutation((1, 14, 13, 6, 5, 4, 7, 12, 11, 8, 9, 10, 3, 2, 15))
@@ -26,9 +26,9 @@ ex = minimax(model, base, n - 1, "+")
 print(f"\nclosest at x=0: v{ex.closest_at_0}   most distant at x=1: v{ex.farthest_at_1}")
 print(f"closest at x=1: v{ex.closest_at_1}   most distant at x=0: v{ex.farthest_at_0}")
 
-verdict = verify_minimax_theorem(model, base)
-print(f"\nminimax property verified: {verdict.passed}")
-for case in verdict.applicable_cases:
+report = minimax_report(model, base)
+print(f"\nminimax property verified: {report.passed}")
+for case in report.applicable_cases:
     print(
         f"  {case.slot}: neighbor v{case.neighbor} is the closest member "
         f"({case.neighbor_is_closest}) and equals the opposite extreme ({case.passed})"

@@ -11,23 +11,18 @@ exhaustive enumeration at small sizes with a property harness.
 """
 from .attractor import (
     AttractorModel,
-    ExtendedCheck,
     MinimaxCase,
     MinimaxExtrema,
     MinimaxReport,
-    NeighborIdentification,
     NeighborQuartet,
-    TheoremVerdict,
     boundary_neighbors,
     build_model,
     connection_graph,
     connects,
-    identify_neighbors,
     is_z_adjacent,
     minimax,
     minimax_report,
     target_set,
-    verify_minimax_theorem,
 )
 from .enumeration import (
     DEFAULT_BOUND,
@@ -83,7 +78,6 @@ __all__ = [
     "AttractorModel",
     "CrossingCount",
     "DEFAULT_BOUND",
-    "ExtendedCheck",
     "HarnessReport",
     "KleinOrbit",
     "MeanderDiagram",
@@ -91,7 +85,6 @@ __all__ = [
     "MinimaxCase",
     "MinimaxExtrema",
     "MinimaxReport",
-    "NeighborIdentification",
     "NeighborQuartet",
     "NotMeanderError",
     "NotSturmError",
@@ -102,7 +95,6 @@ __all__ = [
     "SturmPermutation",
     "SuspensionReport",
     "SuspensionResult",
-    "TheoremVerdict",
     "WindowError",
     "ZeroMatrix",
     "analyze_record",
@@ -118,7 +110,6 @@ __all__ = [
     "dot_graph",
     "enumerate_sturm",
     "format_permutation",
-    "identify_neighbors",
     "identity",
     "inverse",
     "is_dissipative",
@@ -140,7 +131,6 @@ __all__ = [
     "suspend",
     "target_set",
     "to_json",
-    "verify_minimax_theorem",
     "verify_suspension",
     "window_morse",
     "window_z",

@@ -12,13 +12,12 @@ sets, and the minimax equilibria (closest at one boundary, most distant
 at the other), and machine-checks the minimax property relating them.
 A signed target set is a slice of the connection set: the successors of
 the base whose signed zero number against it is the given level. One
-pass over a base's successors buckets them all, and the analysis of that
-base (sets, extrema, identifications, verdicts) is derived from the one
-table of buckets and their extrema.
+pass over a base's successors buckets them all, and the whole analysis of
+that base is derived from those buckets in one ``MinimaxReport``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional
 
@@ -41,12 +40,7 @@ __all__ = [
     "target_set",
     "MinimaxExtrema",
     "minimax",
-    "NeighborIdentification",
-    "identify_neighbors",
     "MinimaxCase",
-    "ExtendedCheck",
-    "TheoremVerdict",
-    "verify_minimax_theorem",
     "MinimaxReport",
     "minimax_report",
     "NEIGHBOR_SLOTS",
@@ -186,8 +180,7 @@ def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
     """
     p = model.p
     n = model.n
-    if not 1 <= base <= n:
-        raise ValueError(f"label {base} out of range 1..{n}")
+    _check_labels(n, base=base)
     # base is checked above, so the raw tuples skip the accessors' checks
     pos = p.inv[base - 1]
     return NeighborQuartet(
@@ -231,6 +224,12 @@ class MinimaxExtrema(NamedTuple):
     farthest_at_0: int
     farthest_at_1: int
 
+    @property
+    def minimax_holds(self) -> bool:
+        """The closest member at each boundary is the most distant one
+        at the other."""
+        return self.closest_at_0 == self.farthest_at_1 and self.closest_at_1 == self.farthest_at_0
+
 
 def minimax(model: AttractorModel, base: int, k: int, sign: Sign) -> MinimaxExtrema:
     """Closest and most distant members of a target set at each boundary.
@@ -267,28 +266,12 @@ def _extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
     )
 
 
-_LevelTable = dict[tuple[int, Sign], tuple[tuple[int, ...], MinimaxExtrema]]
-
-
 def _unstable_morse(model: AttractorModel, base: int) -> int:
+    _check_labels(model.n, base=base)
     n_base = model.morse[base - 1]
     if n_base < 1:
         raise ValueError(f"equilibrium {base} is stable")
     return n_base
-
-
-def _level_table(model: AttractorModel, base: int) -> _LevelTable:
-    # Every non-empty signed level of base: its members and their extrema.
-    return {
-        key: (members, _extrema(model.p, base, members))
-        for key, members in _buckets(model, base).items()
-    }
-
-
-def _level_extrema(table: _LevelTable, base: int, k: int, sign: Sign) -> MinimaxExtrema:
-    if (k, sign) not in table:
-        raise ValueError(f"target set {k}{sign} of {base} is empty")
-    return table[k, sign][1]
 
 
 def _associated_sign(slot: str, n_base: int) -> Sign:
@@ -302,66 +285,11 @@ def _associated_sign(slot: str, n_base: int) -> Sign:
 
 
 @dataclass(frozen=True)
-class NeighborIdentification:
-    """Predicted identity of one boundary neighbor with a minimax
-    equilibrium, checked against the actual extrema."""
-
-    slot: str
-    neighbor: Optional[int]
-    neighbor_morse: Optional[int]
-    applicable: bool
-    sign: Optional[Sign] = None
-    iota: Optional[Iota] = None
-    predicted: Optional[int] = None
-    matches: Optional[bool] = None
-
-
-def identify_neighbors(model: AttractorModel, base: int) -> dict[str, NeighborIdentification]:
-    """Match each more-stable boundary neighbor with its minimax equilibrium.
-
-    A neighbor is applicable when it exists and has Morse number one less
-    than the base; neighbors one level more unstable are reported as not
-    applicable. For applicable ones the prediction is the closest member
-    of the associated signed target set at the neighbor's own boundary.
-    """
-    n_base = _unstable_morse(model, base)
-    return _identify(model, base, n_base, _level_table(model, base))
-
-
-def _identify(
-    model: AttractorModel, base: int, n_base: int, table: _LevelTable
-) -> dict[str, NeighborIdentification]:
-    quartet = boundary_neighbors(model, base)
-    out: dict[str, NeighborIdentification] = {}
-    for slot in NEIGHBOR_SLOTS:
-        nb = getattr(quartet, slot)
-        nb_morse = model.morse[nb - 1] if nb is not None else None
-        if nb is None or nb_morse != n_base - 1:
-            out[slot] = NeighborIdentification(
-                slot=slot, neighbor=nb, neighbor_morse=nb_morse, applicable=False
-            )
-            continue
-        sign = _associated_sign(slot, n_base)
-        iota: Iota = 0 if slot.startswith("w0") else 1
-        extrema = _level_extrema(table, base, n_base - 1, sign)
-        predicted = extrema.closest_at_0 if iota == 0 else extrema.closest_at_1
-        out[slot] = NeighborIdentification(
-            slot=slot,
-            neighbor=nb,
-            neighbor_morse=nb_morse,
-            applicable=True,
-            sign=sign,
-            iota=iota,
-            predicted=predicted,
-            matches=(predicted == nb),
-        )
-    return out
-
-
-@dataclass(frozen=True)
 class MinimaxCase:
-    """One theorem case: a more-stable boundary neighbor and the minimax
-    equality it induces on its associated signed target set."""
+    """One boundary neighbor of the base and, when it is one Morse level
+    lower (applicable), the closest member of its associated signed target
+    set at the neighbor's boundary and the most distant member at the
+    opposite boundary."""
 
     slot: str
     neighbor: Optional[int]
@@ -370,41 +298,66 @@ class MinimaxCase:
     iota: Optional[Iota] = None
     closest: Optional[int] = None
     farthest_opposite: Optional[int] = None
-    neighbor_is_closest: Optional[bool] = None
-    passed: Optional[bool] = None
 
-
-@dataclass(frozen=True)
-class ExtendedCheck:
-    """Minimax equality at one signed level, checked for completeness
-    beyond the theorem hypothesis (not required, reported only)."""
-
-    k: int
-    sign: Sign
-    empty: bool
-    closest_at_0: Optional[int] = None
-    farthest_at_1: Optional[int] = None
-    closest_at_1: Optional[int] = None
-    farthest_at_0: Optional[int] = None
+    @property
+    def neighbor_is_closest(self) -> Optional[bool]:
+        """Whether the neighbor is the closest member; ``None`` if not applicable."""
+        return self.neighbor == self.closest if self.applicable else None
 
     @property
     def passed(self) -> Optional[bool]:
-        if self.empty:
-            return None
-        return (
-            self.closest_at_0 == self.farthest_at_1
-            and self.closest_at_1 == self.farthest_at_0
-        )
+        """Whether the closest member is the most distant one at the
+        opposite boundary; ``None`` if not applicable."""
+        return self.closest == self.farthest_opposite if self.applicable else None
+
+
+def _case(
+    model: AttractorModel,
+    base: int,
+    n_base: int,
+    slot: str,
+    neighbor: Optional[int],
+    extrema: dict[str, MinimaxExtrema],
+) -> MinimaxCase:
+    if neighbor is None or model.morse[neighbor - 1] != n_base - 1:
+        return MinimaxCase(slot=slot, neighbor=neighbor, applicable=False)
+    sign = _associated_sign(slot, n_base)
+    key = f"{n_base - 1}{sign}"
+    if key not in extrema:
+        raise ValueError(f"target set {key} of {base} is empty")
+    ex = extrema[key]
+    if slot.startswith("w0"):
+        iota: Iota = 0
+        closest, farthest_opposite = ex.closest_at_0, ex.farthest_at_1
+    else:
+        iota = 1
+        closest, farthest_opposite = ex.closest_at_1, ex.farthest_at_0
+    return MinimaxCase(
+        slot=slot,
+        neighbor=neighbor,
+        applicable=True,
+        sign=sign,
+        iota=iota,
+        closest=closest,
+        farthest_opposite=farthest_opposite,
+    )
 
 
 @dataclass(frozen=True)
-class TheoremVerdict:
-    """Outcome of the minimax verification at one unstable equilibrium."""
+class MinimaxReport:
+    """The minimax analysis of one unstable equilibrium.
+
+    ``target_sets`` holds every signed level ``"k+"``/``"k-"`` below the
+    base's Morse number, empty ones included; ``extrema`` holds the
+    non-empty ones only; ``cases`` holds one record per neighbor slot.
+    """
 
     base: int
     n: int
+    neighbors: NeighborQuartet
+    target_sets: dict[str, tuple[int, ...]]
+    extrema: dict[str, MinimaxExtrema]
     cases: tuple[MinimaxCase, ...]
-    extended: tuple[ExtendedCheck, ...] = field(default_factory=tuple)
 
     @property
     def applicable_cases(self) -> tuple[MinimaxCase, ...]:
@@ -412,14 +365,17 @@ class TheoremVerdict:
 
     @property
     def passed(self) -> bool:
+        """The theorem: every applicable case passes."""
         return all(c.passed for c in self.applicable_cases)
 
     @property
     def extended_passed(self) -> bool:
-        return all(e.passed for e in self.extended if not e.empty)
+        """The minimax equality at every non-empty signed level, beyond
+        the theorem's hypothesis (reported only)."""
+        return all(ex.minimax_holds for ex in self.extrema.values())
 
 
-def verify_minimax_theorem(model: AttractorModel, base: int) -> TheoremVerdict:
+def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     """Check the minimax property at one unstable equilibrium.
 
     For each boundary neighbor with Morse number one below the base, the
@@ -427,99 +383,36 @@ def verify_minimax_theorem(model: AttractorModel, base: int) -> TheoremVerdict:
     neighbor's boundary must be the one most distant at the opposite
     boundary. Levels below the top one are evaluated as well and reported
     separately; they are not part of the theorem's hypothesis.
+
+    >>> model = build_model(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
+    >>> report = minimax_report(model, 3)
+    >>> report.target_sets["1+"], report.extrema["1+"]
+    ((4, 5, 6), MinimaxExtrema(closest_at_0=4, closest_at_1=6, farthest_at_0=6, farthest_at_1=4))
+    >>> [(c.slot, c.neighbor, c.closest, c.farthest_opposite) for c in report.cases]
+    [('w0_minus', 2, 2, 2), ('w0_plus', 4, 4, 4), ('w1_minus', 6, 6, 6), ('w1_plus', 2, 2, 2)]
+    >>> report.passed, report.extended_passed
+    (True, True)
     """
     n_base = _unstable_morse(model, base)
-    table = _level_table(model, base)
-    return _verdict(base, n_base, _identify(model, base, n_base, table), table)
-
-
-def _verdict(
-    base: int,
-    n_base: int,
-    idents: dict[str, NeighborIdentification],
-    table: _LevelTable,
-) -> TheoremVerdict:
-    cases = []
-    for slot in NEIGHBOR_SLOTS:
-        ident = idents[slot]
-        if not ident.applicable:
-            cases.append(
-                MinimaxCase(slot=slot, neighbor=ident.neighbor, applicable=False)
-            )
-            continue
-        extrema = _level_extrema(table, base, n_base - 1, ident.sign)
-        if ident.iota == 0:
-            closest, far_opposite = extrema.closest_at_0, extrema.farthest_at_1
-        else:
-            closest, far_opposite = extrema.closest_at_1, extrema.farthest_at_0
-        cases.append(
-            MinimaxCase(
-                slot=slot,
-                neighbor=ident.neighbor,
-                applicable=True,
-                sign=ident.sign,
-                iota=ident.iota,
-                closest=closest,
-                farthest_opposite=far_opposite,
-                neighbor_is_closest=(ident.neighbor == closest),
-                passed=(closest == far_opposite),
-            )
-        )
-    extended = []
+    buckets = _buckets(model, base)
+    target_sets: dict[str, tuple[int, ...]] = {}
+    extrema: dict[str, MinimaxExtrema] = {}
     for k in range(n_base):
         for sign in ("+", "-"):
-            if (k, sign) not in table:
-                extended.append(ExtendedCheck(k=k, sign=sign, empty=True))
-                continue
-            ex = table[k, sign][1]
-            extended.append(
-                ExtendedCheck(
-                    k=k,
-                    sign=sign,
-                    empty=False,
-                    closest_at_0=ex.closest_at_0,
-                    farthest_at_1=ex.farthest_at_1,
-                    closest_at_1=ex.closest_at_1,
-                    farthest_at_0=ex.farthest_at_0,
-                )
-            )
-    return TheoremVerdict(base=base, n=n_base, cases=tuple(cases), extended=tuple(extended))
-
-
-@dataclass(frozen=True)
-class MinimaxReport:
-    """Everything the minimax analysis produces for one equilibrium."""
-
-    base: int
-    n: int
-    neighbors: NeighborQuartet
-    target_sets: dict[str, tuple[int, ...]]
-    extrema: dict[str, MinimaxExtrema]
-    identifications: dict[str, NeighborIdentification]
-    verdict: TheoremVerdict
-
-
-def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
-    """Full per-equilibrium record: neighbors, target sets at every
-    signed level, top-level extrema, identifications, and verdicts."""
-    n_base = _unstable_morse(model, base)
-    table = _level_table(model, base)
-    sets: dict[str, tuple[int, ...]] = {}
-    for k in range(n_base):
-        for sign in ("+", "-"):
-            sets[f"{k}{sign}"] = table[k, sign][0] if (k, sign) in table else ()
-    extrema = {
-        f"{n_base - 1}{sign}": table[n_base - 1, sign][1]
-        for sign in ("+", "-")
-        if (n_base - 1, sign) in table
-    }
-    idents = _identify(model, base, n_base, table)
+            members = buckets.get((k, sign), ())
+            target_sets[f"{k}{sign}"] = members
+            if members:
+                extrema[f"{k}{sign}"] = _extrema(model.p, base, members)
+    neighbors = boundary_neighbors(model, base)
+    cases = tuple(
+        _case(model, base, n_base, slot, neighbor, extrema)
+        for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors)
+    )
     return MinimaxReport(
         base=base,
         n=n_base,
-        neighbors=boundary_neighbors(model, base),
-        target_sets=sets,
+        neighbors=neighbors,
+        target_sets=target_sets,
         extrema=extrema,
-        identifications=idents,
-        verdict=_verdict(base, n_base, idents, table),
+        cases=cases,
     )

@@ -26,8 +26,8 @@ from .attractor import (
     boundary_neighbors,
     build_model,
     minimax,
+    minimax_report,
     target_set,
-    verify_minimax_theorem,
 )
 from .meander import crossing_number, is_meander, is_sturm
 from .perm import SturmPermutation, apply_kappa, apply_tau, is_dissipative, is_morse
@@ -372,9 +372,9 @@ def _check_permutation_properties(
     theorem_ok = True
     extended_ok = True
     for base in model.unstable():
-        verdict = verify_minimax_theorem(model, base)
-        theorem_ok = theorem_ok and verdict.passed
-        extended_ok = extended_ok and verdict.extended_passed
+        analysis = minimax_report(model, base)
+        theorem_ok = theorem_ok and analysis.passed
+        extended_ok = extended_ok and analysis.extended_passed
     report.prop("minimax property at more-stable boundary neighbors").record(theorem_ok, ctx)
     report.prop("minimax property at every signed level (extended)").record(extended_ok, ctx)
 

@@ -10,38 +10,16 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .attractor import (
-    AttractorModel,
-    MinimaxReport,
-    minimax_report,
-)
+from .attractor import AttractorModel, MinimaxReport, minimax_report
 
 __all__ = ["minimax_record", "analyze_record", "to_json", "dot_graph"]
 
 
-def _quartet_record(report: MinimaxReport) -> dict[str, Any]:
-    q = report.neighbors
-    return {
-        "w0_minus": q.w0_minus,
-        "w0_plus": q.w0_plus,
-        "w1_minus": q.w1_minus,
-        "w1_plus": q.w1_plus,
-    }
-
-
 def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     """JSON-ready record of one equilibrium's minimax analysis."""
-    extrema = {
-        key: {
-            "closest_at_0": ex.closest_at_0,
-            "closest_at_1": ex.closest_at_1,
-            "farthest_at_0": ex.farthest_at_0,
-            "farthest_at_1": ex.farthest_at_1,
-        }
-        for key, ex in report.extrema.items()
-    }
+    top = report.n - 1
     verdicts = {}
-    for case in report.verdict.cases:
+    for case in report.cases:
         record: dict[str, Any] = {
             "neighbor": case.neighbor,
             "applicable": case.applicable,
@@ -58,24 +36,31 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
                 }
             )
         verdicts[case.slot] = record
-    extended = [
-        {
-            "k": e.k,
-            "sign": e.sign,
-            "empty": e.empty,
-            "passed": e.passed,
-        }
-        for e in report.verdict.extended
-    ]
+    extended = []
+    for k in range(report.n):
+        for sign in ("+", "-"):
+            ex = report.extrema.get(f"{k}{sign}")
+            extended.append(
+                {
+                    "k": k,
+                    "sign": sign,
+                    "empty": ex is None,
+                    "passed": None if ex is None else ex.minimax_holds,
+                }
+            )
     return {
         "O": report.base,
         "n": report.n,
-        "neighbors": _quartet_record(report),
+        "neighbors": report.neighbors._asdict(),
         "target_sets": {key: list(v) for key, v in report.target_sets.items()},
-        "minimax": extrema,
+        "minimax": {
+            key: report.extrema[key]._asdict()
+            for key in (f"{top}+", f"{top}-")
+            if key in report.extrema
+        },
         "verdicts": verdicts,
         "extended": extended,
-        "passed": report.verdict.passed,
+        "passed": report.passed,
     }
 
 

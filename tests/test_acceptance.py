@@ -22,10 +22,10 @@ from sturm import (
     format_permutation,
     is_sturm,
     minimax,
+    minimax_report,
     parse_permutation,
     suspend,
     target_set,
-    verify_minimax_theorem,
     verify_suspension,
     window_z,
     z_matrix,
@@ -104,7 +104,7 @@ def test_criterion_05_theorem_exhaustive():
             model = build_model(p)
             for base in model.unstable():
                 checked += 1
-                if not verify_minimax_theorem(model, base).passed:
+                if not minimax_report(model, base).passed:
                     ok = False
     _verdict(5, f"minimax property at every unstable equilibrium ({checked} cases)", ok and checked > 0)
 

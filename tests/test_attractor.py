@@ -13,13 +13,11 @@ from sturm import (
     connects,
     enumerate_sturm,
     identity,
-    identify_neighbors,
     is_z_adjacent,
     minimax,
     minimax_report,
     suspend,
     target_set,
-    verify_minimax_theorem,
 )
 
 # All heteroclinic connections of the seven-crossing example, by the
@@ -208,70 +206,73 @@ class TestMinimax:
             minimax(model7, 3, 1, "+")
 
 
+def _cases(model, base):
+    return {c.slot: c for c in minimax_report(model, base).cases}
+
+
 class TestIdentifyNeighbors:
     def test_even_morse_number_swaps_right_boundary_signs(self, model7):
-        idents = identify_neighbors(model7, 3)
-        assert idents["w1_minus"].sign == "+" and idents["w1_minus"].predicted == 6
-        assert idents["w1_plus"].sign == "-" and idents["w1_plus"].predicted == 2
-        assert idents["w0_plus"].sign == "+" and idents["w0_plus"].predicted == 4
-        assert idents["w0_minus"].sign == "-" and idents["w0_minus"].predicted == 2
-        assert all(i.matches for i in idents.values() if i.applicable)
+        cases = _cases(model7, 3)
+        assert cases["w1_minus"].sign == "+" and cases["w1_minus"].closest == 6
+        assert cases["w1_plus"].sign == "-" and cases["w1_plus"].closest == 2
+        assert cases["w0_plus"].sign == "+" and cases["w0_plus"].closest == 4
+        assert cases["w0_minus"].sign == "-" and cases["w0_minus"].closest == 2
+        assert all(c.neighbor_is_closest for c in cases.values() if c.applicable)
 
     def test_odd_morse_number_keeps_right_boundary_signs(self, perm7):
         # the suspended image of the reference equilibrium has Morse 3
         model = build_model(suspend(perm7).suspended)
-        idents = identify_neighbors(model, 4)
+        cases = _cases(model, 4)
         assert model.morse[3] == 3
-        assert idents["w1_minus"].applicable and idents["w1_minus"].sign == "-"
-        assert idents["w1_plus"].applicable and idents["w1_plus"].sign == "+"
-        assert all(i.matches for i in idents.values() if i.applicable)
+        assert cases["w1_minus"].applicable and cases["w1_minus"].sign == "-"
+        assert cases["w1_plus"].applicable and cases["w1_plus"].sign == "+"
+        assert all(c.neighbor_is_closest for c in cases.values() if c.applicable)
 
     def test_more_unstable_neighbor_not_applicable(self):
         # the Morse-1 equilibrium between two Morse-0 and one Morse-2
         p = SturmPermutation((1, 4, 5, 6, 3, 2, 7))
         model = build_model(p)
-        idents = identify_neighbors(model, 2)
+        cases = _cases(model, 2)
         # neighbor 3 is one level more unstable than equilibrium 2
-        assert idents["w0_plus"].neighbor == 3
-        assert not idents["w0_plus"].applicable
-
-    def test_stable_base_rejected(self, model7):
-        with pytest.raises(ValueError):
-            identify_neighbors(model7, 1)
+        assert cases["w0_plus"].neighbor == 3
+        assert not cases["w0_plus"].applicable
+        assert cases["w0_plus"].passed is None
+        assert cases["w0_plus"].neighbor_is_closest is None
 
 
 class TestTheorem:
     def test_worked_example_all_cases_pass(self, model7):
-        verdict = verify_minimax_theorem(model7, 3)
-        assert verdict.n == 2
-        assert len(verdict.applicable_cases) == 4
-        assert verdict.passed
-        by_slot = {c.slot: c for c in verdict.cases}
+        report = minimax_report(model7, 3)
+        assert report.n == 2
+        assert len(report.applicable_cases) == 4
+        assert report.passed
+        by_slot = {c.slot: c for c in report.cases}
         assert by_slot["w1_minus"].closest == 6
         assert by_slot["w1_minus"].farthest_opposite == 6
-        assert all(c.neighbor_is_closest for c in verdict.applicable_cases)
+        assert all(c.neighbor_is_closest for c in report.applicable_cases)
 
     def test_minimal_unstable(self):
-        verdict = verify_minimax_theorem(build_model(identity(3)), 2)
-        assert verdict.passed and len(verdict.applicable_cases) == 4
+        report = minimax_report(build_model(identity(3)), 2)
+        assert report.passed and len(report.applicable_cases) == 4
 
     def test_fifteen_crossing(self, perm15):
-        verdict = verify_minimax_theorem(build_model(perm15), 3)
-        assert verdict.passed
+        report = minimax_report(build_model(perm15), 3)
+        assert report.passed
 
     def test_extended_checks_cover_all_levels(self, model7):
-        verdict = verify_minimax_theorem(model7, 3)
-        assert {(e.k, e.sign) for e in verdict.extended} == {
-            (0, "+"),
-            (0, "-"),
-            (1, "+"),
-            (1, "-"),
-        }
-        assert verdict.extended_passed
+        report = minimax_report(model7, 3)
+        levels = {"0+", "0-", "1+", "1-"}
+        assert set(report.target_sets) == levels
+        assert set(report.extrema) == levels
+        assert report.extended_passed
 
-    def test_stable_base_rejected(self, model7):
-        with pytest.raises(ValueError):
-            verify_minimax_theorem(model7, 1)
+    def test_large_inputs(self, large_inputs):
+        # every unstable equilibrium up to n=61, concatenations included
+        for p in large_inputs:
+            model = build_model(p)
+            for base in model.unstable():
+                report = minimax_report(model, base)
+                assert report.passed and report.extended_passed, (p, base)
 
 
 class TestMinimaxReport:
@@ -280,11 +281,16 @@ class TestMinimaxReport:
         assert report.base == 3 and report.n == 2
         assert report.target_sets["1+"] == (4, 5, 6)
         assert report.extrema["1+"].closest_at_0 == 4
-        assert report.verdict.passed
+        assert report.passed
 
     def test_stable_base_rejected(self, model7):
         with pytest.raises(ValueError):
             minimax_report(model7, 7)
+
+    @pytest.mark.parametrize("base", [-1, 0, 8])
+    def test_base_out_of_range(self, model7, base):
+        with pytest.raises(ValueError, match=rf"^label base={base} out of range 1\.\.7$"):
+            minimax_report(model7, base)
 
 
 @pytest.fixture(scope="module")
@@ -328,6 +334,26 @@ class TestCellInvariants:
             for v, targets in succ.items():
                 chi = (-1) ** model.morse[v - 1] + sum((-1) ** model.morse[w - 1] for w in targets)
                 assert chi == 1, (p, v)
+
+    def test_euler_characteristic(self, family11):
+        # The attractor is contractible: sum over all equilibria of (-1)^i = 1.
+        for p in family11:
+            assert sum((-1) ** i for i in p.morse) == 1, p
+
+    def test_connections_are_transitive_closure_of_drop_one_edges(self, family11):
+        # Cascading and transitivity: j reaches k exactly along a chain of
+        # connections that each drop the Morse number by one.
+        for p in family11:
+            model = build_model(p)
+            reach = {j: set() for j in range(1, p.n + 1)}
+            for j, k in model.connections:
+                if model.morse[j - 1] == model.morse[k - 1] + 1:
+                    reach[j].add(k)
+            # sources in ascending Morse order, so targets' closures are complete
+            for j in sorted(reach, key=lambda v: model.morse[v - 1]):
+                reach[j] |= {w for k in list(reach[j]) for w in reach[k]}
+            closure = {(j, k) for j, ks in reach.items() for k in ks}
+            assert closure == set(model.connections), p
 
     def test_signed_hemispheres(self, family11):
         # Each signed target set closes a hemisphere of dimension k.

@@ -11,10 +11,10 @@ from sturm import (
     enumerate_sturm,
     format_permutation,
     inverse,
+    minimax_report,
     parse_permutation,
     signed_z,
     suspend,
-    verify_minimax_theorem,
     verify_suspension,
     window_z,
     z_matrix,
@@ -94,9 +94,9 @@ def test_minimax_theorem_over_family(p, data):
     model = build_model(p)
     unstable = [j for j in model.unstable()]
     base = data.draw(st.sampled_from(unstable))
-    verdict = verify_minimax_theorem(model, base)
-    assert verdict.passed
-    assert verdict.extended_passed
+    report = minimax_report(model, base)
+    assert report.passed
+    assert report.extended_passed
 
 
 @settings(max_examples=20)
