@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional
 
 from .perm import SturmPermutation, _check_labels, _require_sturm
 from .zeros import Sign, SignedZero, ZeroMatrix, z_matrix
@@ -416,3 +416,32 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
         extrema=extrema,
         cases=cases,
     )
+
+
+def _levels(
+    report: MinimaxReport,
+    relabel: Callable[[int], int] = lambda w: w,
+    shift: int = 0,
+    flips: Callable[[int], bool] = lambda k: False,
+    swap: bool = False,
+) -> dict[str, tuple[tuple[int, ...], MinimaxExtrema]]:
+    """The non-empty signed levels ``{"k±": (members, extrema)}`` of a
+    report seen through a symmetry: labels relabelled (members sorted),
+    level k moved to k + shift, the sign flipped where ``flips(k)``, and
+    the two boundaries exchanged when ``swap``. The defaults give the
+    report itself, so two reports correspond under a symmetry exactly when
+    the image of one equals the levels of the other."""
+    out: dict[str, tuple[tuple[int, ...], MinimaxExtrema]] = {}
+    for key, ex in report.extrema.items():
+        k, sign = int(key[:-1]), key[-1]
+        if flips(k):
+            sign = "+" if sign == "-" else "-"
+        if swap:
+            ex = MinimaxExtrema(
+                ex.closest_at_1, ex.closest_at_0, ex.farthest_at_1, ex.farthest_at_0
+            )
+        out[f"{k + shift}{sign}"] = (
+            tuple(sorted(map(relabel, report.target_sets[key]))),
+            MinimaxExtrema(*map(relabel, ex)),
+        )
+    return out

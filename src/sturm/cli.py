@@ -139,6 +139,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    if args.scale < 1:
+        raise ParseError(f"--scale must be positive, got {args.scale}")
     p = _read_permutation(args)
     if args.format == "svg":
         style = RenderStyle(
@@ -203,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("render", help="SVG meander drawing or DOT connection graph")
     _add_permutation_arg(sp)
     sp.add_argument("--format", choices=("svg", "dot"), default="svg")
-    sp.add_argument("--scale", type=int, default=40)
+    sp.add_argument(
+        "--scale",
+        type=int,
+        default=40,
+        help="pixels between adjacent crossings, positive (default 40)",
+    )
     sp.add_argument("--show-morse", action="store_true")
     sp.add_argument("--zero-based", action="store_true", help="display labels as 0..n-1")
     sp.set_defaults(func=cmd_render)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import NotSturmError, ParseError
 
@@ -271,12 +271,3 @@ def klein_orbit(p: SturmPermutation) -> KleinOrbit:
     k = apply_kappa(p)
     tk = apply_kappa(t)
     return KleinOrbit(base=p, tau=t, kappa=k, tau_kappa=tk)
-
-
-def as_permutation(value: "SturmPermutation | Iterable[int] | str") -> SturmPermutation:
-    """Coerce a permutation object, label sequence, or text line."""
-    if isinstance(value, SturmPermutation):
-        return value
-    if isinstance(value, str):
-        return parse_permutation(value)
-    return SturmPermutation(tuple(value))

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .attractor import build_model, minimax, target_set
+from .attractor import _levels, build_model, minimax_report
 from .meander import is_sturm
 from .perm import SturmPermutation, _require_sturm
-from .zeros import z_matrix
 
 __all__ = ["SuspensionResult", "suspend", "CheckItem", "SuspensionReport", "verify_suspension"]
 
@@ -42,10 +41,9 @@ def suspend(p: SturmPermutation) -> SuspensionResult:
     (1, 2, 3)
     """
     _require_sturm(p)
-    n = p.n
-    inner = tuple(p.sigma(n + 1 - j) + 1 for j in range(1, n + 1))
+    inner = tuple(v + 1 for v in reversed(p.map))
     return SuspensionResult(
-        original=p, suspended=SturmPermutation((1,) + inner + (n + 2,))
+        original=p, suspended=SturmPermutation((1,) + inner + (p.n + 2,))
     )
 
 
@@ -77,8 +75,8 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     extremes are stable; inner Morse numbers shift by one; inner zero
     numbers shift by one; the zero numbers against the extremes vanish;
     the inner connection graphs are isomorphic under the label shift; and
-    the top-level target sets and minimax equilibria of every unstable
-    equilibrium correspond under the shift.
+    the target sets and minimax equilibria of every unstable equilibrium
+    correspond under the shift, at every signed level.
     """
     result = suspend(p)
     q = result.suspended
@@ -97,8 +95,9 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     shift_ok = all(mq[j] == p.morse[j - 1] + 1 for j in range(1, n + 1))
     items.append(_check("inner Morse numbers shift by one", shift_ok, f"{mq}"))
 
-    zp = z_matrix(p)
-    zq = z_matrix(q)
+    model_p = build_model(p)
+    model_q = build_model(q)
+    zp, zq = model_p.z, model_q.z
     bad_pair = None
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
@@ -116,8 +115,6 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     )
     items.append(_check("zero numbers against the extremes vanish", extremes_ok))
 
-    model_p = build_model(p)
-    model_q = build_model(q)
     inner = set(range(2, n + 2))
     inner_edges = {(j, k) for (j, k) in model_q.connections if j in inner and k in inner}
     shifted = {(j + 1, k + 1) for (j, k) in model_p.connections}
@@ -129,28 +126,18 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
         )
     )
 
-    correspondence_ok = True
-    detail = None
+    # Every signed level of each unstable base, shifted up one; level 0
+    # of the suspended base holds only the new extremes.
+    bad = None
     for base in model_p.unstable():
-        nb = model_p.morse[base - 1]
-        for sign in ("+", "-"):
-            original = target_set(model_p, base, nb - 1, sign)
-            suspended = target_set(model_q, base + 1, nb, sign)
-            if {w + 1 for w in original} != suspended:
-                correspondence_ok = False
-                detail = f"target set {nb - 1}{sign} of {base}"
-                break
-            if original:
-                ex_p = minimax(model_p, base, nb - 1, sign)
-                ex_q = minimax(model_q, base + 1, nb, sign)
-                if tuple(w + 1 for w in ex_p) != tuple(ex_q):
-                    correspondence_ok = False
-                    detail = f"minimax {nb - 1}{sign} of {base}"
-                    break
-        if not correspondence_ok:
+        want = _levels(minimax_report(model_p, base), relabel=lambda w: w + 1, shift=1)
+        got = _levels(minimax_report(model_q, base + 1))
+        for key in ("0+", "0-"):
+            got.pop(key, None)
+        if want != got:
+            keys = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+            bad = f"levels {', '.join(keys)} of {base}"
             break
-    items.append(
-        _check("target sets and minimax equilibria correspond", correspondence_ok, detail)
-    )
+    items.append(_check("target sets and minimax equilibria correspond", bad is None, bad))
 
     return SuspensionReport(result=result, items=tuple(items))

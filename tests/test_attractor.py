@@ -7,6 +7,8 @@ from sturm import (
     MinimaxExtrema,
     NeighborQuartet,
     SturmPermutation,
+    apply_kappa,
+    apply_tau,
     boundary_neighbors,
     build_model,
     connection_graph,
@@ -19,6 +21,7 @@ from sturm import (
     suspend,
     target_set,
 )
+from sturm.attractor import _levels
 
 # All heteroclinic connections of the seven-crossing example, by the
 # criterion (Morse drop and no blocking equilibrium in between). The
@@ -291,6 +294,43 @@ class TestMinimaxReport:
     def test_base_out_of_range(self, model7, base):
         with pytest.raises(ValueError, match=rf"^label base={base} out of range 1\.\.7$"):
             minimax_report(model7, base)
+
+
+def _reports(p):
+    model = build_model(p)
+    return {base: minimax_report(model, base) for base in model.unstable()}
+
+
+class TestLevels:
+    def test_rule_parts(self, model7):
+        report = minimax_report(model7, 3)
+        assert _levels(report) == {
+            key: (report.target_sets[key], ex) for key, ex in report.extrema.items()
+        }
+        assert _levels(report)["1+"] == ((4, 5, 6), MinimaxExtrema(4, 6, 6, 4))
+        image = _levels(report, lambda w: 10 * w, shift=2, flips=lambda k: k == 1, swap=True)
+        assert set(image) == {"2+", "2-", "3+", "3-"}
+        assert image["3-"] == ((40, 50, 60), MinimaxExtrema(60, 40, 40, 60))
+
+    def test_klein_equivariance_at_every_level(self, large_inputs):
+        # Boundary swap: labels to axis positions, signs flip at odd
+        # levels, boundaries exchange. Flip: labels reversed, signs flip.
+        for p in large_inputs:
+            reports = _reports(p)
+
+            def tau(w):
+                return p.inv[w - 1]
+
+            def kappa(w):
+                return p.n + 1 - w
+
+            assert {
+                tau(b): _levels(r, tau, flips=lambda k: k % 2 == 1, swap=True)
+                for b, r in reports.items()
+            } == {b: _levels(r) for b, r in _reports(apply_tau(p)).items()}, p
+            assert {
+                kappa(b): _levels(r, kappa, flips=lambda k: True) for b, r in reports.items()
+            } == {b: _levels(r) for b, r in _reports(apply_kappa(p)).items()}, p
 
 
 @pytest.fixture(scope="module")

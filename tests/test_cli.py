@@ -198,6 +198,12 @@ class TestRender:
         assert status == 1
         assert err.startswith("error: not-meander:")
 
+    @pytest.mark.parametrize("scale", ["0", "-5"])
+    def test_non_positive_scale_rejected(self, capsys, scale):
+        status, out, err = run(capsys, "render", "--scale", scale, PERM7_TEXT)
+        assert status == 2 and out == ""
+        assert err == f"error: parse: --scale must be positive, got {scale}\n"
+
 
 class TestHarnessCommand:
     def test_passes(self, capsys):

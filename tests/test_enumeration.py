@@ -1,13 +1,19 @@
+import hashlib
+
 import pytest
 
-from conftest import PERM7
+from conftest import PERM7, PERM15
 from sturm import (
+    SturmPermutation,
+    apply_kappa,
+    apply_tau,
     count_sturm,
     enumerate_sturm,
     identity,
     is_sturm,
     property_harness,
 )
+from sturm.enumeration import HarnessReport, _analyze, _check_klein_equivariance
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
@@ -77,3 +83,28 @@ class TestHarness:
         # the pairwise zero formula property must have covered every member
         prop = report.properties["pairwise zero formula agrees with the matrix recursion"]
         assert prop.checked == report.permutations and prop.passed
+
+    def test_report_text_is_pinned(self):
+        # Guards the check count of every property, not only the totals.
+        text = property_harness(9).text()
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "065a1653c833c6c1cd123ee3969f5247445a9c2b7d8bc2926984e64ec93a0714"
+        )
+
+    def test_image_outside_the_family_is_a_failure(self):
+        # PERM15 has a Klein orbit of size 4, so leaving out tau p
+        # leaves out only that image
+        p = SturmPermutation(PERM15)
+        t, k = apply_tau(p), apply_kappa(p)
+        assert len({p, t, k}) == 3
+        analyses = {q.map: _analyze(q) for q in (p, k)}
+        report = HarnessReport(n_max=15)
+        _check_klein_equivariance(report, p, t, k, analyses, str(p))
+        for name in (
+            "connection graph is equivariant under the involutions",
+            "minimax data is equivariant under the involutions",
+        ):
+            prop = report.properties[name]
+            assert (prop.checked, prop.failures) == (1, 1)
+            assert prop.first_counterexample.startswith(str(p))

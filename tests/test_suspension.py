@@ -57,6 +57,11 @@ class TestVerifySuspension:
             for p in pool[n]:
                 assert verify_suspension(p).passed, p
 
+    def test_large_inputs(self, large_inputs):
+        # every signed level of every unstable equilibrium up to n=61
+        for p in large_inputs:
+            assert verify_suspension(p).passed, p
+
     def test_item_names(self, perm7):
         names = [item.name for item in verify_suspension(perm7).items]
         assert names == [
