@@ -17,6 +17,7 @@ from .errors import NotMeanderError, NotSturmError, ParseError, SturmError, Wind
 from .meander import is_meander, is_sturm
 from .perm import (
     SturmPermutation,
+    _require_sturm,
     format_permutation,
     is_dissipative,
     is_morse,
@@ -24,7 +25,7 @@ from .perm import (
 )
 from .render import RenderStyle, render_svg
 from .report import analyze_record, dot_graph, minimax_record, to_json
-from .suspension import suspend
+from .suspension import _suspend_labels
 from .zeros import MeanderWindow, matrix_text, window_morse, window_z
 
 USAGE_EXIT = 2
@@ -99,8 +100,14 @@ def cmd_suspend(args: argparse.Namespace) -> int:
     if args.times < 0:
         raise ParseError(f"--times must be non-negative, got {args.times}")
     p = _read_permutation(args)
-    for _ in range(args.times):
-        p = suspend(p).suspended
+    if args.times:
+        # Suspension keeps the Sturm property, so only the input is gated
+        # and the intermediate results stay plain label tuples.
+        _require_sturm(p)
+        labels = p.map
+        for _ in range(args.times):
+            labels = _suspend_labels(labels)
+        p = SturmPermutation(labels)
     print(format_permutation(p, zero_based=args.zero_based))
     return 0
 

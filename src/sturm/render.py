@@ -38,10 +38,11 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n
+    arcs = build_diagram(p).arcs
     scale, margin = style.scale, style.margin
     width = 2 * margin + scale * (n - 1)
     max_radius = max(
-        [scale * (abs(a.to_pos - a.from_pos)) / 2 for a in build_diagram(p).arcs],
+        [scale * (abs(a.to_pos - a.from_pos)) / 2 for a in arcs],
         default=scale / 2,
     )
     height = int(2 * margin + 2 * max_radius)
@@ -57,7 +58,7 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
         f'  <line x1="{_fmt(margin / 2)}" y1="{_fmt(y0)}" x2="{_fmt(width - margin / 2)}" '
         f'y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>',
     ]
-    for arc in build_diagram(p).arcs:
+    for arc in arcs:
         x1, x2 = x(arc.from_pos), x(arc.to_pos)
         r = abs(x2 - x1) / 2
         # SVG sweep flag 1 walks clockwise on screen (y grows downward),

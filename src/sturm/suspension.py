@@ -41,10 +41,12 @@ def suspend(p: SturmPermutation) -> SuspensionResult:
     (1, 2, 3)
     """
     _require_sturm(p)
-    inner = tuple(v + 1 for v in reversed(p.map))
-    return SuspensionResult(
-        original=p, suspended=SturmPermutation((1,) + inner + (p.n + 2,))
-    )
+    return SuspensionResult(original=p, suspended=SturmPermutation(_suspend_labels(p.map)))
+
+
+def _suspend_labels(m: tuple[int, ...]) -> tuple[int, ...]:
+    # The label tuple of the suspension; no gate, no permutation built.
+    return (1,) + tuple(v + 1 for v in reversed(m)) + (len(m) + 2,)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ diagram (crossings at integer abscissae, arcs as true semicircles) with
 float arithmetic, so they share no code path with the sign-bookkeeping
 they cross-check. The scan oracles recompute the connection set and the
 signed target sets pair by pair from the scalar criterion, the reference
-for the vectorized connection scan and the bucketed target sets.
+for the vectorized connection scan and the bucketed target sets. The
+JSON oracle is the standard library encoder that ``report.to_json``
+replaces.
 """
+import json
 import math
 
 from sturm import SturmPermutation, build_diagram, connects, is_z_adjacent
@@ -83,3 +86,8 @@ def scalar_connections(model) -> set[tuple[int, int]]:
         for k in range(1, model.n + 1)
         if j != k and model.morse[j - 1] > model.morse[k - 1] and is_z_adjacent(model, j, k)[0]
     }
+
+
+def json_oracle(record) -> str:
+    """The reference serialization of a report record."""
+    return json.dumps(record, indent=2) + "\n"

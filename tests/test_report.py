@@ -1,16 +1,22 @@
-"""Byte pins of the JSON reports.
+"""Byte pins of the JSON reports, and the emitter against its oracle.
 
 Each digest is the SHA-256 of a serialized report. A change to any field,
 key order, value or whitespace of ``analyze`` or ``minimax`` output
 changes it, so refactors of the analysis or the serializer must keep
-these literals.
+these literals. ``to_json`` must also agree byte for byte with
+``json.dumps(record, indent=2)`` on every record and on arbitrary
+JSON-like trees.
 """
 import hashlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import PERM15, PERM7, _suspended
-from sturm import SturmPermutation, build_model, minimax_report
+from oracles import json_oracle
+from sturm import SturmPermutation, build_model, enumerate_sturm, minimax_report
 from sturm.report import analyze_record, minimax_record, to_json
 
 
@@ -25,8 +31,10 @@ def _sha256(text: str) -> str:
         (PERM15, 0, "e83defaaaeaac0c4f96ba855d9a593bab0316f35c340e3926f7bd3de6c6ff888"),
         # the n=31 member of the suspension chain
         (PERM7, 12, "52f3809e141dd288b1e66ba421e8a85a5dc82baee8f73aa208cd788027281941"),
+        # the n=101 member, 1.16 MB of JSON
+        (PERM7, 47, "1df3c1a53272f06a8513a4b58373737e453532d58634bea664aa55e7b2dc0088"),
     ],
-    ids=["n7", "n15", "n31"],
+    ids=["n7", "n15", "n31", "n101"],
 )
 def test_analyze_bytes_pinned(perm, times, digest):
     p = _suspended(SturmPermutation(perm), times)
@@ -36,3 +44,67 @@ def test_analyze_bytes_pinned(perm, times, digest):
 def test_minimax_bytes_pinned(model7):
     text = to_json(minimax_record(minimax_report(model7, 3)))
     assert _sha256(text) == "18d7ab8f52710c57a7dc21d3a64278c90ca95ba35d74e8cfd4fa29e87b757bfc"
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    def test_every_analyze_record(self, n):
+        for p in enumerate_sturm(n):
+            record = analyze_record(build_model(p))
+            assert to_json(record) == json_oracle(record), p
+
+    def test_minimax_records_of_large_inputs(self, large_inputs):
+        for p in large_inputs:
+            model = build_model(p)
+            for base in model.unstable():
+                record = minimax_record(minimax_report(model, base))
+                assert to_json(record) == json_oracle(record), (p, base)
+
+    def test_single_equilibrium(self):
+        record = analyze_record(build_model(SturmPermutation((1,))))
+        assert record["connections"] == [] and record["minimax"] == []
+        assert to_json(record) == json_oracle(record)
+
+
+_texts = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600'), max_size=6) | st.text(
+    max_size=6
+)
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | _texts
+)
+_trees = st.recursive(
+    _leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(st.integers(), max_size=4)
+    | st.dictionaries(_texts, children, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees)
+def test_json_like_trees(tree):
+    assert to_json(tree) == json_oracle(tree)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"x": 1.5},
+        [1, 2.0],
+        {"x": np.int64(3)},
+        [np.int64(3)],
+        {1: "a"},
+        {"x": {None: 1}},
+        {"x": {1, 2}},
+    ],
+    ids=["float", "float-in-int-list", "numpy-int", "numpy-int-in-list", "int-key", "none-key", "set"],
+)
+def test_unsupported_types_raise(record):
+    with pytest.raises(TypeError):
+        to_json(record)
