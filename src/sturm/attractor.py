@@ -3,8 +3,9 @@
 Morse numbers and zero numbers determine all heteroclinic connections:
 a source runs to a target exactly when its Morse number is larger and no
 third equilibrium between them (in left-boundary order) realizes the
-triple zero-number equality that blocks the connection. The connection
-set is computed once per model, one vectorized source row at a time.
+triple zero-number equality that blocks the connection. Connections
+cascade (Fiedler & Rocha, J. Differential Equations 125, 1996), so only
+edges that drop the Morse number by one are tested, then closed.
 
 On top of the connection criterion this module identifies, for a chosen
 unstable equilibrium, its four boundary neighbors, the signed target
@@ -25,8 +26,8 @@ from .perm import SturmPermutation, _check_labels, _require_sturm
 from .zeros import Sign, SignedZero, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
-    # numpy and networkx are imported inside the functions that use them,
-    # so importing the package loads neither.
+    # networkx is imported inside the function that uses it, so importing
+    # the package does not load it.
     import networkx as nx
 
 __all__ = [
@@ -81,11 +82,12 @@ class AttractorModel:
         return {j: tuple(ks) for j, ks in out.items()}
 
 
-def _blocker(z: ZeroMatrix, j: int, k: int) -> Optional[int]:
-    lo, hi = min(j, k), max(j, k)
-    level = z.pair(j, k)
-    for w in range(lo + 1, hi):
-        if z.pair(j, w) == level and z.pair(w, k) == level:
+def _blocker(rows, j: int, k: int) -> Optional[int]:
+    # The smallest blocking label; rows are zero-number matrix rows.
+    row_j, row_k = rows[j - 1], rows[k - 1]
+    level = row_j[k - 1]
+    for w in range(min(j, k) + 1, max(j, k)):
+        if row_j[w - 1] == level and row_k[w - 1] == level:
             return w
     return None
 
@@ -99,7 +101,8 @@ def is_z_adjacent(model: AttractorModel, j: int, k: int) -> tuple[bool, Optional
     """
     if j == k:
         raise ValueError("z-adjacency requires distinct labels")
-    w = _blocker(model.z, j, k)
+    _check_labels(model.n, j=j, k=k)
+    w = _blocker(model.z.values, j, k)
     return (w is None), w
 
 
@@ -108,9 +111,7 @@ def connects(model: AttractorModel, j: int, k: int) -> bool:
     if j == k:
         raise ValueError("connection test requires distinct labels")
     _check_labels(model.n, j=j, k=k)
-    if model.morse[j - 1] <= model.morse[k - 1]:
-        return False
-    return _blocker(model.z, j, k) is None
+    return model.morse[j - 1] > model.morse[k - 1] and _blocker(model.z.values, j, k) is None
 
 
 def build_model(p: SturmPermutation) -> AttractorModel:
@@ -119,28 +120,21 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     >>> sorted(build_model(SturmPermutation((1, 2, 3))).connections)
     [(2, 1), (2, 3)]
     """
-    import numpy as np
-
     _require_sturm(p)
     morse = p.morse
     z = z_matrix(p)
-    zv = z.values
-    depth = np.asarray(morse)
-    idx = np.arange(p.n)
-    edges = []
-    for j in range(p.n):
-        # Candidate targets k (Morse drop), tested all at once: some w
-        # strictly between j and k with Z[j,w] == Z[j,k] == Z[w,k] blocks.
-        ks = np.flatnonzero(depth < depth[j])
-        if not ks.size:
-            continue
-        level = zv[j, ks][:, None]
-        lo = np.minimum(ks, j)[:, None]
-        hi = np.maximum(ks, j)[:, None]
-        blocked = (
-            (idx > lo) & (idx < hi) & (zv[j] == level) & (zv[ks] == level)
-        ).any(axis=1)
-        edges.extend((j + 1, int(k) + 1) for k in ks[~blocked])
+    rows = z.values.tolist()
+    # Ascending Morse order: reach[j] gets bit k for each target k of j,
+    # from each unblocked drop-one edge j -> k and the targets of k, which
+    # are complete since level[m] holds the visited labels of Morse number m.
+    reach = [0] * (p.n + 1)
+    level: dict[int, list[int]] = {}
+    for j in sorted(range(1, p.n + 1), key=lambda v: morse[v - 1]):
+        for k in level.get(morse[j - 1] - 1, ()):
+            if _blocker(rows, j, k) is None:
+                reach[j] |= (1 << k) | reach[k]
+        level.setdefault(morse[j - 1], []).append(j)
+    edges = [(j, k) for j, r in enumerate(reach) for k, bit in enumerate(bin(r)[::-1]) if bit == "1"]
     return AttractorModel(p=p, morse=morse, z=z, connections=frozenset(edges))
 
 
@@ -416,6 +410,15 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
         extrema=extrema,
         cases=cases,
     )
+
+
+# A permutation's model and the minimax report of each unstable base.
+Analysis = tuple[AttractorModel, dict[int, MinimaxReport]]
+
+
+def _analyze(p: SturmPermutation) -> Analysis:
+    model = build_model(p)
+    return model, {base: minimax_report(model, base) for base in model.unstable()}
 
 
 def _levels(

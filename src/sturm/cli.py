@@ -101,13 +101,9 @@ def cmd_suspend(args: argparse.Namespace) -> int:
         raise ParseError(f"--times must be non-negative, got {args.times}")
     p = _read_permutation(args)
     if args.times:
-        # Suspension keeps the Sturm property, so only the input is gated
-        # and the intermediate results stay plain label tuples.
+        # Suspension keeps the Sturm property, so only the input is gated.
         _require_sturm(p)
-        labels = p.map
-        for _ in range(args.times):
-            labels = _suspend_labels(labels)
-        p = SturmPermutation(labels)
+        p = SturmPermutation(_suspend_labels(p.map, args.times))
     print(format_permutation(p, zero_based=args.zero_based))
     return 0
 

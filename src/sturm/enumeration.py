@@ -21,17 +21,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Literal, Optional
 
-from .attractor import (
-    AttractorModel,
-    MinimaxReport,
-    _levels,
-    boundary_neighbors,
-    build_model,
-    minimax_report,
-)
+from .attractor import Analysis, _analyze, _levels, boundary_neighbors
 from .meander import crossing_number, is_meander
 from .perm import SturmPermutation, apply_kappa, apply_tau, is_morse
-from .suspension import suspend, verify_suspension
+from .suspension import _suspend_labels, _suspension_items, suspend
 from .zeros import MeanderWindow, window_z, z_pair_nsl
 
 __all__ = [
@@ -265,23 +258,12 @@ class HarnessReport:
         return "\n".join(lines)
 
 
-# Each permutation's model and the minimax report of each unstable base.
-Analysis = tuple[AttractorModel, dict[int, MinimaxReport]]
-
-
-def _analyze(p: SturmPermutation) -> Analysis:
-    model = build_model(p)
-    return model, {base: minimax_report(model, base) for base in model.unstable()}
-
-
 def _check_permutation_properties(
     report: HarnessReport,
     p: SturmPermutation,
     analyses: dict[tuple[int, ...], Analysis],
     rng: random.Random,
 ) -> None:
-    import numpy as np
-
     n = p.n
     morse = p.morse
     ctx = str(p)
@@ -310,13 +292,10 @@ def _check_permutation_properties(
     )
 
     zm = model.z
+    rows = zm.values.tolist()
     report.prop("zero matrix is symmetric with zero boundary rows").record(
-        bool(
-            np.array_equal(zm.values, zm.values.T)
-            and all(zm.pair(1, j) == 0 and zm.pair(j, n) == 0 for j in range(2, n))
-        )
-        if n > 2
-        else True,
+        rows == [list(col) for col in zip(*rows)]
+        and all(zm.pair(1, j) == 0 and zm.pair(j, n) == 0 for j in range(2, n)),
         ctx,
     )
     report.prop("adjacent zero number is the smaller Morse number").record(
@@ -359,7 +338,7 @@ def _check_permutation_properties(
         last = rng.randint(first + 1, n)
         win = MeanderWindow.from_permutation(p, first, last)
         block = zm.values[first - 1 : last, first - 1 : last]
-        r.record(bool(np.array_equal(window_z(win), block)), f"{ctx} window {first}..{last}")
+        r.record(window_z(win).tolist() == block.tolist(), f"{ctx} window {first}..{last}")
 
     report.prop("boundary neighbors have Morse number one off").record(
         all(
@@ -424,6 +403,18 @@ def _check_klein_equivariance(
     levels.record(levels_ok, ctx)
 
 
+def _check_suspension(
+    report: HarnessReport,
+    p: SturmPermutation,
+    analyses: dict[tuple[int, ...], Analysis],
+    larger: dict[tuple[int, ...], Analysis],
+) -> None:
+    image = larger.get(_suspend_labels(p.map))
+    ok = image is not None and all(i.passed for i in _suspension_items(analyses[p.map], image))
+    ctx = str(p) if image is not None else f"{p} (suspension outside the family)"
+    report.prop("suspension laws hold").record(ok, ctx)
+
+
 def property_harness(
     n_max: int = 7,
     *,
@@ -433,7 +424,8 @@ def property_harness(
     """Run every documented invariant over all Sturm permutations up to n_max.
 
     Each family is enumerated once, and each member's model and minimax
-    reports are built once; the symmetry checks compare those analyses.
+    reports are built once, up front; the symmetry and suspension checks
+    compare those analyses.
     Randomized spot checks (crossing triples, window placement) draw from
     a generator with a fixed seed, so reports are reproducible. Suspension
     laws are checked up to n_max - 2, so the suspended sizes stay within
@@ -443,13 +435,14 @@ def property_harness(
     rng = random.Random(20240)
     report = HarnessReport(n_max=n_max)
     families = {n: list(enumerate_sturm(n, bound=bound)) for n in range(1, n_max + 1, 2)}
+    by_size = {n: {p.map: _analyze(p) for p in members} for n, members in families.items()}
     for n, members in families.items():
-        analyses = {p.map: _analyze(p) for p in members}
+        analyses = by_size[n]
         for p in members:
             report.permutations += 1
             _check_permutation_properties(report, p, analyses, rng)
             if n + 2 <= n_max:
-                report.prop("suspension laws hold").record(verify_suspension(p).passed, str(p))
+                _check_suspension(report, p, analyses, by_size[n + 2])
             if progress:
                 progress(f"n={n}: checked {p}")
         report.counts[n] = len(members)
@@ -464,8 +457,7 @@ def property_harness(
             f"n={n}",
         )
         if n + 2 <= n_max:
-            larger = {q.map for q in families[n + 2]}
             report.prop("suspensions reappear two sizes up").record(
-                all(suspend(q).suspended.map in larger for q in members), f"n={n}"
+                all(suspend(q).suspended.map in by_size[n + 2] for q in members), f"n={n}"
             )
     return report

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .attractor import _levels, build_model, minimax_report
+from .attractor import Analysis, _analyze, _levels
 from .meander import is_sturm
 from .perm import SturmPermutation, _require_sturm
 
@@ -44,9 +44,14 @@ def suspend(p: SturmPermutation) -> SuspensionResult:
     return SuspensionResult(original=p, suspended=SturmPermutation(_suspend_labels(p.map)))
 
 
-def _suspend_labels(m: tuple[int, ...]) -> tuple[int, ...]:
-    # The label tuple of the suspension; no gate, no permutation built.
-    return (1,) + tuple(v + 1 for v in reversed(m)) + (len(m) + 2,)
+def _suspend_labels(m: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
+    # The label tuple of `times` suspensions in closed form; no gate, no
+    # permutation built. Each one reverses the block and brackets it.
+    big = len(m) + 2 * times
+    head = tuple(i + 1 if i % 2 == 0 else big - i for i in range(times))
+    core = tuple(v + times for v in (reversed(m) if times % 2 else m))
+    tail = tuple(big - i if i % 2 == 0 else i + 1 for i in reversed(range(times)))
+    return head + core + tail
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,14 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     correspond under the shift, at every signed level.
     """
     result = suspend(p)
-    q = result.suspended
+    items = _suspension_items(_analyze(p), _analyze(result.suspended))
+    return SuspensionReport(result=result, items=items)
+
+
+def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[CheckItem, ...]:
+    # The checks of verify_suspension, read from the analyses of p and q.
+    (model_p, reports_p), (model_q, reports_q) = analysis_p, analysis_q
+    p, q = model_p.p, model_q.p
     n = p.n
     items: list[CheckItem] = []
 
@@ -97,17 +109,9 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     shift_ok = all(mq[j] == p.morse[j - 1] + 1 for j in range(1, n + 1))
     items.append(_check("inner Morse numbers shift by one", shift_ok, f"{mq}"))
 
-    model_p = build_model(p)
-    model_q = build_model(q)
     zp, zq = model_p.z, model_q.z
-    bad_pair = None
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            if zq.pair(j + 1, k + 1) != zp.pair(j, k) + 1:
-                bad_pair = (j, k)
-                break
-        if bad_pair:
-            break
+    pairs = ((j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1))
+    bad_pair = next(((j, k) for j, k in pairs if zq.pair(j + 1, k + 1) != zp.pair(j, k) + 1), None)
     items.append(
         _check("inner zero numbers shift by one", bad_pair is None, f"first mismatch at {bad_pair}")
     )
@@ -131,9 +135,9 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     # Every signed level of each unstable base, shifted up one; level 0
     # of the suspended base holds only the new extremes.
     bad = None
-    for base in model_p.unstable():
-        want = _levels(minimax_report(model_p, base), relabel=lambda w: w + 1, shift=1)
-        got = _levels(minimax_report(model_q, base + 1))
+    for base, report in reports_p.items():
+        want = _levels(report, relabel=lambda w: w + 1, shift=1)
+        got = _levels(reports_q[base + 1])
         for key in ("0+", "0-"):
             got.pop(key, None)
         if want != got:
@@ -142,4 +146,4 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
             break
     items.append(_check("target sets and minimax equilibria correspond", bad is None, bad))
 
-    return SuspensionReport(result=result, items=tuple(items))
+    return tuple(items)

@@ -3,16 +3,19 @@
 The two geometric oracles work on the rendered geometry of the canonical
 diagram (crossings at integer abscissae, arcs as true semicircles) with
 float arithmetic, so they share no code path with the sign-bookkeeping
-they cross-check. The scan oracles recompute the connection set and the
-signed target sets pair by pair from the scalar criterion, the reference
-for the vectorized connection scan and the bucketed target sets. The
-JSON oracle is the standard library encoder that ``report.to_json``
-replaces.
+they cross-check. The connection oracles compute the connection set
+without the cascade that ``build_model`` relies on: one tests every
+Morse-dropping pair with numpy, one source row at a time, the other
+applies the scalar criterion pair by pair. The target-set oracle scans
+every label for the bucketed target sets. The JSON oracle is the
+standard library encoder that ``report.to_json`` replaces.
 """
 import json
 import math
 
-from sturm import SturmPermutation, build_diagram, connects, is_z_adjacent
+import numpy as np
+
+from sturm import SturmPermutation, build_diagram, connects, is_z_adjacent, z_matrix
 
 
 def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
@@ -86,6 +89,29 @@ def scalar_connections(model) -> set[tuple[int, int]]:
         for k in range(1, model.n + 1)
         if j != k and model.morse[j - 1] > model.morse[k - 1] and is_z_adjacent(model, j, k)[0]
     }
+
+
+def scan_connections(p: SturmPermutation) -> frozenset[tuple[int, int]]:
+    """Connection set by a vectorized scan of every Morse-dropping pair."""
+    morse = p.morse
+    zv = z_matrix(p).values
+    depth = np.asarray(morse)
+    idx = np.arange(p.n)
+    edges = []
+    for j in range(p.n):
+        # Candidate targets k (Morse drop), tested all at once: some w
+        # strictly between j and k with Z[j,w] == Z[j,k] == Z[w,k] blocks.
+        ks = np.flatnonzero(depth < depth[j])
+        if not ks.size:
+            continue
+        level = zv[j, ks][:, None]
+        lo = np.minimum(ks, j)[:, None]
+        hi = np.maximum(ks, j)[:, None]
+        blocked = (
+            (idx > lo) & (idx < hi) & (zv[j] == level) & (zv[ks] == level)
+        ).any(axis=1)
+        edges.extend((j + 1, int(k) + 1) for k in ks[~blocked])
+    return frozenset(edges)
 
 
 def json_oracle(record) -> str:

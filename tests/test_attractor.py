@@ -2,7 +2,7 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
-from oracles import scalar_connections, scan_target_set
+from oracles import scalar_connections, scan_connections, scan_target_set
 from sturm import (
     MinimaxExtrema,
     NeighborQuartet,
@@ -90,6 +90,11 @@ class TestZAdjacency:
     def test_equal_labels_rejected(self, model7):
         with pytest.raises(ValueError):
             is_z_adjacent(model7, 3, 3)
+
+    @pytest.mark.parametrize("j, k", [(0, 3), (3, 0), (8, 3), (3, 8)])
+    def test_labels_out_of_range(self, model7, j, k):
+        with pytest.raises(ValueError, match=r"^label [jk]=(0|8) out of range 1\.\.7$"):
+            is_z_adjacent(model7, j, k)
 
 
 class TestConnects:
@@ -340,7 +345,7 @@ def family11():
 
 
 def _assert_matches_scan(model):
-    assert set(model.connections) == scalar_connections(model)
+    assert model.connections == scan_connections(model.p) == scalar_connections(model)
     for base in model.unstable():
         for k in range(model.morse[base - 1]):
             for sign in ("+", "-"):
@@ -348,11 +353,12 @@ def _assert_matches_scan(model):
 
 
 class TestAgainstScan:
-    """Vectorized connections and bucketed target sets against the
-    pair-by-pair scalar criterion."""
+    """Connections built by cascade against the vectorized scan and the
+    pair-by-pair scalar criterion, and bucketed target sets against a
+    scan over every label."""
 
-    def test_all_small(self, pool, pool9):
-        for p in [q for n in (1, 3, 5, 7) for q in pool[n]] + list(pool9):
+    def test_all_small(self, family11):
+        for p in family11:
             _assert_matches_scan(build_model(p))
 
     def test_large(self, large_inputs):
@@ -382,18 +388,19 @@ class TestCellInvariants:
 
     def test_connections_are_transitive_closure_of_drop_one_edges(self, family11):
         # Cascading and transitivity: j reaches k exactly along a chain of
-        # connections that each drop the Morse number by one.
+        # connections that each drop the Morse number by one. build_model
+        # relies on this, so the scan, which does not, is checked too.
         for p in family11:
-            model = build_model(p)
-            reach = {j: set() for j in range(1, p.n + 1)}
-            for j, k in model.connections:
-                if model.morse[j - 1] == model.morse[k - 1] + 1:
-                    reach[j].add(k)
-            # sources in ascending Morse order, so targets' closures are complete
-            for j in sorted(reach, key=lambda v: model.morse[v - 1]):
-                reach[j] |= {w for k in list(reach[j]) for w in reach[k]}
-            closure = {(j, k) for j, ks in reach.items() for k in ks}
-            assert closure == set(model.connections), p
+            for connections in (build_model(p).connections, scan_connections(p)):
+                reach = {j: set() for j in range(1, p.n + 1)}
+                for j, k in connections:
+                    if p.morse[j - 1] == p.morse[k - 1] + 1:
+                        reach[j].add(k)
+                # sources in ascending Morse order, so targets' closures are complete
+                for j in sorted(reach, key=lambda v: p.morse[v - 1]):
+                    reach[j] |= {w for k in list(reach[j]) for w in reach[k]}
+                closure = {(j, k) for j, ks in reach.items() for k in ks}
+                assert closure == set(connections), p
 
     def test_signed_hemispheres(self, family11):
         # Each signed target set closes a hemisphere of dimension k.

@@ -12,8 +12,10 @@ from sturm import (
     identity,
     is_sturm,
     property_harness,
+    suspend,
 )
-from sturm.enumeration import HarnessReport, _analyze, _check_klein_equivariance
+from sturm.attractor import _analyze
+from sturm.enumeration import HarnessReport, _check_klein_equivariance, _check_suspension
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
@@ -108,3 +110,14 @@ class TestHarness:
             prop = report.properties[name]
             assert (prop.checked, prop.failures) == (1, 1)
             assert prop.first_counterexample.startswith(str(p))
+
+    def test_suspension_outside_the_family_is_a_failure(self):
+        p = SturmPermutation(PERM7)
+        analyses = {p.map: _analyze(p)}
+        report = HarnessReport(n_max=9)
+        _check_suspension(report, p, analyses, {})
+        q = suspend(p).suspended
+        _check_suspension(report, p, analyses, {q.map: _analyze(q)})
+        prop = report.properties["suspension laws hold"]
+        assert (prop.checked, prop.failures) == (2, 1)
+        assert prop.first_counterexample == f"{p} (suspension outside the family)"
