@@ -1,7 +1,5 @@
 #!/usr/bin/env python3
 # Zero numbers of equilibrium differences, two ways.
-import numpy as np
-
 from sturm import SturmPermutation, matrix_text, signed_z, z_matrix, z_pair_nsl
 
 p = SturmPermutation((1, 4, 5, 6, 3, 2, 7))
@@ -29,4 +27,4 @@ for w in (2, 4, 6):
 # Rows against the extremes vanish: the first and last equilibria bound
 # everything else pointwise.
 print()
-print("row of equilibrium 1:", np.array(zm.values[0]).tolist())
+print("row of equilibrium 1:", list(zm.values[0]))

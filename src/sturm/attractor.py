@@ -123,7 +123,6 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     _require_sturm(p)
     morse = p.morse
     z = z_matrix(p)
-    rows = z.values.tolist()
     # Ascending Morse order: reach[j] gets bit k for each target k of j,
     # from each unblocked drop-one edge j -> k and the targets of k, which
     # are complete since level[m] holds the visited labels of Morse number m.
@@ -131,7 +130,7 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     level: dict[int, list[int]] = {}
     for j in sorted(range(1, p.n + 1), key=lambda v: morse[v - 1]):
         for k in level.get(morse[j - 1] - 1, ()):
-            if _blocker(rows, j, k) is None:
+            if _blocker(z.values, j, k) is None:
                 reach[j] |= (1 << k) | reach[k]
         level.setdefault(morse[j - 1], []).append(j)
     edges = [(j, k) for j, r in enumerate(reach) for k, bit in enumerate(bin(r)[::-1]) if bit == "1"]
@@ -203,7 +202,7 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
 
 def _buckets(model: AttractorModel, base: int) -> dict[tuple[int, Sign], tuple[int, ...]]:
     # Non-empty signed target sets of base, keyed by (z, sign), members ascending.
-    row = model.z.values[base - 1].tolist()
+    row = model.z.values[base - 1]
     out: dict[tuple[int, Sign], list[int]] = {}
     for w in model._successors.get(base, ()):
         out.setdefault((row[w - 1], "+" if w > base else "-"), []).append(w)

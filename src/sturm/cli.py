@@ -4,10 +4,14 @@ Exit codes: 0 for pass/valid, 1 for a validation or property failure,
 2 for usage or parse errors. All documents go to stdout, newline
 terminated; failures print one machine-parsable line to stderr of the
 form ``error: <code>: <message>``.
+
+A reader that closes stdout early (``sturm enumerate --n 11 | head``)
+ends the command with exit code 1 and nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -234,7 +238,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # so that a reader gone before the exit flush is caught too
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; devnull takes what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return FAIL_EXIT
     except ParseError as exc:
         return _fail("parse", str(exc), USAGE_EXIT)
     except NotSturmError as exc:
@@ -247,6 +256,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("domain", str(exc), FAIL_EXIT)
     except ValueError as exc:
         return _fail("value", str(exc), FAIL_EXIT)
+    return status
 
 
 if __name__ == "__main__":

@@ -79,7 +79,7 @@ def analyze_record(model: AttractorModel) -> dict[str, Any]:
         "sigma": list(model.p.map),
         "sigma_inverse": list(model.p.inv),
         "morse": list(model.morse),
-        "z_matrix": model.z.values.tolist(),
+        "z_matrix": [list(row) for row in model.z.values],
         "connections": sorted(model.connections),
         "minimax": [minimax_record(minimax_report(model, j)) for j in model.unstable()],
     }

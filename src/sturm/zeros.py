@@ -25,16 +25,11 @@ of all n labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Literal, NamedTuple, Sequence
+from typing import Literal, NamedTuple, Sequence
 
 from .errors import WindowError
 from .meander import _pair_zero
 from .perm import SturmPermutation, _check_labels, _morse_recursion, _require_sturm
-
-if TYPE_CHECKING:
-    # numpy is imported inside the functions that build arrays, so
-    # importing the package does not load it.
-    import numpy as np
 
 __all__ = [
     "ZeroMatrix",
@@ -55,54 +50,52 @@ Sign = Literal["+", "-"]
 class ZeroMatrix:
     """Symmetric matrix of zero numbers, Morse numbers on the diagonal.
 
-    The diagonal is a display and storage convention only: z(v - v) is
-    undefined and never read as a zero number. Use :meth:`pair` for
-    off-diagonal access with 1-based labels.
+    ``values`` is a tuple of row tuples of ints. The diagonal is a display
+    and storage convention only: z(v - v) is undefined and never read as
+    a zero number. Use :meth:`pair` for off-diagonal access with 1-based
+    labels.
     """
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values.setflags(write=False)
+    values: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.values)
 
     def pair(self, j: int, k: int) -> int:
         """Zero number z(v_k - v_j) for distinct labels j, k."""
         if j == k:
             raise ValueError("zero number of a pair requires distinct labels")
         _check_labels(self.n, j=j, k=k)
-        return int(self.values[j - 1, k - 1])
+        return self.values[j - 1][k - 1]
 
     def morse(self, j: int) -> int:
         _check_labels(self.n, j=j)
-        return int(self.values[j - 1, j - 1])
+        return self.values[j - 1][j - 1]
 
 
-def _zero_matrix_values(p: SturmPermutation) -> np.ndarray:
-    import numpy as np
-
-    n = p.n
-    out = np.zeros((n, n), dtype=np.int64)
-    if n > 1:
-        pos = np.asarray(p.inv, dtype=np.int64)
-        # d[j, m] = sign(position(m+1) - position(j+1)) for 0-based j, m
-        d = np.sign(pos[None, :] - pos[:, None])
-        # doubled increment of row j at 1-based step m: (-1)^m (d[j,m+1]-d[j,m])
-        alt = np.where(np.arange(1, n) % 2 == 0, 1, -1)  # (-1)^m for m = 1..n-1
-        twostep = alt[None, :] * (d[:, 1:] - d[:, :-1])
-        # z_{j,k} sums the steps m = k..n-1 (descending recursion from z_{j,n} = 0)
-        suffix = np.flip(np.cumsum(np.flip(twostep, axis=1), axis=1), axis=1)
-        for j in range(n - 1):
-            seg = suffix[j, j + 1 : n - 1]
-            assert not np.any(seg % 2), "doubled recursion must stay even"
-            out[j, j + 1 : n - 1] = seg // 2
-            # column k = n stays at the boundary value 0
-        out = out + out.T
-    out[np.diag_indices(n)] = p.morse
-    return out
+def _zero_matrix_values(p: SturmPermutation) -> tuple[tuple[int, ...], ...]:
+    n, pos = p.n, p.inv
+    upper = []
+    for j in range(n):
+        # Row j (0-based) descends from the boundary value z(j, n) = 0. The
+        # 1-based step m adds half of (-1)^m (d(m+1) - d(m)), with
+        # d(m) = sign(pos m - pos j), so z(j, k) sums the steps m = k..n-1;
+        # the loop's 0-based column k takes the step m = k + 1.
+        pj, row, twice = pos[j], [0] * n, 0
+        d_next = (pos[n - 1] > pj) - (pos[n - 1] < pj)
+        for k in range(n - 2, j, -1):
+            d = (pos[k] > pj) - (pos[k] < pj)
+            twice += d_next - d if k % 2 else d - d_next
+            assert twice % 2 == 0, "doubled recursion must stay even"
+            row[k] = twice // 2
+            d_next = d
+        upper.append(row)
+    # zip(*upper) transposes: column j of upper is the lower part of row j.
+    return tuple(
+        lower[:j] + (p.morse[j],) + tuple(row[j + 1 :])
+        for j, (row, lower) in enumerate(zip(upper, zip(*upper)))
+    )
 
 
 def z_matrix(p: SturmPermutation) -> ZeroMatrix:
@@ -112,12 +105,10 @@ def z_matrix(p: SturmPermutation) -> ZeroMatrix:
     >>> m.pair(2, 3), m.pair(2, 6), m.pair(4, 5), m.pair(3, 5)
     (1, 1, 0, 1)
     """
-    import numpy as np
-
     _require_sturm(p)
     values = _zero_matrix_values(p)
-    off = ~np.eye(p.n, dtype=bool)
-    assert np.all(values[off] >= 0), "zero numbers must be non-negative"
+    # The diagonal's Morse numbers are non-negative as well.
+    assert min(map(min, values)) >= 0, "zero numbers must be non-negative"
     return ZeroMatrix(values=values)
 
 
@@ -236,19 +227,18 @@ def window_morse(win: MeanderWindow) -> tuple[int, ...]:
     return morse
 
 
-def window_z(win: MeanderWindow) -> np.ndarray:
+def window_z(win: MeanderWindow) -> tuple[tuple[int, ...], ...]:
     """Zero numbers of all window pairs, Morse numbers on the diagonal.
 
     Uses the pairwise identity, which only ever compares axis positions
     of window labels; the result equals the corresponding sub-block of
     the full matrix whenever the window comes from an actual Sturm
-    permutation with the correct anchor.
+    permutation with the correct anchor. Rows are tuples of ints, like
+    :attr:`ZeroMatrix.values`.
     """
-    import numpy as np
-
     morse = window_morse(win)
     L = win.length
-    out = np.zeros((L, L), dtype=np.int64)
+    out = [[morse[s] if s == t else 0 for t in range(L)] for s in range(L)]
     for s in range(1, L):
         for t in range(s + 1, L + 1):
             value = _pair_zero(win.axis_rank, morse, s, t)
@@ -257,12 +247,10 @@ def window_z(win: MeanderWindow) -> np.ndarray:
                     f"window pair ({s}, {t}) gets zero number {value}; "
                     "window is inconsistent with any Sturm completion"
                 )
-            out[s - 1, t - 1] = out[t - 1, s - 1] = value
-    out[np.diag_indices(L)] = morse
-    out.setflags(write=False)
-    return out
+            out[s - 1][t - 1] = out[t - 1][s - 1] = value
+    return tuple(map(tuple, out))
 
 
-def matrix_text(values: np.ndarray) -> str:
+def matrix_text(values: Sequence[Sequence[int]]) -> str:
     """Rows of space-separated integers, one line per row."""
-    return "\n".join(" ".join(str(int(v)) for v in row) for row in values)
+    return "\n".join(" ".join(map(str, row)) for row in values)

@@ -40,6 +40,11 @@ WINDOW_Z = (
 )
 
 
+def block(values, first, last):
+    """Rows and columns first..last (1-based) of a matrix given as rows."""
+    return tuple(row[first - 1 : last] for row in values[first - 1 : last])
+
+
 @pytest.fixture
 def perm7():
     return SturmPermutation(PERM7)

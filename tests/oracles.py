@@ -3,7 +3,9 @@
 The two geometric oracles work on the rendered geometry of the canonical
 diagram (crossings at integer abscissae, arcs as true semicircles) with
 float arithmetic, so they share no code path with the sign-bookkeeping
-they cross-check. The connection oracles compute the connection set
+they cross-check. The numpy zero-number oracle is the vectorized form
+of the descending recursion that ``zeros._zero_matrix_values`` runs row
+by row in plain Python. The connection oracles compute the connection set
 without the cascade that ``build_model`` relies on: one tests every
 Morse-dropping pair with numpy, one source row at a time, the other
 applies the scalar criterion pair by pair. The target-set oracle scans
@@ -91,10 +93,34 @@ def scalar_connections(model) -> set[tuple[int, int]]:
     }
 
 
+def numpy_z_values(p: SturmPermutation) -> np.ndarray:
+    """Zero-number matrix by the descending recursion, vectorized over
+    whole rows, Morse numbers on the diagonal."""
+    n = p.n
+    out = np.zeros((n, n), dtype=np.int64)
+    if n > 1:
+        pos = np.asarray(p.inv, dtype=np.int64)
+        # d[j, m] = sign(position(m+1) - position(j+1)) for 0-based j, m
+        d = np.sign(pos[None, :] - pos[:, None])
+        # doubled increment of row j at 1-based step m: (-1)^m (d[j,m+1]-d[j,m])
+        alt = np.where(np.arange(1, n) % 2 == 0, 1, -1)  # (-1)^m for m = 1..n-1
+        twostep = alt[None, :] * (d[:, 1:] - d[:, :-1])
+        # z_{j,k} sums the steps m = k..n-1 (descending recursion from z_{j,n} = 0)
+        suffix = np.flip(np.cumsum(np.flip(twostep, axis=1), axis=1), axis=1)
+        for j in range(n - 1):
+            seg = suffix[j, j + 1 : n - 1]
+            assert not np.any(seg % 2), "doubled recursion must stay even"
+            out[j, j + 1 : n - 1] = seg // 2
+            # column k = n stays at the boundary value 0
+        out = out + out.T
+    out[np.diag_indices(n)] = p.morse
+    return out
+
+
 def scan_connections(p: SturmPermutation) -> frozenset[tuple[int, int]]:
     """Connection set by a vectorized scan of every Morse-dropping pair."""
     morse = p.morse
-    zv = z_matrix(p).values
+    zv = np.asarray(z_matrix(p).values)
     depth = np.asarray(morse)
     idx = np.arange(p.n)
     edges = []

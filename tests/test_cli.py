@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from conftest import PERM15, PERM7, WINDOW_Z
+from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
 from sturm.cli import main
 
@@ -273,12 +273,17 @@ print(json.dumps(seen))
 
 def test_heavy_imports_load_on_first_use():
     # The test process has numpy loaded already, so a fresh one is probed.
+    perm15_text = format_permutation(SturmPermutation(PERM15))
     commands = [
         ["validate", PERM7_TEXT],
         ["suspend", PERM7_TEXT],
         ["enumerate", "--n", "7", "--count-only"],
         ["render", "--format", "svg", PERM7_TEXT],
         ["analyze", PERM7_TEXT],
+        ["minimax", "--eq", "3", perm15_text],
+        ["window", "--anchor-morse", "2", "--order", " ".join(map(str, WINDOW_ORDER))],
+        ["render", "--format", "dot", perm15_text],
+        ["harness", "--n-max", "5"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _LOADED_PROBE, json.dumps(commands)],
@@ -286,14 +291,25 @@ def test_heavy_imports_load_on_first_use():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [
-        [None, []],  # import sturm
-        [0, []],  # validate
-        [0, []],  # suspend
-        [0, []],  # enumerate
-        [0, []],  # render --format svg
-        [0, ["numpy"]],  # analyze
-    ]
+    # import sturm, then each command: exit 0 and neither module loaded
+    assert json.loads(proc.stdout) == [[None, []]] + [[0, []]] * len(commands)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["suspend", "--times", "20000", PERM7_TEXT], ["enumerate", "--n", "15", "--bound", "15"]],
+    ids=["suspend", "enumerate"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # Both outputs are larger than a pipe buffer, so the command is still
+    # writing when the reader goes away.
+    with subprocess.Popen(
+        [sys.executable, "-m", "sturm", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert len(proc.stdout.read(40)) == 40
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 1
+        assert proc.stderr.read() == b""
 
 
 def test_round_trip_over_family(capsys):

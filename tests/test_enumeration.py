@@ -19,7 +19,9 @@ from sturm.enumeration import HarnessReport, _check_klein_equivariance, _check_s
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
-KNOWN_COUNTS = {1: 1, 3: 1, 5: 2, 7: 7, 9: 32}
+# Sizes 11 and 13 are regression values of the backtrack engine, which
+# "auto" runs above n = 7.
+KNOWN_COUNTS = {1: 1, 3: 1, 5: 2, 7: 7, 9: 32, 11: 175, 13: 1083}
 
 
 class TestEnumerate:
@@ -34,7 +36,7 @@ class TestEnumerate:
 
     def test_counts(self):
         for n, expected in KNOWN_COUNTS.items():
-            assert count_sturm(n) == expected, n
+            assert count_sturm(n, bound=n) == expected, n
 
     def test_engines_agree(self):
         for n in (1, 3, 5, 7, 9):
