@@ -23,7 +23,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional
 
 from .perm import SturmPermutation, _check_labels, _require_sturm
-from .zeros import Sign, SignedZero, ZeroMatrix, z_matrix
+from .zeros import Sign, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
     # networkx is imported inside the function that uses it, so importing
@@ -65,9 +65,6 @@ class AttractorModel:
     @property
     def n(self) -> int:
         return self.p.n
-
-    def signed_z(self, base: int, w: int) -> SignedZero:
-        return SignedZero(z=self.z.pair(base, w), sign="+" if w > base else "-")
 
     def unstable(self) -> Iterator[int]:
         """Labels with positive Morse number, ascending."""

@@ -205,7 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("enumerate", help="stream all Sturm permutations of one size")
     sp.add_argument("--n", type=int, required=True, help="odd size")
     sp.add_argument("--count-only", action="store_true")
-    sp.add_argument("--engine", choices=("auto", "filter", "backtrack"), default="auto")
+    sp.add_argument(
+        "--engine",
+        choices=("auto", "filter", "backtrack"),
+        default="auto",
+        help="auto runs backtrack; filter is the brute-force cross-check",
+    )
     sp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     sp.set_defaults(func=cmd_enumerate)
 

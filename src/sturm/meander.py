@@ -4,7 +4,10 @@ In canonical form the curve crosses the axis vertically and consecutive
 crossings (by label) are joined by semicircles that alternate sides,
 starting above. The permutation is a meander permutation exactly when
 the arcs above the axis are pairwise non-crossing and so are the arcs
-below; the test runs as a stack sweep over axis positions.
+below. The test places the labels in axis order and keeps one stack of
+open arcs per side: a label that closes an arc must close the innermost
+open arc on that side. The backtrack enumerator runs the same arc table
+and stack step incrementally.
 
 Crossing counts and the pairwise zero-number identity share one kernel
 over a sequence of axis coordinates with an anchor Morse parity:
@@ -17,6 +20,7 @@ route that the kernel is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
 from .perm import SturmPermutation, _check_labels, _require_sturm, is_dissipative, is_morse
@@ -87,39 +91,72 @@ def build_diagram(p: SturmPermutation) -> MeanderDiagram:
     return MeanderDiagram(n=p.n, arcs=arcs)
 
 
-def _noncrossing(arcs: tuple[Arc, ...], n: int) -> bool:
-    # Stack sweep: each position hosts at most one endpoint per side, and
-    # same-side semicircles are non-crossing iff spans close in LIFO order.
-    opens: list[int | None] = [None] * (n + 1)
-    closes: list[int | None] = [None] * (n + 1)
-    for arc in arcs:
-        left, right = arc.span
-        opens[left] = right
-        closes[right] = left
-    stack: list[int] = []
-    for x in range(1, n + 1):
-        partner = closes[x]
-        if partner is not None:
-            if not stack or stack[-1] != partner:
-                return False
-            stack.pop()
-        if opens[x] is not None:
-            stack.append(x)
-    return not stack
+_ArcTable = tuple[tuple[tuple[int, int], ...], ...]
+_Stacks = tuple[list[int], list[int]]
+
+
+@lru_cache(maxsize=16)
+def _arcs(n: int) -> _ArcTable:
+    """For each label, the ``(side, partner)`` of its one or two arcs.
+
+    Arc (m, m+1) lies above the axis (side 0) for odd m and below it
+    (side 1) for even m, as in :func:`build_diagram`. Entry 0 is unused.
+    """
+    return tuple(
+        tuple(
+            (0 if min(label, partner) % 2 else 1, partner)
+            for partner in (label - 1, label + 1)
+            if 1 <= partner <= n
+        )
+        for label in range(n + 1)
+    )
+
+
+def _fits(arcs: _ArcTable, stacks: _Stacks, placed: Sequence[int], label: int) -> bool:
+    """Whether ``label`` may take the next axis position.
+
+    Each side's stack holds the partners that close its open arcs,
+    innermost on top. An arc whose partner is already placed closes at
+    ``label``, so it must be the innermost open arc on its side.
+    """
+    for side, partner in arcs[label]:
+        if placed[partner] and stacks[side][-1] != label:
+            return False
+    return True
+
+
+def _place(arcs: _ArcTable, stacks: _Stacks, placed: Sequence[int], label: int) -> None:
+    """Stack step of a label that fits: pop each arc it closes and push
+    the partner of each arc it opens. The caller marks the label placed."""
+    for side, partner in arcs[label]:
+        if placed[partner]:
+            stacks[side].pop()
+        else:
+            stacks[side].append(partner)
 
 
 def is_meander(p: SturmPermutation) -> bool:
     """True when the canonical diagram is free of self-intersections.
+
+    Same-side semicircles are non-crossing exactly when they close in
+    last-in, first-out order, so the labels of ``p.map`` are placed left
+    to right with one stack of open arcs per side, and the first label
+    that does not close the innermost open arc of its side fails the test.
 
     >>> is_meander(SturmPermutation((1, 3, 2, 4, 5)))
     False
     >>> is_meander(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
     True
     """
-    diagram = build_diagram(p)
-    return _noncrossing(diagram.side("above"), p.n) and _noncrossing(
-        diagram.side("below"), p.n
-    )
+    arcs = _arcs(p.n)
+    stacks: _Stacks = ([], [])
+    placed = [False] * (p.n + 1)
+    for label in p.map:
+        if not _fits(arcs, stacks, placed, label):
+            return False
+        _place(arcs, stacks, placed, label)
+        placed[label] = True
+    return True
 
 
 def is_sturm(p: SturmPermutation) -> bool:

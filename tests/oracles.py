@@ -79,7 +79,9 @@ def scan_target_set(model, base: int, k: int, sign: str) -> set[int]:
     return {
         w
         for w in range(1, model.n + 1)
-        if w != base and model.signed_z(base, w) == (k, sign) and connects(model, base, w)
+        if w != base
+        and (model.z.pair(base, w), "+" if w > base else "-") == (k, sign)
+        and connects(model, base, w)
     }
 
 

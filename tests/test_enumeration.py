@@ -9,19 +9,28 @@ from sturm import (
     apply_tau,
     count_sturm,
     enumerate_sturm,
+    format_permutation,
     identity,
     is_sturm,
     property_harness,
     suspend,
 )
+from sturm import enumeration
 from sturm.attractor import _analyze
 from sturm.enumeration import HarnessReport, _check_klein_equivariance, _check_suspension
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
-# Sizes 11 and 13 are regression values of the backtrack engine, which
-# "auto" runs above n = 7.
-KNOWN_COUNTS = {1: 1, 3: 1, 5: 2, 7: 7, 9: 32, 11: 175, 13: 1083}
+# Sizes 11 to 15 are regression values of the backtrack engine, which
+# "auto" runs at every size.
+KNOWN_COUNTS = {1: 1, 3: 1, 5: 2, 7: 7, 9: 32, 11: 175, 13: 1083, 15: 7342}
+
+# SHA-256 of the `sturm enumerate --n N --bound N` text, pinned at the
+# previous engine, so the order is fixed and not only the counts.
+ENUMERATION_SHA256 = {
+    13: "5bc7ba53dab140f4f5bc74e5336c060f211c54eb2c9f523737e8748079215eb7",
+    15: "8f8d4a362780e2716274a2e9397c4f8c678fbb485032506065bd48b6bd76145b",
+}
 
 
 class TestEnumerate:
@@ -37,6 +46,11 @@ class TestEnumerate:
     def test_counts(self):
         for n, expected in KNOWN_COUNTS.items():
             assert count_sturm(n, bound=n) == expected, n
+
+    def test_enumeration_text_is_pinned(self):
+        for n, digest in ENUMERATION_SHA256.items():
+            text = "".join(format_permutation(p) + "\n" for p in enumerate_sturm(n, bound=n))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
     def test_engines_agree(self):
         for n in (1, 3, 5, 7, 9):
@@ -112,6 +126,16 @@ class TestHarness:
             prop = report.properties[name]
             assert (prop.checked, prop.failures) == (1, 1)
             assert prop.first_counterexample.startswith(str(p))
+
+    def test_engine_disagreement_is_a_failure(self, monkeypatch):
+        # A filter engine that loses the last member of size 5 must show
+        # up in the engine agreement property, and only at that size.
+        real = enumeration._enumerate_filter
+        monkeypatch.setattr(
+            enumeration, "_enumerate_filter", lambda n: list(real(n))[:-1] if n == 5 else real(n)
+        )
+        prop = property_harness(7).properties["both enumeration engines agree"]
+        assert (prop.checked, prop.failures, prop.first_counterexample) == (4, 1, "n=5")
 
     def test_suspension_outside_the_family_is_a_failure(self):
         p = SturmPermutation(PERM7)
