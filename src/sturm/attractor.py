@@ -26,8 +26,8 @@ from .perm import SturmPermutation, _check_labels, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
-    # networkx is imported inside the function that uses it, so importing
-    # the package does not load it.
+    # networkx, an optional extra, is imported inside the function that
+    # uses it, so importing the package does not load it.
     import networkx as nx
 
 __all__ = [
@@ -139,8 +139,12 @@ def connection_graph(model: AttractorModel) -> nx.DiGraph:
 
     Nodes are inserted in label order and edges in sorted order, so
     iteration order (and any serialization of it) is deterministic.
+    Needs networkx, the optional ``graph`` extra.
     """
-    import networkx as nx
+    try:
+        import networkx as nx
+    except ImportError as exc:
+        raise ImportError('connection_graph needs networkx: pip install "sturm[graph]"') from exc
 
     g = nx.DiGraph()
     for j in range(1, model.n + 1):

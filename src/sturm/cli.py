@@ -7,30 +7,25 @@ form ``error: <code>: <message>``.
 
 A reader that closes stdout early (``sturm enumerate --n 11 | head``)
 ends the command with exit code 1 and nothing on stderr.
+
+Imports: at module level this file imports only the standard library
+and ``.errors``. Each ``cmd_*`` function imports the modules it runs,
+and ``render`` imports per output format, so a cold process compiles
+and loads only what its command needs (``validate`` never loads the
+attractor). The parser imports no compute module: ``--bound`` defaults
+to ``None``, which the command resolves to ``DEFAULT_BOUND``.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from .attractor import build_model, minimax_report
-from .enumeration import DEFAULT_BOUND, enumerate_sturm, property_harness
 from .errors import NotMeanderError, NotSturmError, ParseError, SturmError, WindowError
-from .meander import is_meander, is_sturm
-from .perm import (
-    SturmPermutation,
-    _require_sturm,
-    format_permutation,
-    is_dissipative,
-    is_morse,
-    parse_permutation,
-)
-from .render import RenderStyle, render_svg
-from .report import analyze_record, dot_graph, minimax_record, to_json
-from .suspension import _suspend_labels
-from .zeros import MeanderWindow, matrix_text, window_morse, window_z
+
+if TYPE_CHECKING:
+    from .perm import SturmPermutation
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -42,6 +37,8 @@ def _fail(code: str, message: str, status: int) -> int:
 
 
 def _read_permutation(args: argparse.Namespace) -> SturmPermutation:
+    from .perm import parse_permutation
+
     text = args.permutation
     if text is None or text == "-":
         text = sys.stdin.read()
@@ -69,6 +66,9 @@ def _bool(value: bool) -> str:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .meander import is_meander
+    from .perm import is_dissipative, is_morse
+
     p = _read_permutation(args)
     dissipative = is_dissipative(p)
     morse = is_morse(p)
@@ -83,12 +83,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from .attractor import build_model
+    from .report import analyze_record, to_json
+
     p = _read_permutation(args)
     sys.stdout.write(to_json(analyze_record(build_model(p))))
     return 0
 
 
 def cmd_minimax(args: argparse.Namespace) -> int:
+    from .attractor import build_model, minimax_report
+    from .report import minimax_record, to_json
+
     p = _read_permutation(args)
     model = build_model(p)
     if not 1 <= args.eq <= model.n:
@@ -103,6 +109,9 @@ def cmd_minimax(args: argparse.Namespace) -> int:
 def cmd_suspend(args: argparse.Namespace) -> int:
     if args.times < 0:
         raise ParseError(f"--times must be non-negative, got {args.times}")
+    from .perm import SturmPermutation, _require_sturm, format_permutation
+    from .suspension import _suspend_labels
+
     p = _read_permutation(args)
     if args.times:
         # Suspension keeps the Sturm property, so only the input is gated.
@@ -113,6 +122,8 @@ def cmd_suspend(args: argparse.Namespace) -> int:
 
 
 def cmd_window(args: argparse.Namespace) -> int:
+    from .zeros import MeanderWindow, matrix_text, window_morse, window_z
+
     tokens = args.order.replace(",", " ").split()
     if not tokens:
         raise ParseError("empty window order")
@@ -136,7 +147,11 @@ def cmd_window(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    stream = enumerate_sturm(args.n, engine=args.engine, bound=args.bound)
+    from .enumeration import DEFAULT_BOUND, enumerate_sturm
+    from .perm import format_permutation
+
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    stream = enumerate_sturm(args.n, engine=args.engine, bound=bound)
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
@@ -150,17 +165,26 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ParseError(f"--scale must be positive, got {args.scale}")
     p = _read_permutation(args)
     if args.format == "svg":
+        from .render import RenderStyle, render_svg
+
         style = RenderStyle(
             scale=args.scale, show_morse=args.show_morse, zero_based_labels=args.zero_based
         )
         sys.stdout.write(render_svg(p, style))
     else:
+        from .attractor import build_model
+        from .report import dot_graph
+
         sys.stdout.write(dot_graph(build_model(p)))
     return 0
 
 
 def cmd_harness(args: argparse.Namespace) -> int:
-    report = property_harness(args.n_max, bound=args.bound)
+    from .enumeration import DEFAULT_BOUND
+    from .harness import property_harness
+
+    bound = DEFAULT_BOUND if args.bound is None else args.bound
+    report = property_harness(args.n_max, bound=bound)
     print(report.text())
     return 0 if report.passed else FAIL_EXIT
 
@@ -211,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="auto runs backtrack; filter is the brute-force cross-check",
     )
-    sp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    sp.add_argument("--bound", type=int)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("render", help="SVG meander drawing or DOT connection graph")
@@ -229,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("harness", help="run the exhaustive property suite")
     sp.add_argument("--n-max", type=int, default=7)
-    sp.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    sp.add_argument("--bound", type=int)
     sp.set_defaults(func=cmd_harness)
 
     return parser

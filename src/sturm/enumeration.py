@@ -1,4 +1,4 @@
-"""Exhaustive generation of Sturm permutations and the property harness.
+"""Exhaustive generation of Sturm permutations.
 
 Two engines produce every Sturm permutation of a given odd size in
 lexicographic order:
@@ -11,31 +11,18 @@ lexicographic order:
 * the *filter* engine tests all permutations fixing the end labels. It
   is the brute-force cross-check, fine up to size 9 or so.
 
-The property harness replays the documented invariants of every module
-over the whole enumerated family and reports the first counterexample
-per property, which is how the package keeps itself honest.
+``sturm.harness`` replays the documented invariants of every module over
+the families enumerated here.
 """
 from __future__ import annotations
 
 import itertools
-import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Literal, Optional
+from typing import Iterator, Literal
 
-from .attractor import Analysis, _analyze, _levels, boundary_neighbors
-from .meander import _arcs, _fits, _place, crossing_number, is_meander
-from .perm import SturmPermutation, apply_kappa, apply_tau, is_morse
-from .suspension import _suspend_labels, _suspension_items, suspend
-from .zeros import MeanderWindow, window_z, z_pair_nsl
+from .meander import _arcs, _fits, _place, is_meander
+from .perm import SturmPermutation, is_morse
 
-__all__ = [
-    "DEFAULT_BOUND",
-    "enumerate_sturm",
-    "count_sturm",
-    "PropertyResult",
-    "HarnessReport",
-    "property_harness",
-]
+__all__ = ["DEFAULT_BOUND", "enumerate_sturm", "count_sturm"]
 
 DEFAULT_BOUND = 11
 
@@ -114,270 +101,18 @@ def enumerate_sturm(
 ) -> Iterator[SturmPermutation]:
     """All Sturm permutations of odd size n, in lexicographic map order.
 
+    Size, bound and engine are checked at the call, before any iteration.
+
     >>> [p.map for p in enumerate_sturm(5)]
     [(1, 2, 3, 4, 5), (1, 4, 3, 2, 5)]
     """
     _check_size(n, bound)
     if engine == "filter":
-        yield from _enumerate_filter(n)
-    elif engine in ("auto", "backtrack"):
-        yield from _enumerate_backtrack(n)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+        return _enumerate_filter(n)
+    if engine in ("auto", "backtrack"):
+        return _enumerate_backtrack(n)
+    raise ValueError(f"unknown engine {engine!r}")
 
 
 def count_sturm(n: int, engine: Engine = "auto", bound: int = DEFAULT_BOUND) -> int:
     return sum(1 for _ in enumerate_sturm(n, engine=engine, bound=bound))
-
-
-@dataclass
-class PropertyResult:
-    name: str
-    checked: int = 0
-    failures: int = 0
-    first_counterexample: Optional[str] = None
-
-    def record(self, ok: bool, context: str) -> None:
-        self.checked += 1
-        if not ok:
-            self.failures += 1
-            if self.first_counterexample is None:
-                self.first_counterexample = context
-
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
-
-@dataclass
-class HarnessReport:
-    n_max: int
-    permutations: int = 0
-    counts: dict[int, int] = field(default_factory=dict)
-    properties: dict[str, PropertyResult] = field(default_factory=dict)
-
-    def prop(self, name: str) -> PropertyResult:
-        if name not in self.properties:
-            self.properties[name] = PropertyResult(name=name)
-        return self.properties[name]
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.properties.values())
-
-    def text(self) -> str:
-        lines = [
-            f"checked {self.permutations} Sturm permutations up to size {self.n_max}",
-            "counts: " + ", ".join(f"n={n}: {c}" for n, c in sorted(self.counts.items())),
-        ]
-        for name in sorted(self.properties):
-            r = self.properties[name]
-            status = "pass" if r.passed else "FAIL"
-            line = f"  {status}  {name}  ({r.checked} checks"
-            if r.failures:
-                line += f", {r.failures} failures, first: {r.first_counterexample}"
-            lines.append(line + ")")
-        lines.append("overall: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
-
-
-def _check_permutation_properties(
-    report: HarnessReport,
-    p: SturmPermutation,
-    analyses: dict[tuple[int, ...], Analysis],
-    rng: random.Random,
-) -> None:
-    n = p.n
-    morse = p.morse
-    ctx = str(p)
-    model, reports = analyses[p.map]
-
-    r = report.prop("morse recursion starts at zero with unit steps")
-    r.record(
-        morse[0] == 0 and all(abs(morse[j] - morse[j - 1]) == 1 for j in range(1, n)),
-        ctx,
-    )
-    report.prop("morse parity is opposite to label parity").record(
-        all((morse[j - 1] + j) % 2 == 1 for j in range(1, n + 1)), ctx
-    )
-    report.prop("last Morse number is zero (empirical)").record(morse[-1] == 0, ctx)
-
-    t, k = apply_tau(p), apply_kappa(p)
-    report.prop("boundary swap and flip are commuting involutions").record(
-        apply_tau(t) == p and apply_kappa(k) == p and apply_kappa(t) == apply_tau(k),
-        ctx,
-    )
-    report.prop("boundary swap relabels Morse numbers through the permutation").record(
-        all(t.morse[i] == morse[p.map[i] - 1] for i in range(n)), ctx
-    )
-    report.prop("flip reverses the Morse vector").record(
-        k.morse == tuple(reversed(morse)), ctx
-    )
-
-    zm = model.z
-    report.prop("zero matrix is symmetric with zero boundary rows").record(
-        zm.values == tuple(zip(*zm.values))
-        and all(zm.pair(1, j) == 0 and zm.pair(j, n) == 0 for j in range(2, n)),
-        ctx,
-    )
-    report.prop("adjacent zero number is the smaller Morse number").record(
-        all(zm.pair(j, j + 1) == min(morse[j - 1], morse[j]) for j in range(1, n)), ctx
-    )
-    r = report.prop("pairwise zero formula agrees with the matrix recursion")
-    r.record(
-        all(
-            z_pair_nsl(p, j, k) == zm.pair(j, k)
-            for j in range(1, n + 1)
-            for k in range(1, n + 1)
-            if j != k
-        ),
-        ctx,
-    )
-
-    r = report.prop("crossing numbers are additive and antisymmetric")
-    ok = True
-    for _ in range(min(20, n * n)):
-        j1, j2, j3, ell = (rng.randint(1, n) for _ in range(4))
-        c12 = crossing_number(p, j1, j2, ell).value
-        c23 = crossing_number(p, j2, j3, ell).value
-        c13 = crossing_number(p, j1, j3, ell).value
-        if c12 + c23 != c13 or crossing_number(p, j2, j1, ell).value != -c12:
-            ok = False
-            break
-    r.record(ok, ctx)
-    report.prop("arc endpoints never count as crossings").record(
-        all(
-            crossing_number(p, j, j + 1, j).value == 0
-            and crossing_number(p, j, j + 1, j + 1).value == 0
-            for j in range(1, n)
-        ),
-        ctx,
-    )
-
-    if n >= 3:
-        r = report.prop("windows reproduce the matrix sub-block")
-        first = rng.randint(1, n - 1)
-        last = rng.randint(first + 1, n)
-        win = MeanderWindow.from_permutation(p, first, last)
-        block = tuple(row[first - 1 : last] for row in zm.values[first - 1 : last])
-        r.record(window_z(win) == block, f"{ctx} window {first}..{last}")
-
-    report.prop("boundary neighbors have Morse number one off").record(
-        all(
-            model.morse[w - 1] in (morse[base - 1] - 1, morse[base - 1] + 1)
-            for base in range(1, n + 1)
-            for w in boundary_neighbors(model, base)
-            if w is not None
-        ),
-        ctx,
-    )
-    ok = True
-    for j in range(1, n):
-        hi, lo = (j, j + 1) if morse[j - 1] > morse[j] else (j + 1, j)
-        if (hi, lo) not in model.connections:
-            ok = False
-        a, b = p.sigma(j), p.sigma(j + 1)
-        hi, lo = (a, b) if model.morse[a - 1] > model.morse[b - 1] else (b, a)
-        if (hi, lo) not in model.connections:
-            ok = False
-    report.prop("boundary-adjacent equilibria are connected").record(ok, ctx)
-
-    report.prop("minimax property at more-stable boundary neighbors").record(
-        all(rep.passed for rep in reports.values()), ctx
-    )
-    report.prop("minimax property at every signed level (extended)").record(
-        all(rep.extended_passed for rep in reports.values()), ctx
-    )
-
-    _check_klein_equivariance(report, p, t, k, analyses, ctx)
-
-
-def _check_klein_equivariance(
-    report: HarnessReport,
-    p: SturmPermutation,
-    t: SturmPermutation,
-    k: SturmPermutation,
-    analyses: dict[tuple[int, ...], Analysis],
-    ctx: str,
-) -> None:
-    graph = report.prop("connection graph is equivariant under the involutions")
-    levels = report.prop("minimax data is equivariant under the involutions")
-    if t.map not in analyses or k.map not in analyses:
-        graph.record(False, f"{ctx} (image outside the family)")
-        levels.record(False, f"{ctx} (image outside the family)")
-        return
-    model, reports = analyses[p.map]
-    # Boundary swap relabels j to its axis position. It reads each sign at
-    # x = 1 instead of x = 0, which differs by the parity of the level, and
-    # it swaps the two distance orders. Flip reverses labels and signs.
-    rules = (
-        (t, lambda w: p.inv[w - 1], {"flips": lambda lvl: lvl % 2 == 1, "swap": True}),
-        (k, lambda w: p.n + 1 - w, {"flips": lambda lvl: True}),
-    )
-    graph_ok = levels_ok = True
-    for image, relabel, rule in rules:
-        model_i, reports_i = analyses[image.map]
-        graph_ok &= {(relabel(a), relabel(b)) for a, b in model.connections} == model_i.connections
-        levels_ok &= {
-            relabel(base): _levels(r, relabel, **rule) for base, r in reports.items()
-        } == {base: _levels(r) for base, r in reports_i.items()}
-    graph.record(graph_ok, ctx)
-    levels.record(levels_ok, ctx)
-
-
-def _check_suspension(
-    report: HarnessReport,
-    p: SturmPermutation,
-    analyses: dict[tuple[int, ...], Analysis],
-    larger: dict[tuple[int, ...], Analysis],
-) -> None:
-    image = larger.get(_suspend_labels(p.map))
-    ok = image is not None and all(i.passed for i in _suspension_items(analyses[p.map], image))
-    ctx = str(p) if image is not None else f"{p} (suspension outside the family)"
-    report.prop("suspension laws hold").record(ok, ctx)
-
-
-def property_harness(
-    n_max: int = 7,
-    *,
-    bound: int = DEFAULT_BOUND,
-    progress: Optional[Callable[[str], None]] = None,
-) -> HarnessReport:
-    """Run every documented invariant over all Sturm permutations up to n_max.
-
-    Each family is enumerated once, and each member's model and minimax
-    reports are built once, up front; the symmetry and suspension checks
-    compare those analyses.
-    Randomized spot checks (crossing triples, window placement) draw from
-    a generator with a fixed seed, so reports are reproducible. Suspension
-    laws are checked up to n_max - 2, so the suspended sizes stay within
-    the enumerated range.
-    """
-    _check_size(n_max, bound)
-    rng = random.Random(20240)
-    report = HarnessReport(n_max=n_max)
-    families = {n: list(enumerate_sturm(n, bound=bound)) for n in range(1, n_max + 1, 2)}
-    by_size = {n: {p.map: _analyze(p) for p in members} for n, members in families.items()}
-    for n, members in families.items():
-        analyses = by_size[n]
-        for p in members:
-            report.permutations += 1
-            _check_permutation_properties(report, p, analyses, rng)
-            if n + 2 <= n_max:
-                _check_suspension(report, p, analyses, by_size[n + 2])
-            if progress:
-                progress(f"n={n}: checked {p}")
-        report.counts[n] = len(members)
-
-        if n <= 7:
-            via_filter = list(enumerate_sturm(n, engine="filter", bound=bound))
-            report.prop("both enumeration engines agree").record(via_filter == members, f"n={n}")
-        report.prop("the family is closed under the involutions").record(
-            all(apply_tau(q).map in analyses and apply_kappa(q).map in analyses for q in members),
-            f"n={n}",
-        )
-        if n + 2 <= n_max:
-            report.prop("suspensions reappear two sizes up").record(
-                all(suspend(q).suspended.map in by_size[n + 2] for q in members), f"n={n}"
-            )
-    return report

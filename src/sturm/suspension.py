@@ -10,11 +10,15 @@ strung between the two new extreme equilibria.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .attractor import Analysis, _analyze, _levels
 from .meander import is_sturm
 from .perm import SturmPermutation, _require_sturm
+
+if TYPE_CHECKING:
+    # The attractor loads only for verification, so suspending alone
+    # (``sturm suspend``) does not import it.
+    from .attractor import Analysis
 
 __all__ = ["SuspensionResult", "suspend", "CheckItem", "SuspensionReport", "verify_suspension"]
 
@@ -85,6 +89,8 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     the target sets and minimax equilibria of every unstable equilibrium
     correspond under the shift, at every signed level.
     """
+    from .attractor import _analyze
+
     result = suspend(p)
     items = _suspension_items(_analyze(p), _analyze(result.suspended))
     return SuspensionReport(result=result, items=items)
@@ -92,6 +98,8 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
 
 def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[CheckItem, ...]:
     # The checks of verify_suspension, read from the analyses of p and q.
+    from .attractor import _levels
+
     (model_p, reports_p), (model_q, reports_q) = analysis_p, analysis_q
     p, q = model_p.p, model_q.p
     n = p.n

@@ -1,3 +1,5 @@
+import sys
+
 import networkx as nx
 import pytest
 
@@ -139,6 +141,13 @@ class TestConnectionGraph:
         g1, g2 = connection_graph(model7), connection_graph(model7)
         assert list(g1.nodes) == list(g2.nodes) == list(range(1, 8))
         assert list(g1.edges) == list(g2.edges)
+
+    def test_missing_networkx_names_the_extra(self, model7, monkeypatch):
+        # A None entry makes `import networkx` fail as if it were not installed.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        with pytest.raises(ImportError) as exc_info:
+            connection_graph(model7)
+        assert str(exc_info.value) == 'connection_graph needs networkx: pip install "sturm[graph]"'
 
 
 class TestBoundaryNeighbors:

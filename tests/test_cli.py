@@ -295,6 +295,56 @@ def test_heavy_imports_load_on_first_use():
     assert json.loads(proc.stdout) == [[None, []]] + [[0, []]] * len(commands)
 
 
+# Runs one CLI command in a fresh interpreter and prints its exit status
+# and the sturm submodules loaded by its end.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from sturm.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(json.loads(sys.argv[1]))
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("sturm."))]))
+"""
+
+_BASE = {"cli", "errors", "meander", "perm"}
+_ANALYSIS = {"attractor", "cli", "errors", "meander", "perm", "report", "zeros"}
+_MODULE_BUDGET = [
+    (["--help"], {"cli", "errors"}),
+    (["validate", PERM7_TEXT], _BASE),
+    (
+        ["window", "--anchor-morse", "2", "--order", " ".join(map(str, WINDOW_ORDER))],
+        _BASE | {"zeros"},
+    ),
+    (["suspend", PERM7_TEXT], _BASE | {"suspension"}),
+    (["enumerate", "--n", "7", "--count-only"], _BASE | {"enumeration"}),
+    (["render", "--format", "svg", PERM7_TEXT], _BASE | {"render"}),
+    (["analyze", PERM7_TEXT], _ANALYSIS),
+    (["minimax", "--eq", "3", PERM7_TEXT], _ANALYSIS),
+    (["render", "--format", "dot", PERM7_TEXT], _ANALYSIS),
+    (
+        ["harness", "--n-max", "3"],
+        _BASE | {"attractor", "enumeration", "harness", "suspension", "zeros"},
+    ),
+]
+
+
+def test_each_command_loads_only_its_modules():
+    # One fresh interpreter per command, all started before any is read.
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _MODULES_PROBE, json.dumps(argv)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv, _ in _MODULE_BUDGET
+    ]
+    for proc, (argv, expected) in zip(procs, _MODULE_BUDGET):
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0, err
+        assert json.loads(out) == [0, sorted(f"sturm.{m}" for m in expected)], argv
+
+
 @pytest.mark.parametrize(
     "argv",
     [["suspend", "--times", "20000", PERM7_TEXT], ["enumerate", "--n", "15", "--bound", "15"]],

@@ -17,7 +17,7 @@ from sturm import (
 )
 from sturm import enumeration
 from sturm.attractor import _analyze
-from sturm.enumeration import HarnessReport, _check_klein_equivariance, _check_suspension
+from sturm.harness import HarnessReport, _check_klein_equivariance, _check_suspension
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
@@ -51,6 +51,21 @@ class TestEnumerate:
         for n, digest in ENUMERATION_SHA256.items():
             text = "".join(format_permutation(p) + "\n" for p in enumerate_sturm(n, bound=n))
             assert hashlib.sha256(text.encode()).hexdigest() == digest, n
+
+    @pytest.mark.parametrize(
+        "n, kwargs, message",
+        [
+            (5, {"engine": "bogus"}, "unknown engine 'bogus'"),
+            (4, {}, "size must be odd and positive, got 4"),
+            (13, {}, "size 13 exceeds the configured bound 11"),
+            (7, {"bound": 5, "engine": "filter"}, "size 7 exceeds the configured bound 5"),
+        ],
+        ids=["engine", "even", "bound", "filter-bound"],
+    )
+    def test_arguments_checked_at_call(self, n, kwargs, message):
+        # The call raises; no iteration is needed to see the error.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            enumerate_sturm(n, **kwargs)
 
     def test_engines_agree(self):
         for n in (1, 3, 5, 7, 9):

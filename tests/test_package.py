@@ -1,0 +1,39 @@
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import sturm
+
+
+def test_public_names_are_the_submodule_objects():
+    for name in sturm.__all__:
+        module = importlib.import_module(f"sturm.{sturm._MODULE_OF[name]}")
+        assert getattr(sturm, name) is getattr(module, name), name
+
+
+def test_star_import_binds_all_public_names():
+    namespace = {}
+    exec("from sturm import *", namespace)
+    assert set(sturm.__all__) <= namespace.keys()
+
+
+def test_dir_lists_public_names():
+    assert set(sturm.__all__) <= set(dir(sturm))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sturm.no_such_name
+
+
+def test_bare_import_loads_no_submodule_and_reaches_them_by_attribute():
+    # A fresh interpreter, since this one has every submodule loaded.
+    probe = (
+        "import sys, sturm\n"
+        "assert not [m for m in sys.modules if m.startswith('sturm.')]\n"
+        "assert sturm.zeros.z_matrix(sturm.perm.identity(3)).values[0] == (0, 0, 0)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
