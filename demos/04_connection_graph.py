@@ -8,7 +8,7 @@ p = SturmPermutation((1, 4, 5, 6, 3, 2, 7))
 model = build_model(p)
 
 print(f"{len(model.connections)} heteroclinic connections:")
-for j, k in sorted(model.connections):
+for j, k in model.edges():
     print(f"  v{j} (i={model.morse[j-1]})  ->  v{k} (i={model.morse[k-1]})")
 
 # Blocking in action: equilibrium 3 sits exactly between 2 and 5 in zero

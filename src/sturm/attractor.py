@@ -54,13 +54,13 @@ NEIGHBOR_SLOTS = ("w0_minus", "w0_plus", "w1_minus", "w1_plus")
 
 @dataclass(frozen=True, eq=False)
 class AttractorModel:
-    """Permutation together with its Morse vector, zero-number matrix,
-    and the complete set of heteroclinic connections (source, target)."""
+    """Permutation, Morse vector, zero-number matrix, and the connections:
+    ``successors[j]`` holds the targets of label j ascending, ``()`` if none."""
 
     p: SturmPermutation
     morse: tuple[int, ...]
     z: ZeroMatrix
-    connections: frozenset[tuple[int, int]]
+    successors: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
@@ -70,13 +70,14 @@ class AttractorModel:
         """Labels with positive Morse number, ascending."""
         return (j for j in range(1, self.n + 1) if self.morse[j - 1] > 0)
 
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """All connections (source, target) in label order."""
+        return ((j, k) for j, ks in enumerate(self.successors) for k in ks)
+
     @cached_property
-    def _successors(self) -> dict[int, tuple[int, ...]]:
-        # Targets of each source, ascending; sources without targets are absent.
-        out: dict[int, list[int]] = {}
-        for j, k in sorted(self.connections):
-            out.setdefault(j, []).append(k)
-        return {j: tuple(ks) for j, ks in out.items()}
+    def connections(self) -> frozenset[tuple[int, int]]:
+        """The complete set of connections (source, target)."""
+        return frozenset(self.edges())
 
 
 def _blocker(rows, j: int, k: int) -> Optional[int]:
@@ -114,8 +115,8 @@ def connects(model: AttractorModel, j: int, k: int) -> bool:
 def build_model(p: SturmPermutation) -> AttractorModel:
     """Assemble Morse vector, zero numbers, and all connections.
 
-    >>> sorted(build_model(SturmPermutation((1, 2, 3))).connections)
-    [(2, 1), (2, 3)]
+    >>> build_model(SturmPermutation((1, 2, 3))).successors
+    ((), (), (1, 3), ())
     """
     _require_sturm(p)
     morse = p.morse
@@ -130,15 +131,15 @@ def build_model(p: SturmPermutation) -> AttractorModel:
             if _blocker(z.values, j, k) is None:
                 reach[j] |= (1 << k) | reach[k]
         level.setdefault(morse[j - 1], []).append(j)
-    edges = [(j, k) for j, r in enumerate(reach) for k, bit in enumerate(bin(r)[::-1]) if bit == "1"]
-    return AttractorModel(p=p, morse=morse, z=z, connections=frozenset(edges))
+    successors = tuple([tuple([k for k, b in enumerate(bin(r)[::-1]) if b == "1"]) for r in reach])
+    return AttractorModel(p=p, morse=morse, z=z, successors=successors)
 
 
 def connection_graph(model: AttractorModel) -> nx.DiGraph:
     """Directed graph of connections, nodes annotated with Morse numbers.
 
-    Nodes are inserted in label order and edges in sorted order, so
-    iteration order (and any serialization of it) is deterministic.
+    Nodes and edges are inserted in label order, so iteration order (and
+    any serialization of it) is deterministic.
     Needs networkx, the optional ``graph`` extra.
     """
     try:
@@ -149,7 +150,7 @@ def connection_graph(model: AttractorModel) -> nx.DiGraph:
     g = nx.DiGraph()
     for j in range(1, model.n + 1):
         g.add_node(j, morse=model.morse[j - 1])
-    g.add_edges_from(sorted(model.connections))
+    g.add_edges_from(model.edges())
     return g
 
 
@@ -198,6 +199,8 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
         raise ValueError(f"equilibrium {base} is stable, it has no targets")
     if not 0 <= k < n_base:
         raise ValueError(f"level k={k} out of range 0..{n_base - 1}")
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign {sign!r} is not '+' or '-'")
     return set(_buckets(model, base).get((k, sign), ()))
 
 
@@ -205,7 +208,7 @@ def _buckets(model: AttractorModel, base: int) -> dict[tuple[int, Sign], tuple[i
     # Non-empty signed target sets of base, keyed by (z, sign), members ascending.
     row = model.z.values[base - 1]
     out: dict[tuple[int, Sign], list[int]] = {}
-    for w in model._successors.get(base, ()):
+    for w in model.successors[base]:
         out.setdefault((row[w - 1], "+" if w > base else "-"), []).append(w)
     return {key: tuple(ws) for key, ws in out.items()}
 

@@ -122,17 +122,10 @@ def cmd_suspend(args: argparse.Namespace) -> int:
 
 
 def cmd_window(args: argparse.Namespace) -> int:
+    from .perm import _parse_ints
     from .zeros import MeanderWindow, matrix_text, window_morse, window_z
 
-    tokens = args.order.replace(",", " ").split()
-    if not tokens:
-        raise ParseError("empty window order")
-    order = []
-    for idx, tok in enumerate(tokens, start=1):
-        try:
-            order.append(int(tok))
-        except ValueError:
-            raise ParseError(f"non-integer token {tok!r}", position=idx) from None
+    order = _parse_ints(args.order, "empty window order")
     try:
         win = MeanderWindow.from_axis_order(order, anchor_morse=args.anchor_morse)
     except ValueError as exc:

@@ -121,6 +121,20 @@ def identity(n: int) -> SturmPermutation:
     return SturmPermutation(tuple(range(1, n + 1)))
 
 
+def _parse_ints(text: str, empty: str) -> list[int]:
+    # Whitespace- or comma-separated integers; ``empty`` is the error for none.
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise ParseError(empty)
+    values = []
+    for idx, tok in enumerate(tokens, start=1):
+        try:
+            values.append(int(tok))
+        except ValueError:
+            raise ParseError(f"non-integer token {tok!r}", position=idx) from None
+    return values
+
+
 def parse_permutation(text: str, zero_based: bool = False) -> SturmPermutation:
     """Parse whitespace- or comma-separated labels into a permutation.
 
@@ -133,16 +147,9 @@ def parse_permutation(text: str, zero_based: bool = False) -> SturmPermutation:
     >>> parse_permutation("0 7 2 3 6 5 4 1 8", zero_based=True).map
     (1, 8, 3, 4, 7, 6, 5, 2, 9)
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise ParseError("empty input")
-    values: list[int] = []
-    for idx, tok in enumerate(tokens, start=1):
-        try:
-            v = int(tok)
-        except ValueError:
-            raise ParseError(f"non-integer token {tok!r}", position=idx) from None
-        values.append(v + 1 if zero_based else v)
+    values = _parse_ints(text, "empty input")
+    if zero_based:
+        values = [v + 1 for v in values]
     n = len(values)
     if n % 2 == 0:
         raise ParseError(f"crossing count must be odd, got {n} entries")

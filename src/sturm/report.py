@@ -80,7 +80,7 @@ def analyze_record(model: AttractorModel) -> dict[str, Any]:
         "sigma_inverse": list(model.p.inv),
         "morse": list(model.morse),
         "z_matrix": [list(row) for row in model.z.values],
-        "connections": sorted(model.connections),
+        "connections": list(model.edges()),
         "minimax": [minimax_record(minimax_report(model, j)) for j in model.unstable()],
     }
 
@@ -162,7 +162,7 @@ def dot_graph(model: AttractorModel) -> str:
     lines = ["digraph attractor {"]
     for j in range(1, model.n + 1):
         lines.append(f'  {j} [label="{j} i={model.morse[j - 1]}"];')
-    for j, k in sorted(model.connections):
+    for j, k in model.edges():
         lines.append(f"  {j} -> {k};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -130,8 +130,8 @@ def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[Check
     items.append(_check("zero numbers against the extremes vanish", extremes_ok))
 
     inner = set(range(2, n + 2))
-    inner_edges = {(j, k) for (j, k) in model_q.connections if j in inner and k in inner}
-    shifted = {(j + 1, k + 1) for (j, k) in model_p.connections}
+    inner_edges = {(j, k) for (j, k) in model_q.edges() if j in inner and k in inner}
+    shifted = {(j + 1, k + 1) for (j, k) in model_p.edges()}
     items.append(
         _check(
             "inner connection graph is preserved",

@@ -24,6 +24,7 @@ from sturm import (
     target_set,
 )
 from sturm.attractor import _levels
+from sturm.report import analyze_record, dot_graph
 
 # All heteroclinic connections of the seven-crossing example, by the
 # criterion (Morse drop and no blocking equilibrium in between). The
@@ -142,6 +143,11 @@ class TestConnectionGraph:
         assert list(g1.nodes) == list(g2.nodes) == list(range(1, 8))
         assert list(g1.edges) == list(g2.edges)
 
+    def test_edges_in_label_order(self, large_inputs):
+        for p in large_inputs:
+            model = build_model(p)
+            assert list(connection_graph(model).edges) == sorted(model.connections), p
+
     def test_missing_networkx_names_the_extra(self, model7, monkeypatch):
         # A None entry makes `import networkx` fail as if it were not installed.
         monkeypatch.setitem(sys.modules, "networkx", None)
@@ -200,6 +206,14 @@ class TestTargetSets:
         # -4 used to give an empty set and 8 an IndexError
         with pytest.raises(ValueError, match=rf"^label base={base} out of range 1\.\.7$"):
             target_set(model7, base, 0, "+")
+
+    @pytest.mark.parametrize("func", [target_set, minimax])
+    @pytest.mark.parametrize("sign", ["x", "", "+-", None])
+    def test_bad_sign_rejected(self, model7, func, sign):
+        # "x" used to give an empty set, and minimax a misleading "empty" error
+        with pytest.raises(ValueError) as exc_info:
+            func(model7, 3, 1, sign)
+        assert str(exc_info.value) == f"sign {sign!r} is not '+' or '-'"
 
 
 class TestMinimax:
@@ -373,6 +387,42 @@ class TestAgainstScan:
     def test_large(self, large_inputs):
         for p in large_inputs:
             _assert_matches_scan(build_model(p))
+
+
+class TestSuccessorStore:
+    """The per-source successor tuples are the one stored form of the
+    connection set; the frozenset is derived from them on demand."""
+
+    @staticmethod
+    def _assert_store(model):
+        succ = model.successors
+        assert len(succ) == model.n + 1 and succ[0] == ()
+        for j in range(1, model.n + 1):
+            assert all(a < b for a, b in zip(succ[j], succ[j][1:])), (model.p, j)
+            if model.morse[j - 1] == 0:
+                assert succ[j] == (), (model.p, j)
+        flat = [(j, k) for j, ks in enumerate(succ) for k in ks]
+        assert flat == list(model.edges()) == sorted(model.connections)
+        assert flat == sorted(scan_connections(model.p)), model.p
+
+    def test_all_small(self, family11):
+        for p in family11:
+            self._assert_store(build_model(p))
+
+    def test_large(self, large_inputs):
+        for p in large_inputs:
+            self._assert_store(build_model(p))
+
+    def test_reports_leave_the_set_unbuilt(self, large_inputs):
+        for p in large_inputs:
+            model = build_model(p)
+            analyze_record(model)
+            dot_graph(model)
+            for base in model.unstable():
+                minimax_report(model, base)
+            assert "connections" not in model.__dict__, p
+            assert model.connections == frozenset(model.edges())
+            assert "connections" in model.__dict__
 
 
 class TestCellInvariants:

@@ -188,6 +188,19 @@ class TestWindow:
         assert status == 2
         assert err.startswith("error: parse:")
 
+    @pytest.mark.parametrize(
+        "order, line",
+        [
+            ("1 x", "error: parse: non-integer token 'x' (token 2)\n"),
+            (",", "error: parse: empty window order\n"),
+        ],
+        ids=["non-integer", "no-tokens"],
+    )
+    def test_order_tokens(self, capsys, order, line):
+        # The same token parser as the permutation argument, with its own
+        # message for an empty order.
+        assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
+
 
 class TestEnumerate:
     def test_stream(self, capsys):

@@ -1,8 +1,8 @@
-"""Byte pins of the JSON reports, and the emitter against its oracle.
+"""Byte pins of the JSON and DOT reports, and the emitter against its oracle.
 
 Each digest is the SHA-256 of a serialized report. A change to any field,
-key order, value or whitespace of ``analyze`` or ``minimax`` output
-changes it, so refactors of the analysis or the serializer must keep
+key order, value or whitespace of ``analyze``, ``minimax`` or DOT output
+changes it, so refactors of the analysis or the serializers must keep
 these literals. ``to_json`` must also agree byte for byte with
 ``json.dumps(record, indent=2)`` on every record and on arbitrary
 JSON-like trees.
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from conftest import PERM15, PERM7, _suspended
 from oracles import json_oracle
 from sturm import SturmPermutation, build_model, enumerate_sturm, minimax_report
-from sturm.report import analyze_record, minimax_record, to_json
+from sturm.report import analyze_record, dot_graph, minimax_record, to_json
 
 
 def _sha256(text: str) -> str:
@@ -39,6 +39,21 @@ def _sha256(text: str) -> str:
 def test_analyze_bytes_pinned(perm, times, digest):
     p = _suspended(SturmPermutation(perm), times)
     assert _sha256(to_json(analyze_record(build_model(p)))) == digest
+
+
+@pytest.mark.parametrize(
+    "times, digest",
+    [
+        (0, "ee1f6775c7a3734d2390c30a323b57841ab2e8e4039681a5c24ac1ee7a1a5cf4"),
+        (12, "e1cf33e16a1e4e1b3cb9c4ad26004a47274e0a5694fa7e702c408c4891ea144a"),
+        (47, "f0c549a20c3520c9a92b8463f0b653c826543d9139d9094f8dc17fef4e69a0ce"),
+    ],
+    ids=["n7", "n31", "n101"],
+)
+def test_dot_bytes_pinned(times, digest):
+    # members of the suspension chain of the seven-crossing example
+    p = _suspended(SturmPermutation(PERM7), times)
+    assert _sha256(dot_graph(build_model(p))) == digest
 
 
 def test_minimax_bytes_pinned(model7):
