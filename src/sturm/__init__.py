@@ -22,6 +22,7 @@ _EXPORTS = {
         "MinimaxCase",
         "MinimaxExtrema",
         "MinimaxReport",
+        "NEIGHBOR_SLOTS",
         "NeighborQuartet",
         "boundary_neighbors",
         "build_model",
@@ -34,7 +35,7 @@ _EXPORTS = {
     ),
     "enumeration": ("DEFAULT_BOUND", "count_sturm", "enumerate_sturm"),
     "errors": ("NotMeanderError", "NotSturmError", "ParseError", "SturmError", "WindowError"),
-    "harness": ("HarnessReport", "property_harness"),
+    "harness": ("HarnessReport", "PropertyResult", "property_harness"),
     "meander": (
         "Arc",
         "CrossingCount",
@@ -61,7 +62,13 @@ _EXPORTS = {
     ),
     "render": ("RenderStyle", "render_svg"),
     "report": ("analyze_record", "dot_graph", "minimax_record", "to_json"),
-    "suspension": ("SuspensionReport", "SuspensionResult", "suspend", "verify_suspension"),
+    "suspension": (
+        "CheckItem",
+        "SuspensionReport",
+        "SuspensionResult",
+        "suspend",
+        "verify_suspension",
+    ),
     "zeros": (
         "MeanderWindow",
         "SignedZero",

@@ -18,11 +18,10 @@ that base is derived from those buckets in one ``MinimaxReport``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional
 
-from .perm import SturmPermutation, _check_labels, _require_sturm
+from .perm import SturmPermutation, _check_labels, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
@@ -52,15 +51,21 @@ Iota = Literal[0, 1]
 NEIGHBOR_SLOTS = ("w0_minus", "w0_plus", "w1_minus", "w1_plus")
 
 
-@dataclass(frozen=True, eq=False)
-class AttractorModel:
+class AttractorModel(_Frozen):
     """Permutation, Morse vector, zero-number matrix, and the connections:
     ``successors[j]`` holds the targets of label j ascending, ``()`` if none."""
 
-    p: SturmPermutation
-    morse: tuple[int, ...]
-    z: ZeroMatrix
-    successors: tuple[tuple[int, ...], ...]
+    def __init__(
+        self,
+        p: SturmPermutation,
+        morse: tuple[int, ...],
+        z: ZeroMatrix,
+        successors: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "morse", morse)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "successors", successors)
 
     @property
     def n(self) -> int:
@@ -281,8 +286,7 @@ def _associated_sign(slot: str, n_base: int) -> Sign:
     return "+" if own == "-" else "-"
 
 
-@dataclass(frozen=True)
-class MinimaxCase:
+class MinimaxCase(NamedTuple):
     """One boundary neighbor of the base and, when it is one Morse level
     lower (applicable), the closest member of its associated signed target
     set at the neighbor's boundary and the most distant member at the
@@ -324,24 +328,11 @@ def _case(
         raise ValueError(f"target set {key} of {base} is empty")
     ex = extrema[key]
     if slot.startswith("w0"):
-        iota: Iota = 0
-        closest, farthest_opposite = ex.closest_at_0, ex.farthest_at_1
-    else:
-        iota = 1
-        closest, farthest_opposite = ex.closest_at_1, ex.farthest_at_0
-    return MinimaxCase(
-        slot=slot,
-        neighbor=neighbor,
-        applicable=True,
-        sign=sign,
-        iota=iota,
-        closest=closest,
-        farthest_opposite=farthest_opposite,
-    )
+        return MinimaxCase(slot, neighbor, True, sign, 0, ex.closest_at_0, ex.farthest_at_1)
+    return MinimaxCase(slot, neighbor, True, sign, 1, ex.closest_at_1, ex.farthest_at_0)
 
 
-@dataclass(frozen=True)
-class MinimaxReport:
+class MinimaxReport(NamedTuple):
     """The minimax analysis of one unstable equilibrium.
 
     ``target_sets`` holds every signed level ``"k+"``/``"k-"`` below the
@@ -405,14 +396,7 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
         _case(model, base, n_base, slot, neighbor, extrema)
         for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors)
     )
-    return MinimaxReport(
-        base=base,
-        n=n_base,
-        neighbors=neighbors,
-        target_sets=target_sets,
-        extrema=extrema,
-        cases=cases,
-    )
+    return MinimaxReport(base, n_base, neighbors, target_sets, extrema, cases)
 
 
 # A permutation's model and the minimax report of each unstable base.

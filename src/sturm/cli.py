@@ -29,6 +29,7 @@ if TYPE_CHECKING:
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+MAX_SCALE = 10**6  # render --scale cap, px; far larger ones overflow the float coordinates
 
 
 def _fail(code: str, message: str, status: int) -> int:
@@ -113,10 +114,9 @@ def cmd_suspend(args: argparse.Namespace) -> int:
     from .suspension import _suspend_labels
 
     p = _read_permutation(args)
-    if args.times:
-        # Suspension keeps the Sturm property, so only the input is gated.
-        _require_sturm(p)
-        p = SturmPermutation(_suspend_labels(p.map, args.times))
+    # Suspension keeps the Sturm property, so only the input is gated.
+    _require_sturm(p)
+    p = SturmPermutation(_suspend_labels(p.map, args.times))
     print(format_permutation(p, zero_based=args.zero_based))
     return 0
 
@@ -156,6 +156,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     if args.scale < 1:
         raise ParseError(f"--scale must be positive, got {args.scale}")
+    if args.scale > MAX_SCALE:
+        raise ParseError(f"--scale must be at most {MAX_SCALE}, got {args.scale}")
     p = _read_permutation(args)
     if args.format == "svg":
         from .render import RenderStyle, render_svg
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--scale",
         type=int,
         default=40,
-        help="pixels between adjacent crossings, positive (default 40)",
+        help=f"pixels between adjacent crossings, 1..{MAX_SCALE} (default 40)",
     )
     sp.add_argument("--show-morse", action="store_true")
     sp.add_argument("--zero-based", action="store_true", help="display labels as 0..n-1")

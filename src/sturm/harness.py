@@ -8,7 +8,6 @@ honest.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .attractor import Analysis, _analyze, _levels, boundary_neighbors
@@ -21,12 +20,12 @@ from .zeros import MeanderWindow, window_z, z_pair_nsl
 __all__ = ["PropertyResult", "HarnessReport", "property_harness"]
 
 
-@dataclass
 class PropertyResult:
-    name: str
-    checked: int = 0
-    failures: int = 0
-    first_counterexample: Optional[str] = None
+    def __init__(self, name: str, checked: int = 0, failures: int = 0, first_counterexample=None):
+        self.name = name
+        self.checked = checked
+        self.failures = failures
+        self.first_counterexample: Optional[str] = first_counterexample
 
     def record(self, ok: bool, context: str) -> None:
         self.checked += 1
@@ -40,12 +39,12 @@ class PropertyResult:
         return self.failures == 0
 
 
-@dataclass
 class HarnessReport:
-    n_max: int
-    permutations: int = 0
-    counts: dict[int, int] = field(default_factory=dict)
-    properties: dict[str, PropertyResult] = field(default_factory=dict)
+    def __init__(self, n_max: int, permutations: int = 0, counts=None, properties=None):
+        self.n_max = n_max
+        self.permutations = permutations
+        self.counts: dict[int, int] = {} if counts is None else counts
+        self.properties: dict[str, PropertyResult] = {} if properties is None else properties
 
     def prop(self, name: str) -> PropertyResult:
         if name not in self.properties:

@@ -19,7 +19,6 @@ route that the kernel is checked against.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
@@ -58,8 +57,7 @@ class Arc(NamedTuple):
         return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class MeanderDiagram:
+class MeanderDiagram(NamedTuple):
     """The n-1 arcs of the canonical diagram of a permutation."""
 
     n: int
@@ -79,15 +77,7 @@ def build_diagram(p: SturmPermutation) -> MeanderDiagram:
     [(1, 2, 'above'), (2, 3, 'below')]
     """
     inv = p.inv
-    arcs = tuple(
-        Arc(
-            from_pos=inv[j - 1],
-            to_pos=inv[j],
-            side="above" if j % 2 == 1 else "below",
-            curve_step=j,
-        )
-        for j in range(1, p.n)
-    )
+    arcs = tuple(Arc(inv[j - 1], inv[j], "above" if j % 2 else "below", j) for j in range(1, p.n))
     return MeanderDiagram(n=p.n, arcs=arcs)
 
 

@@ -12,9 +12,8 @@ additionally a meander permutation (see :mod:`sturm.meander`).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotSturmError, ParseError
 
@@ -45,8 +44,21 @@ def _sign(x: int) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class SturmPermutation:
+class _Frozen:
+    """Refuses attribute assignment and deletion. Constructors set their
+    fields with ``object.__setattr__``, which keeps them plain instance
+    attributes, as fast to read as a dataclass's."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SturmPermutation(_Frozen):
     """A candidate Sturm permutation: a bijection of {1..n} with n odd.
 
     ``map[k-1]`` is the meander label at axis position k; ``inv[j-1]`` is
@@ -65,9 +77,8 @@ class SturmPermutation:
 
     map: tuple[int, ...]
 
-    def __post_init__(self):
-        entries = tuple(self.map)
-        object.__setattr__(self, "map", entries)
+    def __init__(self, map: Sequence[int]):
+        entries = tuple(map)
         n = len(entries)
         if n == 0:
             raise ValueError("empty permutation")
@@ -75,6 +86,18 @@ class SturmPermutation:
             raise ValueError(f"crossing count must be odd, got {n}")
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {entries}")
+        object.__setattr__(self, "map", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.map == other.map
+
+    def __hash__(self) -> int:
+        return hash(self.map)
+
+    def __repr__(self) -> str:
+        return f"SturmPermutation(map={self.map!r})"
 
     @property
     def n(self) -> int:
@@ -240,8 +263,7 @@ def apply_kappa(p: SturmPermutation) -> SturmPermutation:
     return SturmPermutation(tuple(n + 1 - p.map[n - k - 1] for k in range(n)))
 
 
-@dataclass(frozen=True)
-class KleinOrbit:
+class KleinOrbit(NamedTuple):
     """Orbit of a Sturm permutation under the two trivial involutions."""
 
     base: SturmPermutation
@@ -252,11 +274,7 @@ class KleinOrbit:
     @property
     def members(self) -> tuple[SturmPermutation, ...]:
         """Distinct orbit members, in base/tau/kappa/tau-kappa order."""
-        out: list[SturmPermutation] = []
-        for q in (self.base, self.tau, self.kappa, self.tau_kappa):
-            if q not in out:
-                out.append(q)
-        return tuple(out)
+        return tuple(dict.fromkeys(self))
 
     @property
     def size(self) -> int:

@@ -6,7 +6,7 @@ fixed format, so identical input and style give byte-identical output.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotMeanderError
 from .meander import build_diagram, is_meander
@@ -15,8 +15,7 @@ from .perm import SturmPermutation
 __all__ = ["RenderStyle", "render_svg"]
 
 
-@dataclass(frozen=True)
-class RenderStyle:
+class RenderStyle(NamedTuple):
     scale: int = 40  # pixels between adjacent crossings
     margin: int = 40
     dot_radius: int = 3

@@ -27,21 +27,12 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     top = report.n - 1
     verdicts = {}
     for case in report.cases:
-        record: dict[str, Any] = {
-            "neighbor": case.neighbor,
-            "applicable": case.applicable,
-        }
         if case.applicable:
-            record.update(
-                {
-                    "sign": case.sign,
-                    "iota": case.iota,
-                    "closest": case.closest,
-                    "farthest_opposite": case.farthest_opposite,
-                    "neighbor_is_closest": case.neighbor_is_closest,
-                    "passed": case.passed,
-                }
-            )
+            record: dict[str, Any] = case._asdict()
+            del record["slot"]
+            record.update(neighbor_is_closest=case.neighbor_is_closest, passed=case.passed)
+        else:
+            record = {"neighbor": case.neighbor, "applicable": False}
         verdicts[case.slot] = record
     extended = []
     for k in range(report.n):

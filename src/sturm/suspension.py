@@ -9,8 +9,7 @@ strung between the two new extreme equilibria.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .meander import is_sturm
 from .perm import SturmPermutation, _require_sturm
@@ -23,8 +22,7 @@ if TYPE_CHECKING:
 __all__ = ["SuspensionResult", "suspend", "CheckItem", "SuspensionReport", "verify_suspension"]
 
 
-@dataclass(frozen=True)
-class SuspensionResult:
+class SuspensionResult(NamedTuple):
     """Original and suspended permutation; inner label j maps to j + 1."""
 
     original: SturmPermutation
@@ -58,15 +56,13 @@ def _suspend_labels(m: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
     return head + core + tail
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     name: str
     passed: bool
     detail: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class SuspensionReport:
+class SuspensionReport(NamedTuple):
     result: SuspensionResult
     items: tuple[CheckItem, ...]
 

@@ -24,12 +24,11 @@ of all n labels.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal, NamedTuple, Sequence
 
 from .errors import WindowError
 from .meander import _pair_zero
-from .perm import SturmPermutation, _check_labels, _morse_recursion, _require_sturm
+from .perm import SturmPermutation, _check_labels, _Frozen, _morse_recursion, _require_sturm
 
 __all__ = [
     "ZeroMatrix",
@@ -46,8 +45,7 @@ __all__ = [
 Sign = Literal["+", "-"]
 
 
-@dataclass(frozen=True, eq=False)
-class ZeroMatrix:
+class ZeroMatrix(NamedTuple):
     """Symmetric matrix of zero numbers, Morse numbers on the diagonal.
 
     ``values`` is a tuple of row tuples of ints. The diagonal is a display
@@ -150,8 +148,7 @@ def signed_z(p: SturmPermutation, base: int, w: int) -> SignedZero:
     return SignedZero(z=z_pair_nsl(p, base, w), sign="+" if w > base else "-")
 
 
-@dataclass(frozen=True)
-class MeanderWindow:
+class MeanderWindow(_Frozen):
     """A contiguous run of L meander labels, seen only through their
     relative axis order and one anchoring Morse number.
 
@@ -164,16 +161,28 @@ class MeanderWindow:
     axis_rank: tuple[int, ...]
     anchor_morse: int
 
-    def __post_init__(self):
-        ranks = tuple(self.axis_rank)
-        object.__setattr__(self, "axis_rank", ranks)
+    def __init__(self, axis_rank: Sequence[int], anchor_morse: int):
+        ranks = tuple(axis_rank)
         L = len(ranks)
         if L < 2:
             raise ValueError("window needs at least two labels")
         if sorted(ranks) != list(range(1, L + 1)):
             raise ValueError(f"axis ranks must be a bijection of 1..{L}: {ranks}")
-        if self.anchor_morse < 0:
+        if anchor_morse < 0:
             raise ValueError("anchor Morse number must be non-negative")
+        object.__setattr__(self, "axis_rank", ranks)
+        object.__setattr__(self, "anchor_morse", anchor_morse)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.axis_rank, self.anchor_morse) == (other.axis_rank, other.anchor_morse)
+
+    def __hash__(self) -> int:
+        return hash((self.axis_rank, self.anchor_morse))
+
+    def __repr__(self) -> str:
+        return f"MeanderWindow(axis_rank={self.axis_rank!r}, anchor_morse={self.anchor_morse!r})"
 
     @property
     def length(self) -> int:

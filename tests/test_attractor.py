@@ -58,6 +58,14 @@ class TestBuildModel:
     def test_singleton(self):
         assert build_model(SturmPermutation((1,))).connections == frozenset()
 
+    def test_model_is_read_only_and_compares_by_identity(self, model7):
+        with pytest.raises(AttributeError):
+            model7.successors = ()
+        with pytest.raises(AttributeError):
+            model7.p = identity(7)
+        assert model7.successors[3] == (1, 2, 4, 5, 6, 7)
+        assert model7 == model7 and model7 != build_model(model7.p)
+
     def test_morse_strictly_drops_along_edges(self, model7):
         for j, k in model7.connections:
             assert model7.morse[j - 1] > model7.morse[k - 1]

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
-from sturm.cli import main
+from sturm.cli import MAX_SCALE, main
 
 PERM7_TEXT = "1 4 5 6 3 2 7"
 
@@ -122,6 +122,12 @@ class TestSuspend:
     def test_times(self, capsys):
         _, out, _ = run(capsys, "suspend", "1", "--times", "2")
         assert out == "1 4 3 2 5\n"
+
+    @pytest.mark.parametrize("times", ["0", "1", "3"])
+    def test_non_sturm_input_rejected_for_every_times(self, capsys, times):
+        status, out, err = run(capsys, "suspend", "1 3 2", "--times", times)
+        assert status == 1 and out == ""
+        assert err == "error: not-sturm: not a Sturm permutation: 1 3 2\n"
 
     def test_times_zero_is_identity(self, capsys):
         status, out, _ = run(capsys, "suspend", PERM7_TEXT, "--times", "0")
@@ -247,6 +253,18 @@ class TestRender:
         assert status == 2 and out == ""
         assert err == f"error: parse: --scale must be positive, got {scale}\n"
 
+    def test_scale_above_cap_rejected(self, capsys):
+        for scale in (str(MAX_SCALE + 1), "9" * 400):
+            status, out, err = run(capsys, "render", "--scale", scale, PERM7_TEXT)
+            assert status == 2 and out == ""
+            assert err == f"error: parse: --scale must be at most {MAX_SCALE}, got {scale}\n"
+
+    def test_scale_cap_renders_and_is_documented(self, capsys):
+        status, out, _ = run(capsys, "render", "--scale", str(MAX_SCALE), PERM7_TEXT)
+        assert status == 0 and out.startswith("<?xml")
+        status, out, _ = run(capsys, "render", "--help")
+        assert status == 0 and f"1..{MAX_SCALE}" in out
+
 
 class TestHarnessCommand:
     def test_passes(self, capsys):
@@ -274,7 +292,7 @@ import sturm
 from sturm.cli import main
 
 def loaded():
-    return [m for m in ("numpy", "networkx") if m in sys.modules]
+    return [m for m in ("numpy", "networkx", "dataclasses", "inspect") if m in sys.modules]
 
 seen = [[None, loaded()]]
 for argv in json.loads(sys.argv[1]):
@@ -304,7 +322,7 @@ def test_heavy_imports_load_on_first_use():
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    # import sturm, then each command: exit 0 and neither module loaded
+    # import sturm, then each command: exit 0 and none of the four loaded
     assert json.loads(proc.stdout) == [[None, []]] + [[0, []]] * len(commands)
 
 

@@ -1,4 +1,5 @@
 import importlib
+import pkgutil
 import subprocess
 import sys
 
@@ -11,6 +12,15 @@ def test_public_names_are_the_submodule_objects():
     for name in sturm.__all__:
         module = importlib.import_module(f"sturm.{sturm._MODULE_OF[name]}")
         assert getattr(sturm, name) is getattr(module, name), name
+
+
+def test_exports_match_every_module_all():
+    names = [m.name for m in pkgutil.iter_modules(sturm.__path__) if m.name != "__main__"]
+    assert set(sturm._EXPORTS) < set(names)
+    for name in names:
+        module = importlib.import_module(f"sturm.{name}")
+        if hasattr(module, "__all__"):
+            assert set(module.__all__) == set(sturm._EXPORTS.get(name, ())), name
 
 
 def test_star_import_binds_all_public_names():

@@ -68,16 +68,30 @@ class TestParse:
 
 class TestConstruction:
     def test_rejects_even_size(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^crossing count must be odd, got 2$"):
             SturmPermutation((1, 2))
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.3: \(1, 1, 3\)$"):
             SturmPermutation((1, 1, 3))
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^empty permutation$"):
             SturmPermutation(())
+
+    def test_value_record(self, perm7):
+        assert repr(SturmPermutation((1, 2, 3))) == "SturmPermutation(map=(1, 2, 3))"
+        twin = SturmPermutation(map=list(perm7.map))
+        assert twin == perm7 and twin is not perm7 and twin.map == perm7.map
+        assert len({perm7, SturmPermutation(perm7.map)}) == 1
+        assert perm7 != identity(7) and perm7 != perm7.map
+
+    def test_fields_are_read_only(self, perm7):
+        with pytest.raises(AttributeError):
+            perm7.map = (1,)
+        with pytest.raises(AttributeError):
+            del perm7.map
+        assert perm7.map == (1, 4, 5, 6, 3, 2, 7)
 
     def test_accessors(self, perm7):
         assert perm7.sigma(2) == 4

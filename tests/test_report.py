@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from conftest import PERM15, PERM7, _suspended
 from oracles import json_oracle
-from sturm import SturmPermutation, build_model, enumerate_sturm, minimax_report
+from sturm import NEIGHBOR_SLOTS, SturmPermutation, build_model, enumerate_sturm, minimax_report
 from sturm.report import analyze_record, dot_graph, minimax_record, to_json
 
 
@@ -59,6 +59,29 @@ def test_dot_bytes_pinned(times, digest):
 def test_minimax_bytes_pinned(model7):
     text = to_json(minimax_record(minimax_report(model7, 3)))
     assert _sha256(text) == "18d7ab8f52710c57a7dc21d3a64278c90ca95ba35d74e8cfd4fa29e87b757bfc"
+
+
+def test_minimax_verdict_key_order():
+    applicable = [
+        "neighbor",
+        "applicable",
+        "sign",
+        "iota",
+        "closest",
+        "farthest_opposite",
+        "neighbor_is_closest",
+        "passed",
+    ]
+    seen = set()
+    model = build_model(SturmPermutation(PERM15))
+    for base in model.unstable():
+        verdicts = minimax_record(minimax_report(model, base))["verdicts"]
+        assert list(verdicts) == list(NEIGHBOR_SLOTS)
+        for verdict in verdicts.values():
+            want = applicable if verdict["applicable"] else applicable[:2]
+            assert list(verdict) == want, (base, verdict)
+            seen.add(verdict["applicable"])
+    assert seen == {True, False}
 
 
 class TestAgainstOracle:

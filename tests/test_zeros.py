@@ -217,10 +217,31 @@ class TestWindow:
             MeanderWindow.from_axis_order((1,), anchor_morse=0)
         with pytest.raises(ValueError):
             MeanderWindow.from_axis_order((1, 3), anchor_morse=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^anchor Morse number must be non-negative$"):
             MeanderWindow(axis_rank=(1, 2), anchor_morse=-1)
+        with pytest.raises(ValueError, match=r"^window needs at least two labels$"):
+            MeanderWindow(axis_rank=(1,), anchor_morse=0)
+        with pytest.raises(ValueError, match=r"^axis ranks must be a bijection of 1\.\.2: \(1, 3\)$"):
+            MeanderWindow(axis_rank=[1, 3], anchor_morse=0)
         with pytest.raises(ValueError):
             MeanderWindow.from_permutation(identity(3), 2, 2)
+
+    def test_value_record(self, perm7):
+        win = MeanderWindow.from_permutation(perm7, 2, 6)
+        twin = MeanderWindow(axis_rank=list(win.axis_rank), anchor_morse=win.anchor_morse)
+        assert repr(MeanderWindow((2, 1), 3)) == "MeanderWindow(axis_rank=(2, 1), anchor_morse=3)"
+        assert twin == win and twin is not win and twin.axis_rank == win.axis_rank
+        assert len({win, MeanderWindow(win.axis_rank, win.anchor_morse)}) == 1
+        assert win != MeanderWindow(win.axis_rank, win.anchor_morse + 2)
+        assert win != (win.axis_rank, win.anchor_morse)
+
+    def test_fields_are_read_only(self):
+        win = MeanderWindow((1, 2), 0)
+        with pytest.raises(AttributeError):
+            win.anchor_morse = 2
+        with pytest.raises(AttributeError):
+            win.axis_rank = (2, 1)
+        assert (win.axis_rank, win.anchor_morse) == ((1, 2), 0)
 
     def test_matrix_text(self):
         win = MeanderWindow.from_axis_order((1, 2), anchor_morse=0)
