@@ -46,8 +46,8 @@ def _sign(x: int) -> int:
 
 class _Frozen:
     """Refuses attribute assignment and deletion. Constructors set their
-    fields with ``object.__setattr__``, which keeps them plain instance
-    attributes, as fast to read as a dataclass's."""
+    fields with ``object.__setattr__``; writing through ``vars(self)``
+    instead would make every later attribute read slower."""
 
     __slots__ = ()
 
