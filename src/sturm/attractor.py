@@ -19,7 +19,7 @@ that base is derived from those buckets in one ``MinimaxReport``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .perm import SturmPermutation, _check_labels, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
@@ -206,16 +206,19 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
         raise ValueError(f"level k={k} out of range 0..{n_base - 1}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign {sign!r} is not '+' or '-'")
-    return set(_buckets(model, base).get((k, sign), ()))
+    return set(_buckets(model, base)[2 * k + (sign == "-")])
 
 
-def _buckets(model: AttractorModel, base: int) -> dict[tuple[int, Sign], tuple[int, ...]]:
-    # Non-empty signed target sets of base, keyed by (z, sign), members ascending.
+def _buckets(model: AttractorModel, base: int) -> list[list[int]]:
+    # The signed target sets of base, one slot per level below its Morse
+    # number: slot 2k holds level k+ and slot 2k + 1 level k-, members
+    # ascending. A connection drops the zero number below the base's Morse
+    # number, so every successor has a slot.
     row = model.z.values[base - 1]
-    out: dict[tuple[int, Sign], list[int]] = {}
+    slots: list[list[int]] = [[] for _ in range(2 * model.morse[base - 1])]
     for w in model.successors[base]:
-        out.setdefault((row[w - 1], "+" if w > base else "-"), []).append(w)
-    return {key: tuple(ws) for key, ws in out.items()}
+        slots[2 * row[w - 1] + (w < base)].append(w)
+    return slots
 
 
 class MinimaxExtrema(NamedTuple):
@@ -244,27 +247,26 @@ def minimax(model: AttractorModel, base: int, k: int, sign: Sign) -> MinimaxExtr
     members = target_set(model, base, k, sign)
     if not members:
         raise ValueError(f"target set {k}{sign} of {base} is empty")
-    return _extrema(model.p, base, members)
+    return _extrema(model.p, base, sorted(members))
 
 
-def _extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
+def _extrema(p: SturmPermutation, base: int, members: Sequence[int]) -> MinimaxExtrema:
+    # Precondition: members is one non-empty signed level, ascending. So
+    # all of them lie on one side of base, and at boundary 0 the closest
+    # is the end nearest base and the farthest the other end.
     if len(members) == 1:
-        (w,) = members
+        w = members[0]
         return MinimaxExtrema(w, w, w, w)
+    near, far = (members[0], members[-1]) if members[0] > base else (members[-1], members[0])
+    # At boundary 1 a tie goes to the smallest label, the first in order.
     inv = p.inv
     pos0 = inv[base - 1]
-
-    def d0(w: int) -> tuple[int, int]:
-        return abs(w - base), w
-
-    def d1(w: int) -> tuple[int, int]:
-        return abs(inv[w - 1] - pos0), w
-
+    d1 = [abs(inv[w - 1] - pos0) for w in members]
     return MinimaxExtrema(
-        closest_at_0=min(members, key=d0),
-        closest_at_1=min(members, key=d1),
-        farthest_at_0=max(members, key=lambda w: (d0(w)[0], -w)),
-        farthest_at_1=max(members, key=lambda w: (d1(w)[0], -w)),
+        closest_at_0=near,
+        closest_at_1=members[d1.index(min(d1))],
+        farthest_at_0=far,
+        farthest_at_1=members[d1.index(max(d1))],
     )
 
 
@@ -336,8 +338,9 @@ class MinimaxReport(NamedTuple):
     """The minimax analysis of one unstable equilibrium.
 
     ``target_sets`` holds every signed level ``"k+"``/``"k-"`` below the
-    base's Morse number, empty ones included; ``extrema`` holds the
-    non-empty ones only; ``cases`` holds one record per neighbor slot.
+    base's Morse number in the order ``"0+", "0-", "1+", ...``, empty ones
+    included; ``extrema`` holds the non-empty ones only, in the same
+    order; ``cases`` holds one record per neighbor slot.
     """
 
     base: int
@@ -382,15 +385,10 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     (True, True)
     """
     n_base = _unstable_morse(model, base)
-    buckets = _buckets(model, base)
-    target_sets: dict[str, tuple[int, ...]] = {}
-    extrema: dict[str, MinimaxExtrema] = {}
-    for k in range(n_base):
-        for sign in ("+", "-"):
-            members = buckets.get((k, sign), ())
-            target_sets[f"{k}{sign}"] = members
-            if members:
-                extrema[f"{k}{sign}"] = _extrema(model.p, base, members)
+    names = [f"{k}{sign}" for k in range(n_base) for sign in "+-"]
+    target_sets = dict(zip(names, map(tuple, _buckets(model, base))))
+    p = model.p
+    extrema = {key: _extrema(p, base, ws) for key, ws in target_sets.items() if ws}
     neighbors = boundary_neighbors(model, base)
     cases = tuple(
         _case(model, base, n_base, slot, neighbor, extrema)

@@ -29,7 +29,9 @@ if TYPE_CHECKING:
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
-MAX_SCALE = 10**6  # render --scale cap, px; far larger ones overflow the float coordinates
+# render --scale cap, px: render.MAX_SCALE, repeated so the parser loads no renderer
+MAX_SCALE = 10**6
+MAX_TIMES = 10**6  # suspend --times cap; each suspension adds two labels
 
 
 def _fail(code: str, message: str, status: int) -> int:
@@ -110,6 +112,8 @@ def cmd_minimax(args: argparse.Namespace) -> int:
 def cmd_suspend(args: argparse.Namespace) -> int:
     if args.times < 0:
         raise ParseError(f"--times must be non-negative, got {args.times}")
+    if args.times > MAX_TIMES:
+        raise ParseError(f"--times must be at most {MAX_TIMES}, got {args.times}")
     from .perm import SturmPermutation, _require_sturm, format_permutation
     from .suspension import _suspend_labels
 
@@ -206,7 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("suspend", help="suspended permutation")
     _add_permutation_arg(sp)
-    sp.add_argument("--times", type=int, default=1, help="number of suspensions (default 1)")
+    sp.add_argument(
+        "--times",
+        type=int,
+        default=1,
+        help=f"number of suspensions, 0..{MAX_TIMES} (default 1)",
+    )
     sp.add_argument("--zero-based", action="store_true", help="display labels as 0..n+1")
     sp.set_defaults(func=cmd_suspend)
 

@@ -14,6 +14,8 @@ from .perm import SturmPermutation
 
 __all__ = ["RenderStyle", "render_svg"]
 
+MAX_SCALE = 10**6  # px; far larger scales overflow the float coordinates
+
 
 class RenderStyle(NamedTuple):
     scale: int = 40  # pixels between adjacent crossings
@@ -32,8 +34,11 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
     """Standalone SVG document for the canonical diagram of a meander.
 
     Raises :class:`NotMeanderError` for permutations whose arc families
-    cross; drawings of those would be self-intersecting.
+    cross; drawings of those would be self-intersecting. Raises
+    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``.
     """
+    if not 1 <= style.scale <= MAX_SCALE:
+        raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {style.scale}")
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n

@@ -11,9 +11,23 @@ indentation, ``","`` and ``": "`` separators, ASCII escapes. Under
 ``indent`` the standard library falls back to its pure-Python encoder,
 which is more than twice as slow on the large minimax sections. The
 tests keep ``json.dumps`` as the oracle.
+
+The emitter is one generic recursion with three fast paths for the flat
+containers that make up most of a report, each written without a call
+per member:
+
+- a dict value that is a list of ints (a ``target_sets`` level) is
+  written inline;
+- a list of non-empty int lists or tuples (``z_matrix``, ``connections``)
+  is written in one join;
+- a list member that is a dict of scalars (an ``extended`` level) is
+  written in one join.
+
+Each dict key's encoded head is memoized for the one ``to_json`` call.
 """
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -34,23 +48,23 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
         else:
             record = {"neighbor": case.neighbor, "applicable": False}
         verdicts[case.slot] = record
-    extended = []
-    for k in range(report.n):
-        for sign in ("+", "-"):
-            ex = report.extrema.get(f"{k}{sign}")
-            extended.append(
-                {
-                    "k": k,
-                    "sign": sign,
-                    "empty": ex is None,
-                    "passed": None if ex is None else ex.minimax_holds,
-                }
-            )
+    # target_sets lists every level in order "0+", "0-", "1+", ..., and
+    # extrema holds the non-empty ones under the same keys.
+    extrema = report.extrema
+    extended = [
+        {
+            "k": i >> 1,
+            "sign": "-" if i & 1 else "+",
+            "empty": not members,
+            "passed": extrema[key].minimax_holds if members else None,
+        }
+        for i, (key, members) in enumerate(report.target_sets.items())
+    ]
     return {
         "O": report.base,
         "n": report.n,
         "neighbors": report.neighbors._asdict(),
-        "target_sets": {key: list(v) for key, v in report.target_sets.items()},
+        "target_sets": dict(zip(report.target_sets, map(list, report.target_sets.values()))),
         "minimax": {
             key: report.extrema[key]._asdict()
             for key in (f"{top}+", f"{top}-")
@@ -102,50 +116,89 @@ def to_json(record: dict[str, Any]) -> str:
     }
     """
     out: list[str] = []
-    _emit(record, "\n", out)
+    _emit(record, "\n", out, _Heads())
     out.append("\n")
     return "".join(out)
 
 
-def _emit(v: Any, nl: str, out: list[str]) -> None:
-    # nl is the newline plus indentation of the line that closes v.
+class _Heads(dict):
+    """Memo of the encoded ``"key": `` head of each dict key, for one
+    ``to_json`` call, so its size is bounded by that record's keys."""
+
+    def __missing__(self, key: Any) -> str:
+        if not isinstance(key, str):
+            raise TypeError(f"key {key!r} is not a str")
+        head = self[key] = encode_basestring_ascii(key) + ": "
+        return head
+
+
+_INT = {int}
+_ROWS = {list, tuple}
+
+
+def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
+    # nl is the newline plus indentation of the line that closes v; inner
+    # indents v's members and bar the members of a member.
     t = type(v)
-    if t is dict:
-        if not v:
-            out.append("{}")
-            return
-        inner = nl + "  "
-        sep = "{" + inner
-        for key, x in v.items():
-            if type(key) is not str:
-                raise TypeError(f"key {key!r} is not a str")
-            scalar = _SCALARS.get(type(x))
-            if scalar is not None:
-                out.append(sep + encode_basestring_ascii(key) + ": " + scalar(x))
-            else:
-                out.append(sep + encode_basestring_ascii(key) + ": ")
-                _emit(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
-    elif t is list or t is tuple:
-        if not v:
-            out.append("[]")
-            return
-        inner = nl + "  "
-        if {*map(type, v)} == {int}:
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, v)) + nl + "]")
-            return
-        sep = "[" + inner
-        for x in v:
-            out.append(sep)
-            _emit(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    else:
+    if t is not dict and t is not list and t is not tuple:
         scalar = _SCALARS.get(t)
         if scalar is None:
             raise TypeError(f"cannot serialize {t.__name__}")
         out.append(scalar(v))
+        return
+    if not v:
+        out.append("{}" if t is dict else "[]")
+        return
+    inner = nl + "  "
+    bar = inner + "  "
+    later = "," + inner
+    open_bar, comma_bar, close_inner = "[" + bar, "," + bar, inner + "]"
+    if t is dict:
+        sep = "{" + inner
+        for key, x in v.items():
+            if type(x) is list and {*map(type, x)} == _INT:
+                # a value that is an int list, written inline
+                out.append(
+                    sep + heads[key] + open_bar + comma_bar.join(map(int.__repr__, x)) + close_inner
+                )
+            else:
+                scalar = _SCALARS.get(type(x))
+                if scalar is not None:
+                    out.append(sep + heads[key] + scalar(x))
+                else:
+                    out.append(sep + heads[key])
+                    _emit(x, inner, out, heads)
+            sep = later
+        out.append(nl + "}")
+        return
+    types = {*map(type, v)}
+    if types == _INT:
+        out.append("[" + inner + later.join(map(int.__repr__, v)) + nl + "]")
+    elif types <= _ROWS and all(v) and {*map(type, chain.from_iterable(v))} == _INT:
+        # non-empty int rows, written in one join
+        rows = [comma_bar.join(map(int.__repr__, row)) for row in v]
+        out.append(
+            "[" + inner + open_bar + (close_inner + later + open_bar).join(rows)
+            + close_inner + nl + "]"
+        )
+    else:
+        sep = "[" + inner
+        open_dict = "{" + bar
+        for x in v:
+            if type(x) is dict and x:
+                try:
+                    # a dict of scalars, written in one join
+                    items = [heads[k] + _SCALARS[type(y)](y) for k, y in x.items()]
+                except KeyError:  # some value is no scalar
+                    pass
+                else:
+                    out.append(sep + open_dict + comma_bar.join(items) + inner + "}")
+                    sep = later
+                    continue
+            out.append(sep)
+            _emit(x, inner, out, heads)
+            sep = later
+        out.append(nl + "]")
 
 
 def dot_graph(model: AttractorModel) -> str:

@@ -9,15 +9,25 @@ by row in plain Python. The connection oracles compute the connection set
 without the cascade that ``build_model`` relies on: one tests every
 Morse-dropping pair with numpy, one source row at a time, the other
 applies the scalar criterion pair by pair. The target-set oracle scans
-every label for the bucketed target sets. The JSON oracle is the
-standard library encoder that ``report.to_json`` replaces.
+every label for the bucketed target sets. The distance-extrema oracle
+takes the min and max of each boundary distance over a set in any order,
+where ``attractor._extrema`` reads boundary 0 off the ascending members.
+The JSON oracle is the standard library encoder that ``report.to_json``
+replaces.
 """
 import json
 import math
 
 import numpy as np
 
-from sturm import SturmPermutation, build_diagram, connects, is_z_adjacent, z_matrix
+from sturm import (
+    MinimaxExtrema,
+    SturmPermutation,
+    build_diagram,
+    connects,
+    is_z_adjacent,
+    z_matrix,
+)
 
 
 def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
@@ -140,6 +150,25 @@ def scan_connections(p: SturmPermutation) -> frozenset[tuple[int, int]]:
         ).any(axis=1)
         edges.extend((j + 1, int(k) + 1) for k in ks[~blocked])
     return frozenset(edges)
+
+
+def distance_extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
+    """Closest and most distant members at each boundary by key-based
+    min/max: label distance at boundary 0, axis-position distance at
+    boundary 1, a tie going to the smaller label."""
+
+    def d0(w: int) -> int:
+        return abs(w - base)
+
+    def d1(w: int) -> int:
+        return abs(p.position(w) - p.position(base))
+
+    return MinimaxExtrema(
+        closest_at_0=min(members, key=lambda w: (d0(w), w)),
+        closest_at_1=min(members, key=lambda w: (d1(w), w)),
+        farthest_at_0=max(members, key=lambda w: (d0(w), -w)),
+        farthest_at_1=max(members, key=lambda w: (d1(w), -w)),
+    )
 
 
 def json_oracle(record) -> str:

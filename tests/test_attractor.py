@@ -4,7 +4,7 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
-from oracles import scalar_connections, scan_connections, scan_target_set
+from oracles import distance_extrema, scalar_connections, scan_connections, scan_target_set
 from sturm import (
     MinimaxExtrema,
     NeighborQuartet,
@@ -395,6 +395,31 @@ class TestAgainstScan:
     def test_large(self, large_inputs):
         for p in large_inputs:
             _assert_matches_scan(build_model(p))
+
+
+def _assert_extrema_match_oracle(model):
+    for base in model.unstable():
+        report = minimax_report(model, base)
+        assert list(report.extrema) == [key for key, ws in report.target_sets.items() if ws]
+        for key, members in report.target_sets.items():
+            if not members:
+                continue
+            want = distance_extrema(model.p, base, set(members))
+            assert report.extrema[key] == want, (model.p, base, key)
+            assert minimax(model, base, int(key[:-1]), key[-1]) == want, (model.p, base, key)
+
+
+class TestExtremaAgainstOracle:
+    """The extrema read off ascending members against key-based min/max
+    over each level, through ``minimax_report`` and ``minimax``."""
+
+    def test_all_small(self, family11):
+        for p in family11:
+            _assert_extrema_match_oracle(build_model(p))
+
+    def test_large(self, large_inputs):
+        for p in large_inputs:
+            _assert_extrema_match_oracle(build_model(p))
 
 
 class TestSuccessorStore:

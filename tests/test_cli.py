@@ -5,9 +5,11 @@ import time
 
 import pytest
 
+import sturm.render
+import sturm.suspension
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
-from sturm.cli import MAX_SCALE, main
+from sturm.cli import MAX_SCALE, MAX_TIMES, main
 
 PERM7_TEXT = "1 4 5 6 3 2 7"
 
@@ -161,6 +163,24 @@ class TestSuspend:
         assert time.perf_counter() - start < 3.0
         assert status == 0 and out.split()[:3] == ["1", "40006", "3"]
 
+    def test_times_above_cap_rejected(self, capsys):
+        for times in (str(MAX_TIMES + 1), "9" * 400):
+            status, out, err = run(capsys, "suspend", PERM7_TEXT, "--times", times)
+            assert status == 2 and out == ""
+            assert err == f"error: parse: --times must be at most {MAX_TIMES}, got {times}\n"
+
+    def test_times_cap_admitted_and_documented(self, capsys, monkeypatch):
+        # At the cap the real suspension takes seconds and a few hundred
+        # MB, so a stub stands in for it: only the gate is under test.
+        seen = []
+        monkeypatch.setattr(
+            sturm.suspension, "_suspend_labels", lambda labels, t: seen.append(t) or labels
+        )
+        status, out, err = run(capsys, "suspend", PERM7_TEXT, "--times", str(MAX_TIMES))
+        assert (status, out, err, seen) == (0, PERM7_TEXT + "\n", "", [MAX_TIMES])
+        status, out, _ = run(capsys, "suspend", "--help")
+        assert status == 0 and f"0..{MAX_TIMES}" in out
+
     def test_negative_times_rejected(self, capsys):
         status, out, err = run(capsys, "suspend", PERM7_TEXT, "--times", "-3")
         assert status == 2 and out == ""
@@ -258,6 +278,9 @@ class TestRender:
             status, out, err = run(capsys, "render", "--scale", scale, PERM7_TEXT)
             assert status == 2 and out == ""
             assert err == f"error: parse: --scale must be at most {MAX_SCALE}, got {scale}\n"
+
+    def test_scale_cap_matches_renderer(self):
+        assert MAX_SCALE == sturm.render.MAX_SCALE
 
     def test_scale_cap_renders_and_is_documented(self, capsys):
         status, out, _ = run(capsys, "render", "--scale", str(MAX_SCALE), PERM7_TEXT)

@@ -1,6 +1,7 @@
 import pytest
 
 from sturm import NotMeanderError, RenderStyle, SturmPermutation, render_svg
+from sturm.render import MAX_SCALE
 
 
 def test_worked_example_structure(perm7):
@@ -41,3 +42,16 @@ def test_morse_annotations(perm7):
 def test_rejects_non_meander():
     with pytest.raises(NotMeanderError):
         render_svg(SturmPermutation((1, 3, 2, 4, 5)))
+
+
+@pytest.mark.parametrize("scale", [0, -5, MAX_SCALE + 1, 10**400])
+def test_scale_out_of_range_rejected(perm7, scale):
+    # 10**400 used to raise OverflowError from the float coordinates
+    with pytest.raises(ValueError) as exc_info:
+        render_svg(perm7, RenderStyle(scale=scale))
+    assert str(exc_info.value) == f"scale must be in 1..1000000, got {scale}"
+
+
+@pytest.mark.parametrize("scale", [1, MAX_SCALE])
+def test_scale_range_ends_render(perm7, scale):
+    assert render_svg(perm7, RenderStyle(scale=scale)).endswith("</svg>\n")

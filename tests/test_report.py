@@ -98,6 +98,11 @@ class TestAgainstOracle:
                 record = minimax_record(minimax_report(model, base))
                 assert to_json(record) == json_oracle(record), (p, base)
 
+    def test_analyze_records_of_large_inputs(self, large_inputs):
+        for p in large_inputs:
+            record = analyze_record(build_model(p))
+            assert to_json(record) == json_oracle(record), p
+
     def test_single_equilibrium(self):
         record = analyze_record(build_model(SturmPermutation((1,))))
         assert record["connections"] == [] and record["minimax"] == []
@@ -107,19 +112,22 @@ class TestAgainstOracle:
 _texts = st.text(st.sampled_from('a"\\/\x00\x1f\x7f\n\té \U0001f600'), max_size=6) | st.text(
     max_size=6
 )
-_leaves = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=-(10**30), max_value=10**30)
-    | _texts
+_ints = st.integers() | st.integers(min_value=-(10**30), max_value=10**30)
+_leaves = st.none() | st.booleans() | _ints | _texts
+# The emitter's fast-path shapes: int lists, rows of ints (empty rows and
+# bools mixed in at times), and dicts of scalars.
+_int_lists = st.lists(_ints, max_size=4)
+_rows = st.lists(
+    _int_lists | _int_lists.map(tuple) | st.lists(_ints | st.booleans(), max_size=3),
+    max_size=4,
 )
+_flat_dicts = st.dictionaries(_texts, _leaves, max_size=4)
 _trees = st.recursive(
-    _leaves,
+    _leaves | _int_lists | _rows | _flat_dicts,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
-    | st.lists(st.integers(), max_size=4)
-    | st.dictionaries(_texts, children, max_size=4),
+    | st.lists(_flat_dicts | children, max_size=4)
+    | st.dictionaries(_texts, children | _int_lists, max_size=4),
     max_leaves=25,
 )
 
@@ -140,8 +148,24 @@ def test_json_like_trees(tree):
         {1: "a"},
         {"x": {None: 1}},
         {"x": {1, 2}},
+        [{"a": 1}, {2: "b"}],
+        [{"a": 1}, {"b": 2.5}],
+        [[1, 2], (3, 4.0)],
+        {"x": [1, 2.5]},
     ],
-    ids=["float", "float-in-int-list", "numpy-int", "numpy-int-in-list", "int-key", "none-key", "set"],
+    ids=[
+        "float",
+        "float-in-int-list",
+        "numpy-int",
+        "numpy-int-in-list",
+        "int-key",
+        "none-key",
+        "set",
+        "int-key-in-flat-dicts",
+        "float-in-flat-dicts",
+        "float-in-int-pairs",
+        "float-in-int-list-value",
+    ],
 )
 def test_unsupported_types_raise(record):
     with pytest.raises(TypeError):
