@@ -5,6 +5,28 @@ Exit codes: 0 for pass/valid, 1 for a validation or property failure,
 terminated; failures print one machine-parsable line to stderr of the
 form ``error: <code>: <message>``.
 
+One table, ``COMMANDS``, defines every command: its handler, its help
+line, whether it reads the permutation positional, and its long options
+(converter, default or ``REQUIRED``, help). The parser, the help text
+and the usage errors all read it.
+
+- ``sturm --help`` lists the commands and ``sturm COMMAND --help`` (or
+  ``-h``) the options of one; both print to stdout and exit 0.
+- An option is ``--opt value`` or ``--opt=value``. An exact name wins,
+  then a unique prefix: ``--zero-based`` is exact next to
+  ``--zero-based-input``, ``--zero`` alone is ambiguous there. Command names
+  take no abbreviation, and ``-h`` is the only short option.
+- A valued option takes the next token even when it starts with ``-``,
+  so ``--times -3`` reaches the ``parse`` check of ``--times``. A
+  repeated option keeps its last value; ``--`` ends the options.
+- The permutation may stand anywhere among the options; ``-`` or no
+  positional reads it from stdin.
+- Anything else the command line gets wrong prints one line
+  ``error: usage: <message>`` and exits 2: no command or an unknown
+  one, an unknown option or an ambiguous prefix, a missing value, a
+  value that is not an int or not one of the choices, a missing required
+  option, an extra positional.
+
 A reader that closes stdout early (``sturm enumerate --n 11 | head``)
 ends the command with exit code 1 and nothing on stderr.
 
@@ -12,15 +34,15 @@ Imports: at module level this file imports only the standard library
 and ``.errors``. Each ``cmd_*`` function imports the modules it runs,
 and ``render`` imports per output format, so a cold process compiles
 and loads only what its command needs (``validate`` never loads the
-attractor). The parser imports no compute module: ``--bound`` defaults
-to ``None``, which the command resolves to ``DEFAULT_BOUND``.
+attractor). The command table imports no compute module: ``--bound``
+defaults to ``None``, which the command resolves to ``DEFAULT_BOUND``.
 """
 from __future__ import annotations
 
-import argparse
 import os
 import sys
-from typing import TYPE_CHECKING, Optional, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence, Union
 
 from .errors import NotMeanderError, NotSturmError, ParseError, SturmError, WindowError
 
@@ -39,7 +61,7 @@ def _fail(code: str, message: str, status: int) -> int:
     return status
 
 
-def _read_permutation(args: argparse.Namespace) -> SturmPermutation:
+def _read_permutation(args: SimpleNamespace) -> SturmPermutation:
     from .perm import parse_permutation
 
     text = args.permutation
@@ -51,24 +73,11 @@ def _read_permutation(args: argparse.Namespace) -> SturmPermutation:
     return parse_permutation(text, zero_based=args.zero_based_input)
 
 
-def _add_permutation_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "permutation",
-        nargs="?",
-        help="one-line permutation, whitespace or comma separated; '-' or absent reads stdin",
-    )
-    parser.add_argument(
-        "--zero-based-input",
-        action="store_true",
-        help="read labels as 0..n-1 and shift up",
-    )
-
-
 def _bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: SimpleNamespace) -> int:
     from .meander import is_meander
     from .perm import is_dissipative, is_morse
 
@@ -85,7 +94,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if sturm else FAIL_EXIT
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     from .attractor import build_model
     from .report import analyze_record, to_json
 
@@ -94,22 +103,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_minimax(args: argparse.Namespace) -> int:
+def cmd_minimax(args: SimpleNamespace) -> int:
     from .attractor import build_model, minimax_report
+    from .perm import _require_sturm
     from .report import minimax_record, to_json
 
     p = _read_permutation(args)
-    model = build_model(p)
-    if not 1 <= args.eq <= model.n:
-        return _fail("label-range", f"equilibrium {args.eq} out of range 1..{model.n}", FAIL_EXIT)
-    if model.morse[args.eq - 1] == 0:
+    # Every gate reads the permutation, so a rejected --eq builds no model.
+    _require_sturm(p)
+    if not 1 <= args.eq <= p.n:
+        return _fail("label-range", f"equilibrium {args.eq} out of range 1..{p.n}", FAIL_EXIT)
+    if p.morse[args.eq - 1] == 0:
         return _fail("stable-equilibrium", f"equilibrium {args.eq} is stable", FAIL_EXIT)
-    record = minimax_record(minimax_report(model, args.eq))
+    record = minimax_record(minimax_report(build_model(p), args.eq))
     sys.stdout.write(to_json(record))
     return 0 if record["passed"] else FAIL_EXIT
 
 
-def cmd_suspend(args: argparse.Namespace) -> int:
+def cmd_suspend(args: SimpleNamespace) -> int:
     if args.times < 0:
         raise ParseError(f"--times must be non-negative, got {args.times}")
     if args.times > MAX_TIMES:
@@ -125,7 +136,7 @@ def cmd_suspend(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_window(args: argparse.Namespace) -> int:
+def cmd_window(args: SimpleNamespace) -> int:
     from .perm import _parse_ints
     from .zeros import MeanderWindow, matrix_text, window_morse, window_z
 
@@ -143,7 +154,7 @@ def cmd_window(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     from .enumeration import DEFAULT_BOUND, enumerate_sturm
     from .perm import format_permutation
 
@@ -157,7 +168,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: SimpleNamespace) -> int:
     if args.scale < 1:
         raise ParseError(f"--scale must be positive, got {args.scale}")
     if args.scale > MAX_SCALE:
@@ -178,7 +189,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_harness(args: argparse.Namespace) -> int:
+def cmd_harness(args: SimpleNamespace) -> int:
     from .enumeration import DEFAULT_BOUND
     from .harness import property_harness
 
@@ -188,90 +199,272 @@ def cmd_harness(args: argparse.Namespace) -> int:
     return 0 if report.passed else FAIL_EXIT
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="sturm",
-        description="Exact combinatorics of Sturm meander permutations.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# Plain classes, not NamedTuples: creating a NamedTuple class costs about
+# 0.3 ms at import, which every cold command would pay.
+class Option:
+    """One long option of a command.
 
-    sp = sub.add_parser("validate", help="dissipative/Morse/meander checks and the Morse vector")
-    _add_permutation_arg(sp)
-    sp.set_defaults(func=cmd_validate)
+    ``kind`` converts the value: ``int``, ``str``, a tuple of choices, or
+    ``bool`` for a flag, which takes no value and defaults to ``False``.
+    ``default`` is the value when the option is absent, or ``REQUIRED``.
+    """
 
-    sp = sub.add_parser("analyze", help="full JSON report: matrix, connections, minimax")
-    _add_permutation_arg(sp)
-    sp.set_defaults(func=cmd_analyze)
+    __slots__ = ("kind", "default", "help")
 
-    sp = sub.add_parser("minimax", help="minimax report for one equilibrium")
-    _add_permutation_arg(sp)
-    sp.add_argument("--eq", type=int, required=True, help="equilibrium label (1-based)")
-    sp.set_defaults(func=cmd_minimax)
+    def __init__(self, kind: Union[type, tuple[str, ...]], default: object, help: str) -> None:
+        self.kind, self.default, self.help = kind, default, help
 
-    sp = sub.add_parser("suspend", help="suspended permutation")
-    _add_permutation_arg(sp)
-    sp.add_argument(
-        "--times",
-        type=int,
-        default=1,
-        help=f"number of suspensions, 0..{MAX_TIMES} (default 1)",
-    )
-    sp.add_argument("--zero-based", action="store_true", help="display labels as 0..n+1")
-    sp.set_defaults(func=cmd_suspend)
 
-    sp = sub.add_parser("window", help="Morse vector and zero numbers of a meander segment")
-    sp.add_argument(
-        "--anchor-morse", type=int, required=True, help="Morse number of the first window label"
-    )
-    sp.add_argument(
-        "--order",
-        required=True,
-        help="window labels (1-based, within the window) in axis order, left to right",
-    )
-    sp.set_defaults(func=cmd_window)
+class Command:
+    """One command: its handler, its help line, whether it reads the
+    permutation positional (and so takes ``--zero-based-input``), and its
+    own long options by name."""
 
-    sp = sub.add_parser("enumerate", help="stream all Sturm permutations of one size")
-    sp.add_argument("--n", type=int, required=True, help="odd size")
-    sp.add_argument("--count-only", action="store_true")
-    sp.add_argument(
-        "--engine",
-        choices=("auto", "filter", "backtrack"),
-        default="auto",
-        help="auto runs backtrack; filter is the brute-force cross-check",
-    )
-    sp.add_argument("--bound", type=int)
-    sp.set_defaults(func=cmd_enumerate)
+    __slots__ = ("handler", "help", "permutation", "options")
 
-    sp = sub.add_parser("render", help="SVG meander drawing or DOT connection graph")
-    _add_permutation_arg(sp)
-    sp.add_argument("--format", choices=("svg", "dot"), default="svg")
-    sp.add_argument(
-        "--scale",
-        type=int,
-        default=40,
-        help=f"pixels between adjacent crossings, 1..{MAX_SCALE} (default 40)",
-    )
-    sp.add_argument("--show-morse", action="store_true")
-    sp.add_argument("--zero-based", action="store_true", help="display labels as 0..n-1")
-    sp.set_defaults(func=cmd_render)
+    def __init__(
+        self,
+        handler: Callable[[SimpleNamespace], int],
+        help: str,
+        permutation: bool,
+        options: dict[str, Option],
+    ) -> None:
+        self.handler, self.help, self.permutation = handler, help, permutation
+        self.options = options
 
-    sp = sub.add_parser("harness", help="run the exhaustive property suite")
-    sp.add_argument("--n-max", type=int, default=7)
-    sp.add_argument("--bound", type=int)
-    sp.set_defaults(func=cmd_harness)
 
-    return parser
+REQUIRED = object()  # the default of an option that must be given
+
+_HELP = Option(bool, False, "show this help and exit")
+_PERMUTATION_HELP = "one-line permutation, whitespace or comma separated; '-' or absent reads stdin"
+_PERMUTATION_OPTIONS = {
+    "zero-based-input": Option(bool, False, "read labels as 0..n-1 and shift up"),
+}
+_BOUND = Option(int, None, "largest size allowed (default 11)")  # enumeration.DEFAULT_BOUND
+
+COMMANDS = {
+    "validate": Command(
+        cmd_validate, "dissipative/Morse/meander checks and the Morse vector", True, {}
+    ),
+    "analyze": Command(
+        cmd_analyze, "full JSON report: matrix, connections, minimax", True, {}
+    ),
+    "minimax": Command(
+        cmd_minimax,
+        "minimax report for one equilibrium",
+        True,
+        {"eq": Option(int, REQUIRED, "equilibrium label (1-based)")},
+    ),
+    "suspend": Command(
+        cmd_suspend,
+        "suspended permutation",
+        True,
+        {
+            "times": Option(int, 1, f"number of suspensions, 0..{MAX_TIMES}"),
+            "zero-based": Option(bool, False, "display labels as 0..n+1"),
+        },
+    ),
+    "window": Command(
+        cmd_window,
+        "Morse vector and zero numbers of a meander segment",
+        False,
+        {
+            "anchor-morse": Option(int, REQUIRED, "Morse number of the first window label"),
+            "order": Option(
+                str,
+                REQUIRED,
+                "window labels (1-based, within the window) in axis order, left to right",
+            ),
+        },
+    ),
+    "enumerate": Command(
+        cmd_enumerate,
+        "stream all Sturm permutations of one size",
+        False,
+        {
+            "n": Option(int, REQUIRED, "odd size"),
+            "count-only": Option(bool, False, "print only the number of permutations"),
+            "engine": Option(
+                ("auto", "filter", "backtrack"),
+                "auto",
+                "auto runs backtrack; filter is the brute-force cross-check",
+            ),
+            "bound": _BOUND,
+        },
+    ),
+    "render": Command(
+        cmd_render,
+        "SVG meander drawing or DOT connection graph",
+        True,
+        {
+            "format": Option(("svg", "dot"), "svg", "meander drawing or connection graph"),
+            "scale": Option(int, 40, f"pixels between adjacent crossings, 1..{MAX_SCALE}"),
+            "show-morse": Option(bool, False, "write each label's Morse index"),
+            "zero-based": Option(bool, False, "display labels as 0..n-1"),
+        },
+    ),
+    "harness": Command(
+        cmd_harness,
+        "run the exhaustive property suite",
+        False,
+        {
+            "n-max": Option(int, 7, "largest size checked"),
+            "bound": _BOUND,
+        },
+    ),
+}
+
+
+class _UsageError(Exception):
+    pass
+
+
+def _options(command: Command) -> dict[str, Option]:
+    if command.permutation:
+        return {"help": _HELP, **_PERMUTATION_OPTIONS, **command.options}
+    return {"help": _HELP, **command.options}
+
+
+def _match(name: str, names: Collection[str]) -> str:
+    if name in names:
+        return name
+    hits = [full for full in names if name and full.startswith(name)]
+    if not hits:
+        raise _UsageError(f"unknown option --{name}")
+    if len(hits) > 1:
+        listed = ", ".join(f"--{full}" for full in hits)
+        raise _UsageError(f"ambiguous option --{name} could match {listed}")
+    return hits[0]
+
+
+def _convert(name: str, kind: Union[type, tuple[str, ...]], value: str) -> object:
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise _UsageError(
+                f"invalid choice {value!r} for --{name} (choose from {', '.join(kind)})"
+            )
+        return value
+    try:
+        return kind(value)
+    except ValueError:
+        raise _UsageError(f"invalid {kind.__name__} value {value!r} for --{name}") from None
+
+
+def _metavar(kind: Union[type, tuple[str, ...]]) -> str:
+    if isinstance(kind, tuple):
+        return "{" + ",".join(kind) + "}"
+    return "" if kind is bool else "INT" if kind is int else "TEXT"
+
+
+def _columns(rows: list[tuple[str, str]]) -> list[str]:
+    width = max(len(left) for left, _ in rows) + 2
+    return [f"  {left:<{width}}{right}" for left, right in rows]
+
+
+def _main_help() -> str:
+    lines = [
+        "usage: sturm COMMAND [options]",
+        "",
+        "Exact combinatorics of Sturm meander permutations.",
+        "",
+        "commands:",
+        *_columns([(name, command.help) for name, command in COMMANDS.items()]),
+        "",
+        "'sturm COMMAND --help' lists the options of one command.",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _command_help(name: str) -> str:
+    command = COMMANDS[name]
+    rows = []
+    for key, opt in _options(command).items():
+        left = "-h, --help" if opt is _HELP else f"--{key} {_metavar(opt.kind)}".rstrip()
+        if opt.default is REQUIRED:
+            right = f"{opt.help} (required)"
+        elif opt.kind is bool or opt.default is None:
+            right = opt.help
+        else:
+            right = f"{opt.help} (default {opt.default})"
+        rows.append((left, right))
+    positional = " [PERMUTATION]" if command.permutation else ""
+    lines = [f"usage: sturm {name} [options]{positional}", "", command.help, ""]
+    if command.permutation:
+        lines += ["arguments:", *_columns([("PERMUTATION", _PERMUTATION_HELP)]), ""]
+    lines += ["options:", *_columns(rows)]
+    return "\n".join(lines) + "\n"
+
+
+def _show(text: str) -> int:
+    sys.stdout.write(text)
+    return 0
+
+
+def _parse(argv: list[str]) -> tuple[Callable, object]:
+    """The handler of the command line and its argument.
+
+    For ``--help`` that is :func:`_show` and the help text; otherwise the
+    command's handler and a namespace of its options, each under its name
+    with ``-`` spelled ``_``, plus ``permutation`` for the commands that
+    read one. Raises :class:`_UsageError` for a malformed command line.
+    """
+    commands = ", ".join(COMMANDS)
+    if not argv:
+        raise _UsageError(f"missing command (choose from {commands})")
+    name, rest = argv[0], iter(argv[1:])
+    if name == "-h" or name.startswith("--") and _match(name[2:], ["help"]):
+        return _show, _main_help()
+    if name not in COMMANDS:
+        raise _UsageError(f"unknown command {name!r} (choose from {commands})")
+    command = COMMANDS[name]
+    options = _options(command)
+    values = {key: opt.default for key, opt in options.items()}
+    positionals = []
+    for token in rest:
+        if token == "--":
+            positionals.extend(rest)
+        elif token == "-h":
+            return _show, _command_help(name)
+        elif token.startswith("--"):
+            key, has_value, value = token[2:].partition("=")
+            key = _match(key, options)
+            kind = options[key].kind
+            if kind is bool:
+                if has_value:
+                    raise _UsageError(f"option --{key} takes no value")
+                if key == "help":
+                    return _show, _command_help(name)
+                values[key] = True
+                continue
+            if not has_value:
+                value = next(rest, None)
+                if value is None:
+                    raise _UsageError(f"option --{key} needs a value")
+            values[key] = _convert(key, kind, value)
+        elif token[:1] == "-" and token[1:2].isalpha():
+            raise _UsageError(f"unknown option {token}")
+        else:
+            positionals.append(token)
+    allowed = 1 if command.permutation else 0
+    if len(positionals) > allowed:
+        raise _UsageError(f"unexpected argument {positionals[allowed]!r}")
+    missing = [f"--{key}" for key, value in values.items() if value is REQUIRED]
+    if missing:
+        raise _UsageError(f"missing required option {', '.join(missing)}")
+    del values["help"]
+    args = SimpleNamespace(**{key.replace("-", "_"): value for key, value in values.items()})
+    if command.permutation:
+        args.permutation = positionals[0] if positionals else None
+    return command.handler, args
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
-        return USAGE_EXIT if exc.code not in (0, None) else 0
+        handler, args = _parse(list(sys.argv[1:] if argv is None else argv))
+    except _UsageError as exc:
+        return _fail("usage", str(exc), USAGE_EXIT)
     try:
-        status = args.func(args)
+        status = handler(args)
         sys.stdout.flush()  # so that a reader gone before the exit flush is caught too
     except BrokenPipeError:
         # Python flushes stdout again at exit; devnull takes what is left.

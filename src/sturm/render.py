@@ -35,10 +35,16 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
 
     Raises :class:`NotMeanderError` for permutations whose arc families
     cross; drawings of those would be self-intersecting. Raises
-    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``.
+    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``, and for
+    a ``margin``, ``dot_radius`` or ``stroke_width`` outside
+    ``0..MAX_SCALE``.
     """
     if not 1 <= style.scale <= MAX_SCALE:
         raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {style.scale}")
+    for field in ("margin", "dot_radius", "stroke_width"):
+        value = getattr(style, field)
+        if not 0 <= value <= MAX_SCALE:
+            raise ValueError(f"{field} must be in 0..{MAX_SCALE}, got {value}")
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
+import sturm.attractor
 import sturm.render
 import sturm.suspension
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
-from sturm.cli import MAX_SCALE, MAX_TIMES, main
+from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, main
+from sturm.enumeration import DEFAULT_BOUND
 
 PERM7_TEXT = "1 4 5 6 3 2 7"
 
@@ -110,6 +112,20 @@ class TestMinimax:
         status, _, err = run(capsys, "minimax", "--eq", "1", PERM7_TEXT)
         assert status == 1
         assert "stable" in err
+
+    @pytest.mark.parametrize(
+        "perm, eq, line",
+        [
+            ("1 3 2 4 5", "9", "error: not-sturm: not a Sturm permutation: 1 3 2 4 5\n"),
+            (PERM7_TEXT, "0", "error: label-range: equilibrium 0 out of range 1..7\n"),
+            (PERM7_TEXT, "8", "error: label-range: equilibrium 8 out of range 1..7\n"),
+            (PERM7_TEXT, "5", "error: stable-equilibrium: equilibrium 5 is stable\n"),
+        ],
+        ids=["not-sturm-first", "below-range", "above-range", "stable"],
+    )
+    def test_rejected_eq_builds_no_model(self, capsys, monkeypatch, perm, eq, line):
+        monkeypatch.setattr(sturm.attractor, "build_model", lambda p: pytest.fail("model built"))
+        assert run(capsys, "minimax", "--eq", eq, perm) == (1, "", line)
 
 
 class TestSuspend:
@@ -296,6 +312,139 @@ class TestHarnessCommand:
         assert "overall: pass" in out
 
 
+_COMMAND_NAMES = "validate, analyze, minimax, suspend, window, enumerate, render, harness"
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], f"missing command (choose from {_COMMAND_NAMES})"),
+            (["bogus"], f"unknown command 'bogus' (choose from {_COMMAND_NAMES})"),
+            (["--bogus"], "unknown option --bogus"),
+            (["validate", "--foo", PERM7_TEXT], "unknown option --foo"),
+            (["validate", "-x", PERM7_TEXT], "unknown option -x"),
+            (
+                ["render", "--s", "3", PERM7_TEXT],
+                "ambiguous option --s could match --scale, --show-morse",
+            ),
+            (
+                ["suspend", "--zero", PERM7_TEXT],
+                "ambiguous option --zero could match --zero-based-input, --zero-based",
+            ),
+            (["minimax", PERM7_TEXT, "--eq"], "option --eq needs a value"),
+            (["minimax", PERM7_TEXT], "missing required option --eq"),
+            (["window"], "missing required option --anchor-morse, --order"),
+            (["enumerate", "--n", "x"], "invalid int value 'x' for --n"),
+            (["suspend", "--times", "1.5", PERM7_TEXT], "invalid int value '1.5' for --times"),
+            (
+                ["enumerate", "--n", "5", "--engine", "x"],
+                "invalid choice 'x' for --engine (choose from auto, filter, backtrack)",
+            ),
+            (
+                ["render", "--format", "x", PERM7_TEXT],
+                "invalid choice 'x' for --format (choose from svg, dot)",
+            ),
+            (["render", "--show-morse=yes", PERM7_TEXT], "option --show-morse takes no value"),
+            (["validate", PERM7_TEXT, PERM7_TEXT], f"unexpected argument '{PERM7_TEXT}'"),
+            (["enumerate", "7", "--n", "7"], "unexpected argument '7'"),
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "option-without-command",
+            "unknown-option",
+            "unknown-short-option",
+            "ambiguous-prefix",
+            "ambiguous-zero",
+            "missing-value",
+            "missing-required",
+            "missing-two-required",
+            "non-int",
+            "non-int-float",
+            "bad-engine",
+            "bad-format",
+            "flag-with-value",
+            "second-positional",
+            "positional-not-taken",
+        ],
+    )
+    def test_one_line_and_exit_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: usage: {message}\n")
+
+    def test_process_prints_one_line(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "sturm", "minimax", PERM7_TEXT], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2,
+            "",
+            "error: usage: missing required option --eq\n",
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["suspend", "--times=3", PERM7_TEXT],
+            ["suspend", "--ti", "3", PERM7_TEXT],
+            ["suspend", PERM7_TEXT, "--times", "1", "--times", "3"],
+            ["suspend", "--times", "3", "--", PERM7_TEXT],
+        ],
+        ids=["equals", "unique-prefix", "last-repeat-wins", "double-dash"],
+    )
+    def test_option_spellings(self, capsys, argv):
+        expected = run(capsys, "suspend", "--times", "3", PERM7_TEXT)
+        assert expected[0] == 0
+        assert run(capsys, *argv) == expected
+
+    def test_exact_name_beats_longer_option(self, capsys):
+        # --zero-based is a prefix of --zero-based-input, but an exact name
+        status, out, _ = run(capsys, "suspend", "--zero-based", PERM7_TEXT)
+        assert status == 0 and out == "0 7 2 3 6 5 4 1 8\n"
+        status, out, _ = run(capsys, "suspend", "--zero-based-i", "0 3 4 5 2 1 6")
+        assert status == 0 and out == "1 8 3 4 7 6 5 2 9\n"
+
+
+class TestHelp:
+    @pytest.mark.parametrize("flag", ["--help", "-h", "--he"])
+    def test_main_help_lists_every_command(self, capsys, flag):
+        status, out, err = run(capsys, flag)
+        assert status == 0 and err == ""
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("  ")]
+        assert listed == list(COMMANDS)
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_command_help_lists_every_option(self, capsys, name):
+        status, out, err = run(capsys, name, "--help")
+        assert status == 0 and err == ""
+        assert out == run(capsys, name, "-h")[1]
+        assert COMMANDS[name].help in out
+        assert ("PERMUTATION" in out) == COMMANDS[name].permutation
+        for option, spec in COMMANDS[name].options.items():
+            assert f"--{option}" in out and spec.help in out, option
+
+    def test_help_wins_over_missing_required(self, capsys):
+        status, out, _ = run(capsys, "minimax", "--help")
+        assert status == 0 and "--eq INT" in out and "(required)" in out
+
+    @pytest.mark.parametrize(
+        "name, option, ending",
+        [
+            ("suspend", "--times INT", "0..1000000 (default 1)"),
+            ("render", "--scale INT", "1..1000000 (default 40)"),
+            ("render", "--format {svg,dot}", "(default svg)"),
+            ("enumerate", "--engine {auto,filter,backtrack}", "(default auto)"),
+            ("enumerate", "--bound INT", f"(default {DEFAULT_BOUND})"),
+            ("harness", "--bound INT", f"(default {DEFAULT_BOUND})"),
+            ("window", "--order TEXT", "(required)"),
+        ],
+    )
+    def test_option_line(self, capsys, name, option, ending):
+        lines = run(capsys, name, "--help")[1].splitlines()
+        (line,) = [line for line in lines if line.startswith(f"  {option} ")]
+        assert line.endswith(ending)
+
+
 def test_module_invocation():
     proc = subprocess.run(
         [sys.executable, "-m", "sturm", "validate", PERM7_TEXT],
@@ -349,21 +498,24 @@ def test_heavy_imports_load_on_first_use():
     assert json.loads(proc.stdout) == [[None, []]] + [[0, []]] * len(commands)
 
 
-# Runs one CLI command in a fresh interpreter and prints its exit status
-# and the sturm submodules loaded by its end.
+# Runs one CLI command in a fresh interpreter and prints its exit status,
+# the sturm submodules loaded by its end, and which of argparse, gettext
+# and locale are loaded (no command needs any of them).
 _MODULES_PROBE = """
 import contextlib, io, json, sys
 from sturm.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(json.loads(sys.argv[1]))
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("sturm."))]))
+never = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
+print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("sturm.")), never]))
 """
 
 _BASE = {"cli", "errors", "meander", "perm"}
 _ANALYSIS = {"attractor", "cli", "errors", "meander", "perm", "report", "zeros"}
 _MODULE_BUDGET = [
     (["--help"], {"cli", "errors"}),
+    (["minimax", "--help"], {"cli", "errors"}),
     (["validate", PERM7_TEXT], _BASE),
     (
         ["window", "--anchor-morse", "2", "--order", " ".join(map(str, WINDOW_ORDER))],
@@ -396,7 +548,7 @@ def test_each_command_loads_only_its_modules():
     for proc, (argv, expected) in zip(procs, _MODULE_BUDGET):
         out, err = proc.communicate(timeout=60)
         assert proc.returncode == 0, err
-        assert json.loads(out) == [0, sorted(f"sturm.{m}" for m in expected)], argv
+        assert json.loads(out) == [0, sorted(f"sturm.{m}" for m in expected), []], argv
 
 
 @pytest.mark.parametrize(
