@@ -14,7 +14,10 @@ at the other), and machine-checks the minimax property relating them.
 A signed target set is a slice of the connection set: the successors of
 the base whose signed zero number against it is the given level. One
 pass over a base's successors buckets them all, and the whole analysis of
-that base is derived from those buckets in one ``MinimaxReport``.
+that base is derived from those buckets in one ``MinimaxReport``. Almost
+every signed level has one member, which is every extremum and trivially
+minimax; such levels share one immutable ``MinimaxExtrema`` per label and
+model, built once with the model's first report.
 """
 from __future__ import annotations
 
@@ -83,6 +86,12 @@ class AttractorModel(_Frozen):
     def connections(self) -> frozenset[tuple[int, int]]:
         """The complete set of connections (source, target)."""
         return frozenset(self.edges())
+
+    @cached_property
+    def _singletons(self) -> tuple[MinimaxExtrema, ...]:
+        # At index w, the extrema of a one-member signed level {w}: w at
+        # every boundary. Immutable, so every report of the model shares them.
+        return tuple([MinimaxExtrema(w, w, w, w) for w in range(self.n + 1)])
 
 
 def _blocker(rows, j: int, k: int) -> Optional[int]:
@@ -254,9 +263,6 @@ def _extrema(p: SturmPermutation, base: int, members: Sequence[int]) -> MinimaxE
     # Precondition: members is one non-empty signed level, ascending. So
     # all of them lie on one side of base, and at boundary 0 the closest
     # is the end nearest base and the farthest the other end.
-    if len(members) == 1:
-        w = members[0]
-        return MinimaxExtrema(w, w, w, w)
     near, far = (members[0], members[-1]) if members[0] > base else (members[-1], members[0])
     # At boundary 1 a tie goes to the smallest label, the first in order.
     inv = p.inv
@@ -373,7 +379,9 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     member of the associated signed target set closest to the base at the
     neighbor's boundary must be the one most distant at the opposite
     boundary. Levels below the top one are evaluated as well and reported
-    separately; they are not part of the theorem's hypothesis.
+    separately; they are not part of the theorem's hypothesis. A level
+    with one member w gets the model's shared ``MinimaxExtrema(w, w, w, w)``,
+    so reports of one model share these objects; a larger level gets its own.
 
     >>> model = build_model(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
     >>> report = minimax_report(model, 3)
@@ -387,8 +395,12 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     n_base = _unstable_morse(model, base)
     names = [f"{k}{sign}" for k in range(n_base) for sign in "+-"]
     target_sets = dict(zip(names, map(tuple, _buckets(model, base))))
-    p = model.p
-    extrema = {key: _extrema(p, base, ws) for key, ws in target_sets.items() if ws}
+    p, single = model.p, model._singletons
+    extrema = {
+        key: single[ws[0]] if len(ws) == 1 else _extrema(p, base, ws)
+        for key, ws in target_sets.items()
+        if ws
+    }
     neighbors = boundary_neighbors(model, base)
     cases = tuple(
         _case(model, base, n_base, slot, neighbor, extrema)

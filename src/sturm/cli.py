@@ -23,8 +23,9 @@ and the usage errors all read it.
   positional reads it from stdin.
 - Anything else the command line gets wrong prints one line
   ``error: usage: <message>`` and exits 2: no command or an unknown
-  one, an unknown option or an ambiguous prefix, a missing value, a
-  value that is not an int or not one of the choices, a missing required
+  one, an unknown option or an ambiguous prefix, a missing value, an
+  int value that is not an ASCII decimal ``[+-]?[0-9]+`` or a value not
+  among the choices (quoted up to 20 characters), a missing required
   option, an extra positional.
 
 A reader that closes stdout early (``sturm enumerate --n 11 | head``)
@@ -338,16 +339,21 @@ def _match(name: str, names: Collection[str]) -> str:
 
 
 def _convert(name: str, kind: Union[type, tuple[str, ...]], value: str) -> object:
+    if kind is str:
+        return value
+    # perm is loaded anyway by every command with a choice or int option
+    from .perm import _decimal, _echo
+
     if isinstance(kind, tuple):
         if value not in kind:
             raise _UsageError(
-                f"invalid choice {value!r} for --{name} (choose from {', '.join(kind)})"
+                f"invalid choice {_echo(value)} for --{name} (choose from {', '.join(kind)})"
             )
         return value
     try:
-        return kind(value)
+        return _decimal(value)
     except ValueError:
-        raise _UsageError(f"invalid {kind.__name__} value {value!r} for --{name}") from None
+        raise _UsageError(f"invalid int value {_echo(value)} for --{name}") from None
 
 
 def _metavar(kind: Union[type, tuple[str, ...]]) -> str:

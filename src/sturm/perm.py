@@ -144,17 +144,35 @@ def identity(n: int) -> SturmPermutation:
     return SturmPermutation(tuple(range(1, n + 1)))
 
 
+def _decimal(token: str) -> int:
+    """The value of an ASCII decimal token, ``[+-]?[0-9]+``.
+
+    Raises ``ValueError`` for any other token, including the full-width
+    digits, underscores and surrounding blanks that ``int`` accepts, and
+    for one with more digits than ``int`` converts.
+    """
+    digits = token[1:] if token[:1] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal: {token!r}")
+    return int(token)
+
+
+def _echo(token: str) -> str:
+    # A bad token quoted for an error line, cut after 20 characters.
+    return repr(token if len(token) <= 20 else token[:20] + "...")
+
+
 def _parse_ints(text: str, empty: str) -> list[int]:
-    # Whitespace- or comma-separated integers; ``empty`` is the error for none.
+    # Whitespace- or comma-separated decimals; ``empty`` is the error for none.
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParseError(empty)
     values = []
     for idx, tok in enumerate(tokens, start=1):
         try:
-            values.append(int(tok))
+            values.append(_decimal(tok))
         except ValueError:
-            raise ParseError(f"non-integer token {tok!r}", position=idx) from None
+            raise ParseError(f"non-integer token {_echo(tok)}", position=idx) from None
     return values
 
 

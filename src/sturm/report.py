@@ -12,24 +12,32 @@ indentation, ``","`` and ``": "`` separators, ASCII escapes. Under
 which is more than twice as slow on the large minimax sections. The
 tests keep ``json.dumps`` as the oracle.
 
-The emitter is one generic recursion with three fast paths for the flat
+The emitter is one generic recursion with fast paths for the flat
 containers that make up most of a report, each written without a call
 per member:
 
 - a dict value that is a list of ints (a ``target_sets`` level) is
   written inline;
+- a dict value that is a dict of scalars (``neighbors``, a verdict, a
+  ``minimax`` entry) is written in one join;
 - a list of non-empty int lists or tuples (``z_matrix``, ``connections``)
   is written in one join;
 - a list member that is a dict of scalars (an ``extended`` level) is
-  written in one join.
+  written in one join, and memoized.
 
-Each dict key's encoded head is memoized for the one ``to_json`` call.
+Every memo lives for one ``to_json`` call, in its ``_Heads``: the encoded
+head of each dict key, the indentation strings of each depth, and the
+text of each list member that is a dict of scalars, so each distinct
+``extended`` level is encoded once per call, not once per base. That
+last memo is keyed on the indentation, the items and the value types:
+the types are needed because ``True == 1`` and ``1 == 1.0`` with equal
+hashes, and each is written differently (or, for a float, refused).
 """
 from __future__ import annotations
 
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .attractor import AttractorModel, MinimaxReport, minimax_report
 
@@ -56,7 +64,8 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
             "k": i >> 1,
             "sign": "-" if i & 1 else "+",
             "empty": not members,
-            "passed": extrema[key].minimax_holds if members else None,
+            # one member is closest and most distant at both boundaries
+            "passed": (len(members) == 1 or extrema[key].minimax_holds) if members else None,
         }
         for i, (key, members) in enumerate(report.target_sets.items())
     ]
@@ -122,8 +131,15 @@ def to_json(record: dict[str, Any]) -> str:
 
 
 class _Heads(dict):
-    """Memo of the encoded ``"key": `` head of each dict key, for one
-    ``to_json`` call, so its size is bounded by that record's keys."""
+    """The memos of one ``to_json`` call, so their size is bounded by that
+    record: the encoded ``"key": `` head of each dict key, ``frames`` the
+    indentation strings of each depth, and ``flat`` the text of each list
+    member that is a dict of scalars, under its depth, items and value
+    types."""
+
+    def __init__(self) -> None:
+        self.frames: dict[str, tuple[str, ...]] = {}
+        self.flat: dict[tuple, str] = {}
 
     def __missing__(self, key: Any) -> str:
         if not isinstance(key, str):
@@ -131,9 +147,26 @@ class _Heads(dict):
         head = self[key] = encode_basestring_ascii(key) + ": "
         return head
 
+    def frame(self, nl: str) -> tuple[str, ...]:
+        frame = self.frames.get(nl)
+        if frame is None:
+            inner = nl + "  "
+            bar = inner + "  "
+            frame = self.frames[nl] = (inner, bar, "," + inner, "[" + bar, "," + bar, inner + "]")
+        return frame
+
 
 _INT = {int}
 _ROWS = {list, tuple}
+
+
+def _flat(x: dict, bar: str, comma_bar: str, inner: str, heads: _Heads) -> Optional[str]:
+    # The text of a non-empty dict of scalars, or None if some value is no scalar.
+    try:
+        items = [heads[k] + _SCALARS[type(y)](y) for k, y in x.items()]
+    except KeyError:
+        return None
+    return "{" + bar + comma_bar.join(items) + inner + "}"
 
 
 def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
@@ -149,22 +182,23 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     if not v:
         out.append("{}" if t is dict else "[]")
         return
-    inner = nl + "  "
-    bar = inner + "  "
-    later = "," + inner
-    open_bar, comma_bar, close_inner = "[" + bar, "," + bar, inner + "]"
+    inner, bar, later, open_bar, comma_bar, close_inner = heads.frame(nl)
     if t is dict:
         sep = "{" + inner
         for key, x in v.items():
-            if type(x) is list and {*map(type, x)} == _INT:
+            tx = type(x)
+            scalar = _SCALARS.get(tx)
+            if scalar is not None:
+                out.append(sep + heads[key] + scalar(x))
+            elif tx is list and {*map(type, x)} == _INT:
                 # a value that is an int list, written inline
                 out.append(
                     sep + heads[key] + open_bar + comma_bar.join(map(int.__repr__, x)) + close_inner
                 )
             else:
-                scalar = _SCALARS.get(type(x))
-                if scalar is not None:
-                    out.append(sep + heads[key] + scalar(x))
+                text = _flat(x, bar, comma_bar, inner, heads) if tx is dict and x else None
+                if text is not None:
+                    out.append(sep + heads[key] + text)
                 else:
                     out.append(sep + heads[key])
                     _emit(x, inner, out, heads)
@@ -183,20 +217,27 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
         )
     else:
         sep = "[" + inner
-        open_dict = "{" + bar
+        flat = heads.flat
         for x in v:
+            text = None
             if type(x) is dict and x:
+                # the types tell apart equal values such as True, 1 and 1.0
+                values = x.values()
+                key = (nl, *x, *values, *map(type, values))
                 try:
-                    # a dict of scalars, written in one join
-                    items = [heads[k] + _SCALARS[type(y)](y) for k, y in x.items()]
-                except KeyError:  # some value is no scalar
+                    text = flat.get(key)
+                except TypeError:  # an unhashable value, so no dict of scalars
                     pass
                 else:
-                    out.append(sep + open_dict + comma_bar.join(items) + inner + "}")
-                    sep = later
-                    continue
-            out.append(sep)
-            _emit(x, inner, out, heads)
+                    if text is None:
+                        text = _flat(x, bar, comma_bar, inner, heads)
+                        if text is not None:
+                            flat[key] = text
+            if text is None:
+                out.append(sep)
+                _emit(x, inner, out, heads)
+            else:
+                out.append(sep + text)
             sep = later
         out.append(nl + "]")
 

@@ -406,6 +406,9 @@ def _assert_extrema_match_oracle(model):
                 continue
             want = distance_extrema(model.p, base, set(members))
             assert report.extrema[key] == want, (model.p, base, key)
+            # a one-member level takes the model's shared extrema, a larger one its own
+            shared = report.extrema[key] is model._singletons[members[0]]
+            assert shared == (len(members) == 1), (model.p, base, key)
             assert minimax(model, base, int(key[:-1]), key[-1]) == want, (model.p, base, key)
 
 

@@ -234,9 +234,10 @@ class TestWindow:
         "order, line",
         [
             ("1 x", "error: parse: non-integer token 'x' (token 2)\n"),
+            ("1_0 2", "error: parse: non-integer token '1_0' (token 1)\n"),
             (",", "error: parse: empty window order\n"),
         ],
-        ids=["non-integer", "no-tokens"],
+        ids=["non-integer", "underscore", "no-tokens"],
     )
     def test_order_tokens(self, capsys, order, line):
         # The same token parser as the permutation argument, with its own
@@ -337,6 +338,9 @@ class TestUsage:
             (["window"], "missing required option --anchor-morse, --order"),
             (["enumerate", "--n", "x"], "invalid int value 'x' for --n"),
             (["suspend", "--times", "1.5", PERM7_TEXT], "invalid int value '1.5' for --times"),
+            (["enumerate", "--n", "1_1"], "invalid int value '1_1' for --n"),
+            (["enumerate", "--n", "\uff17"], "invalid int value '\uff17' for --n"),
+            (["minimax", "--eq=3 ", PERM7_TEXT], "invalid int value '3 ' for --eq"),
             (
                 ["enumerate", "--n", "5", "--engine", "x"],
                 "invalid choice 'x' for --engine (choose from auto, filter, backtrack)",
@@ -362,6 +366,9 @@ class TestUsage:
             "missing-two-required",
             "non-int",
             "non-int-float",
+            "non-int-underscore",
+            "non-int-full-width",
+            "non-int-trailing-blank",
             "bad-engine",
             "bad-format",
             "flag-with-value",
@@ -403,6 +410,64 @@ class TestUsage:
         assert status == 0 and out == "0 7 2 3 6 5 4 1 8\n"
         status, out, _ = run(capsys, "suspend", "--zero-based-i", "0 3 4 5 2 1 6")
         assert status == 0 and out == "1 8 3 4 7 6 5 2 9\n"
+
+
+class TestIntegerTokens:
+    """Labels, ``--order`` entries and int option values are ASCII
+    decimals ``[+-]?[0-9]+`` only, and an error quotes at most the first
+    20 characters of a bad token."""
+
+    @pytest.mark.parametrize(
+        "text, token",
+        [
+            ("1 3 2 4 \uff15", "'\uff15' (token 5)"),  # full-width 5
+            ("1 3 2 4 \u0665", "'\u0665' (token 5)"),  # Arabic-Indic 5
+            ("1_0 2 3", "'1_0' (token 1)"),
+        ],
+        ids=["full-width", "arabic-indic", "underscore"],
+    )
+    def test_label_not_decimal(self, capsys, text, token):
+        line = f"error: parse: non-integer token {token}\n"
+        assert run(capsys, "validate", text) == (2, "", line)
+
+    def test_long_tokens_are_cut(self, capsys):
+        # 5,000 digits is more than int() converts; the line used to quote all of them
+        digits = "9" * 5000
+        cut = "'" + "9" * 20 + "...'"
+        assert run(capsys, "validate", f"1 2 {digits}") == (
+            2,
+            "",
+            f"error: parse: non-integer token {cut} (token 3)\n",
+        )
+        assert run(capsys, "enumerate", "--n", digits) == (
+            2,
+            "",
+            f"error: usage: invalid int value {cut} for --n\n",
+        )
+        status, out, err = run(capsys, "enumerate", "--n", "5", "--engine", "x" * 5000)
+        assert (status, out) == (2, "")
+        choices = "(choose from auto, filter, backtrack)"
+        assert err == f"error: usage: invalid choice '{'x' * 20}...' for --engine {choices}\n"
+
+    def test_twenty_characters_are_quoted_whole(self, capsys):
+        token = "x" * 20
+        status, _, err = run(capsys, "validate", f"1 {token} 3")
+        assert status == 2 and err == f"error: parse: non-integer token '{token}' (token 2)\n"
+
+    @pytest.mark.parametrize(
+        "argv, same_as",
+        [
+            (["suspend", "+1,+4,+5,+6,+3,+2,+7"], ["suspend", PERM7_TEXT]),
+            (["suspend", "--times", "+2", PERM7_TEXT], ["suspend", "--times", "2", PERM7_TEXT]),
+            (["suspend", "--times", "-0", PERM7_TEXT], ["suspend", "--times", "0", PERM7_TEXT]),
+            (["enumerate", "--n", "007", "--count-only"], ["enumerate", "--n=7", "--count-only"]),
+        ],
+        ids=["signed-labels", "plus-sign", "minus-zero", "leading-zeros"],
+    )
+    def test_signs_and_leading_zeros_accepted(self, capsys, argv, same_as):
+        expected = run(capsys, *same_as)
+        assert expected[0] == 0
+        assert run(capsys, *argv) == expected
 
 
 class TestHelp:

@@ -23,6 +23,7 @@ from sturm import (
     z_matrix,
     z_pair_nsl,
 )
+from sturm.perm import _decimal
 
 
 class TestParse:
@@ -48,6 +49,22 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_permutation("1 x 3")
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("text", ["1 2 \uff13", "1 2 3_0", "1 2 \u0663"])
+    def test_non_ascii_decimal_token(self, text):
+        # int() reads each of these tokens as a number
+        with pytest.raises(ParseError) as err:
+            parse_permutation(text)
+        assert err.value.position == 3
+
+    @pytest.mark.parametrize("token", ["+7", "-7", "007", "7"])
+    def test_decimal_accepts(self, token):
+        assert _decimal(token) == int(token)
+
+    @pytest.mark.parametrize("token", ["", "+", "+-1", " 1", "1 ", "1_0", "\uff11", "1.0", "0x1"])
+    def test_decimal_refuses(self, token):
+        with pytest.raises(ValueError):
+            _decimal(token)
 
     def test_out_of_range(self):
         with pytest.raises(ParseError):

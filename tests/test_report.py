@@ -122,8 +122,21 @@ _rows = st.lists(
     max_size=4,
 )
 _flat_dicts = st.dictionaries(_texts, _leaves, max_size=4)
+# Lists that repeat one flat dict of bool and int values, some copies with
+# each bool read as an int and each int as a bool: equal dicts, such as
+# {"a": True} and {"a": 1}, whose texts differ.
+_bool_int_dicts = st.dictionaries(
+    st.sampled_from("ab"), st.sampled_from([True, False, 0, 1]), min_size=1, max_size=2
+)
+_repeats = st.tuples(_bool_int_dicts, st.lists(st.booleans(), min_size=2, max_size=5)).map(
+    lambda drawn: [
+        {k: int(v) if type(v) is bool else bool(v) for k, v in drawn[0].items()} if flip
+        else drawn[0]
+        for flip in drawn[1]
+    ]
+)
 _trees = st.recursive(
-    _leaves | _int_lists | _rows | _flat_dicts,
+    _leaves | _int_lists | _rows | _flat_dicts | _repeats,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(_flat_dicts | children, max_size=4)
@@ -136,6 +149,38 @@ _trees = st.recursive(
 @given(_trees)
 def test_json_like_trees(tree):
     assert to_json(tree) == json_oracle(tree)
+
+
+_SHARED = {"a": 1, "b": None}
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        [{"a": True}, {"a": 1}],
+        [{"a": 0}, {"a": False}, {"a": 0}],
+        [_SHARED, [_SHARED, {"x": [_SHARED]}], _SHARED],
+        [_SHARED, {"a": [1]}, _SHARED, {"a": {"b": 2}}, {"a": 1, "b": None}],
+    ],
+    ids=["true-then-one", "zero-false-zero", "two-depths", "next-to-unhashable"],
+)
+def test_flat_dict_memo_traps(tree):
+    # Equal dicts that differ in a value's type or in depth are written
+    # apart; the memo of one to_json call must not mix them up.
+    assert to_json(tree) == json_oracle(tree)
+
+
+def test_record_shares_no_mutable_member():
+    record = analyze_record(build_model(_suspended(SturmPermutation(PERM7), 12)))
+    extended = [level for mm in record["minimax"] for level in mm["extended"]]
+    target_lists = [ws for mm in record["minimax"] for ws in mm["target_sets"].values()]
+    assert len({*map(id, extended)}) == len(extended)
+    assert len({*map(id, target_lists)}) == len(target_lists)
+    text = to_json(record)
+    assert to_json(record) == text == json_oracle(record)
+    # nothing of the first call is reused by the next
+    extended[0]["passed"] = None
+    assert to_json(record) == json_oracle(record) != text
 
 
 @pytest.mark.parametrize(
@@ -152,6 +197,7 @@ def test_json_like_trees(tree):
         [{"a": 1}, {"b": 2.5}],
         [[1, 2], (3, 4.0)],
         {"x": [1, 2.5]},
+        [{"a": 1}, {"a": 1.0}],
     ],
     ids=[
         "float",
@@ -165,6 +211,7 @@ def test_json_like_trees(tree):
         "float-in-flat-dicts",
         "float-in-int-pairs",
         "float-in-int-list-value",
+        "float-after-equal-int-in-flat-dicts",
     ],
 )
 def test_unsupported_types_raise(record):
