@@ -17,7 +17,10 @@ pass over a base's successors buckets them all, and the whole analysis of
 that base is derived from those buckets in one ``MinimaxReport``. Almost
 every signed level has one member, which is every extremum and trivially
 minimax; such levels share one immutable ``MinimaxExtrema`` per label and
-model, built once with the model's first report.
+model, built once with the model's first report. The level names
+``"0+", "0-", "1+", ...`` are likewise built once per model, up to its
+largest Morse number, and each report reads its own as a slice, so a base
+formats no names.
 """
 from __future__ import annotations
 
@@ -92,6 +95,12 @@ class AttractorModel(_Frozen):
         # At index w, the extrema of a one-member signed level {w}: w at
         # every boundary. Immutable, so every report of the model shares them.
         return tuple([MinimaxExtrema(w, w, w, w) for w in range(self.n + 1)])
+
+    @cached_property
+    def _level_names(self) -> tuple[str, ...]:
+        # "0+", "0-", "1+", ... up to the largest Morse number: a base of
+        # Morse number m names its 2m signed levels with the first 2m.
+        return tuple([f"{k}{sign}" for k in range(max(self.morse)) for sign in "+-"])
 
 
 def _blocker(rows, j: int, k: int) -> Optional[int]:
@@ -187,10 +196,13 @@ def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
     >>> boundary_neighbors(model, 3)
     NeighborQuartet(w0_minus=2, w0_plus=4, w1_minus=6, w1_plus=2)
     """
-    p = model.p
-    n = model.n
-    _check_labels(n, base=base)
-    # base is checked above, so the raw tuples skip the accessors' checks
+    _check_labels(model.n, base=base)
+    return _neighbors(model.p, base)
+
+
+def _neighbors(p: SturmPermutation, base: int) -> NeighborQuartet:
+    # base must be a checked label, so the raw tuples skip the accessors' checks
+    n = p.n
     pos = p.inv[base - 1]
     return NeighborQuartet(
         w0_minus=base - 1 if base > 1 else None,
@@ -326,12 +338,14 @@ def _case(
     n_base: int,
     slot: str,
     neighbor: Optional[int],
+    names: tuple[str, ...],
     extrema: dict[str, MinimaxExtrema],
 ) -> MinimaxCase:
+    # names are the base's level names, so the last two are the top level's
     if neighbor is None or model.morse[neighbor - 1] != n_base - 1:
         return MinimaxCase(slot=slot, neighbor=neighbor, applicable=False)
     sign = _associated_sign(slot, n_base)
-    key = f"{n_base - 1}{sign}"
+    key = names[-1] if sign == "-" else names[-2]
     if key not in extrema:
         raise ValueError(f"target set {key} of {base} is empty")
     ex = extrema[key]
@@ -393,7 +407,7 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     (True, True)
     """
     n_base = _unstable_morse(model, base)
-    names = [f"{k}{sign}" for k in range(n_base) for sign in "+-"]
+    names = model._level_names[: 2 * n_base]
     target_sets = dict(zip(names, map(tuple, _buckets(model, base))))
     p, single = model.p, model._singletons
     extrema = {
@@ -401,10 +415,12 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
         for key, ws in target_sets.items()
         if ws
     }
-    neighbors = boundary_neighbors(model, base)
+    neighbors = _neighbors(p, base)
     cases = tuple(
-        _case(model, base, n_base, slot, neighbor, extrema)
-        for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors)
+        [
+            _case(model, base, n_base, slot, neighbor, names, extrema)
+            for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors)
+        ]
     )
     return MinimaxReport(base, n_base, neighbors, target_sets, extrema, cases)
 

@@ -106,14 +106,15 @@ def cmd_analyze(args: SimpleNamespace) -> int:
 
 def cmd_minimax(args: SimpleNamespace) -> int:
     from .attractor import build_model, minimax_report
-    from .perm import _require_sturm
+    from .perm import _echo_int, _require_sturm
     from .report import minimax_record, to_json
 
     p = _read_permutation(args)
     # Every gate reads the permutation, so a rejected --eq builds no model.
     _require_sturm(p)
     if not 1 <= args.eq <= p.n:
-        return _fail("label-range", f"equilibrium {args.eq} out of range 1..{p.n}", FAIL_EXIT)
+        eq = _echo_int(args.eq)
+        return _fail("label-range", f"equilibrium {eq} out of range 1..{p.n}", FAIL_EXIT)
     if p.morse[args.eq - 1] == 0:
         return _fail("stable-equilibrium", f"equilibrium {args.eq} is stable", FAIL_EXIT)
     record = minimax_record(minimax_report(build_model(p), args.eq))
@@ -122,12 +123,13 @@ def cmd_minimax(args: SimpleNamespace) -> int:
 
 
 def cmd_suspend(args: SimpleNamespace) -> int:
-    if args.times < 0:
-        raise ParseError(f"--times must be non-negative, got {args.times}")
-    if args.times > MAX_TIMES:
-        raise ParseError(f"--times must be at most {MAX_TIMES}, got {args.times}")
-    from .perm import SturmPermutation, _require_sturm, format_permutation
+    from .perm import SturmPermutation, _echo_int, _require_sturm, format_permutation
     from .suspension import _suspend_labels
+
+    if args.times < 0:
+        raise ParseError(f"--times must be non-negative, got {_echo_int(args.times)}")
+    if args.times > MAX_TIMES:
+        raise ParseError(f"--times must be at most {MAX_TIMES}, got {_echo_int(args.times)}")
 
     p = _read_permutation(args)
     # Suspension keeps the Sturm property, so only the input is gated.
@@ -170,10 +172,12 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
 
 
 def cmd_render(args: SimpleNamespace) -> int:
+    from .perm import _echo_int
+
     if args.scale < 1:
-        raise ParseError(f"--scale must be positive, got {args.scale}")
+        raise ParseError(f"--scale must be positive, got {_echo_int(args.scale)}")
     if args.scale > MAX_SCALE:
-        raise ParseError(f"--scale must be at most {MAX_SCALE}, got {args.scale}")
+        raise ParseError(f"--scale must be at most {MAX_SCALE}, got {_echo_int(args.scale)}")
     p = _read_permutation(args)
     if args.format == "svg":
         from .render import RenderStyle, render_svg

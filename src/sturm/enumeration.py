@@ -20,7 +20,7 @@ import itertools
 from typing import Iterator, Literal
 
 from .meander import _arcs, _fits, _place, is_meander
-from .perm import SturmPermutation, is_morse
+from .perm import SturmPermutation, _echo_int, is_morse
 
 __all__ = ["DEFAULT_BOUND", "enumerate_sturm", "count_sturm"]
 
@@ -31,9 +31,11 @@ Engine = Literal["auto", "filter", "backtrack"]
 
 def _check_size(n: int, bound: int) -> None:
     if n < 1 or n % 2 == 0:
-        raise ValueError(f"size must be odd and positive, got {n}")
+        raise ValueError(f"size must be odd and positive, got {_echo_int(n)}")
     if n > bound:
-        raise ValueError(f"size {n} exceeds the configured bound {bound}")
+        raise ValueError(
+            f"size {_echo_int(n)} exceeds the configured bound {_echo_int(bound)}"
+        )
 
 
 def _enumerate_filter(n: int) -> Iterator[SturmPermutation]:

@@ -162,6 +162,17 @@ def _echo(token: str) -> str:
     return repr(token if len(token) <= 20 else token[:20] + "...")
 
 
+def _echo_int(value: int) -> str:
+    # An integer shown in an error line: its sign and at most 20 digits,
+    # then "..." if it has more. The digits are read off a quotient, since
+    # str() refuses an int longer than sys.get_int_max_str_digits().
+    magnitude = abs(value)
+    if magnitude < 10**20:
+        return str(value)
+    head = str(magnitude // 10 ** (magnitude.bit_length() * 3 // 10 - 20))[:20]
+    return ("-" if value < 0 else "") + head + "..."
+
+
 def _parse_ints(text: str, empty: str) -> list[int]:
     # Whitespace- or comma-separated decimals; ``empty`` is the error for none.
     tokens = text.replace(",", " ").split()
@@ -197,7 +208,7 @@ def parse_permutation(text: str, zero_based: bool = False) -> SturmPermutation:
     seen: dict[int, int] = {}
     for idx, v in enumerate(values, start=1):
         if not 1 <= v <= n:
-            raise ParseError(f"label {v} out of range 1..{n}", position=idx)
+            raise ParseError(f"label {_echo_int(v)} out of range 1..{n}", position=idx)
         if v in seen:
             raise ParseError(f"duplicate label {v}, first at token {seen[v]}", position=idx)
         seen[v] = idx

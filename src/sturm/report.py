@@ -5,6 +5,11 @@ names and 1-based arrays (declared by the explicit ``index_base`` field)
 so golden tests can compare bytes. Dictionaries are built in the
 documented key order and serialized without re-sorting.
 
+``minimax_record`` builds each record straight from the report's tuples:
+an applicable verdict is one dict display of the case's fields and its two
+properties, and ``neighbors`` and each ``minimax`` entry zip the field
+names onto the NamedTuple, with no ``_asdict`` copy to trim and extend.
+
 ``to_json`` is a hand-written emitter whose output is byte-identical to
 ``json.dumps(record, indent=2)`` plus a final newline: two-space
 indentation, ``","`` and ``": "`` separators, ASCII escapes. Under
@@ -18,12 +23,25 @@ per member:
 
 - a dict value that is a list of ints (a ``target_sets`` level) is
   written inline;
-- a dict value that is a dict of scalars (``neighbors``, a verdict, a
-  ``minimax`` entry) is written in one join;
+- a dict value whose values are all scalars (``neighbors``, a verdict, a
+  ``minimax`` entry) or all int lists (``target_sets``) is written in one
+  join;
 - a list of non-empty int lists or tuples (``z_matrix``, ``connections``)
   is written in one join;
 - a list member that is a dict of scalars (an ``extended`` level) is
   written in one join, and memoized.
+
+The int paths take exact ints only, so a bool or an ``IntEnum`` member in
+a list falls back to the recursion, which writes the one and refuses the
+other. A dict is tried as int lists only when its scalar pass fails on a
+list, so a dict of dicts (``verdicts``, ``minimax``) pays no second check.
+
+Each scalar is written by a callable implemented in C: ``repr`` for an
+int, and a dict's bound ``__getitem__`` for a bool or None. ``repr`` calls
+about twice as fast as the slot wrapper ``int.__repr__``; the two lookups
+cost what a lambda does under Python 3.11, and half of what a tuple's
+``__getitem__`` (a slot wrapper) or ``"null".format`` (which parses its
+format string) costs.
 
 Every memo lives for one ``to_json`` call, in its ``_Heads``: the encoded
 head of each dict key, the indentation strings of each depth, and the
@@ -39,7 +57,13 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Optional
 
-from .attractor import AttractorModel, MinimaxReport, minimax_report
+from .attractor import (
+    NEIGHBOR_SLOTS,
+    AttractorModel,
+    MinimaxExtrema,
+    MinimaxReport,
+    minimax_report,
+)
 
 __all__ = ["minimax_record", "analyze_record", "to_json", "dot_graph"]
 
@@ -50,12 +74,18 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     verdicts = {}
     for case in report.cases:
         if case.applicable:
-            record: dict[str, Any] = case._asdict()
-            del record["slot"]
-            record.update(neighbor_is_closest=case.neighbor_is_closest, passed=case.passed)
+            verdicts[case.slot] = {
+                "neighbor": case.neighbor,
+                "applicable": True,
+                "sign": case.sign,
+                "iota": case.iota,
+                "closest": case.closest,
+                "farthest_opposite": case.farthest_opposite,
+                "neighbor_is_closest": case.neighbor_is_closest,
+                "passed": case.passed,
+            }
         else:
-            record = {"neighbor": case.neighbor, "applicable": False}
-        verdicts[case.slot] = record
+            verdicts[case.slot] = {"neighbor": case.neighbor, "applicable": False}
     # target_sets lists every level in order "0+", "0-", "1+", ..., and
     # extrema holds the non-empty ones under the same keys.
     extrema = report.extrema
@@ -72,12 +102,12 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     return {
         "O": report.base,
         "n": report.n,
-        "neighbors": report.neighbors._asdict(),
+        "neighbors": dict(zip(NEIGHBOR_SLOTS, report.neighbors)),
         "target_sets": dict(zip(report.target_sets, map(list, report.target_sets.values()))),
         "minimax": {
-            key: report.extrema[key]._asdict()
+            key: dict(zip(MinimaxExtrema._fields, extrema[key]))
             for key in (f"{top}+", f"{top}-")
-            if key in report.extrema
+            if key in extrema
         },
         "verdicts": verdicts,
         "extended": extended,
@@ -99,11 +129,12 @@ def analyze_record(model: AttractorModel) -> dict[str, Any]:
     }
 
 
+# Exact types only, so repr is int's own; see the module docstring.
 _SCALARS: dict[type, Callable[[Any], str]] = {
-    int: int.__repr__,
+    int: repr,
     str: encode_basestring_ascii,
-    bool: lambda v: "true" if v else "false",
-    type(None): lambda v: "null",
+    bool: {False: "false", True: "true"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
 }
 
 
@@ -157,16 +188,34 @@ class _Heads(dict):
 
 
 _INT = {int}
+_LIST = {list}
 _ROWS = {list, tuple}
 
 
 def _flat(x: dict, bar: str, comma_bar: str, inner: str, heads: _Heads) -> Optional[str]:
-    # The text of a non-empty dict of scalars, or None if some value is no scalar.
+    # The text of a non-empty dict whose values are all scalars or all int
+    # lists, or None if they are neither.
     try:
         items = [heads[k] + _SCALARS[type(y)](y) for k, y in x.items()]
-    except KeyError:
-        return None
+    except KeyError as missing:
+        # the missing key is the type of the first value that is no scalar
+        return _lists(x, inner, heads) if missing.args[0] is list else None
     return "{" + bar + comma_bar.join(items) + inner + "}"
+
+
+def _lists(x: dict, inner: str, heads: _Heads) -> Optional[str]:
+    # The text of a non-empty dict whose values are all int lists, or None.
+    # Apart from _flat, since its comprehension makes cells of the names it
+    # reads, and in _flat those cells would cost every dict of scalars.
+    values = x.values()
+    if {*map(type, values)} != _LIST or not {*map(type, chain.from_iterable(values))} <= _INT:
+        return None
+    bar, _, later, open_bar, comma_bar, close_bar = heads.frame(inner)
+    items = [
+        heads[k] + (open_bar + comma_bar.join(map(repr, ws)) + close_bar if ws else "[]")
+        for k, ws in x.items()
+    ]
+    return "{" + bar + later.join(items) + inner + "}"
 
 
 def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
@@ -193,7 +242,7 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
             elif tx is list and {*map(type, x)} == _INT:
                 # a value that is an int list, written inline
                 out.append(
-                    sep + heads[key] + open_bar + comma_bar.join(map(int.__repr__, x)) + close_inner
+                    sep + heads[key] + open_bar + comma_bar.join(map(repr, x)) + close_inner
                 )
             else:
                 text = _flat(x, bar, comma_bar, inner, heads) if tx is dict and x else None
@@ -207,10 +256,10 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
         return
     types = {*map(type, v)}
     if types == _INT:
-        out.append("[" + inner + later.join(map(int.__repr__, v)) + nl + "]")
+        out.append("[" + inner + later.join(map(repr, v)) + nl + "]")
     elif types <= _ROWS and all(v) and {*map(type, chain.from_iterable(v))} == _INT:
         # non-empty int rows, written in one join
-        rows = [comma_bar.join(map(int.__repr__, row)) for row in v]
+        rows = [comma_bar.join(map(repr, row)) for row in v]
         out.append(
             "[" + inner + open_bar + (close_inner + later + open_bar).join(rows)
             + close_inner + nl + "]"

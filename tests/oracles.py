@@ -13,7 +13,9 @@ every label for the bucketed target sets. The distance-extrema oracle
 takes the min and max of each boundary distance over a set in any order,
 where ``attractor._extrema`` reads boundary 0 off the ascending members.
 The JSON oracle is the standard library encoder that ``report.to_json``
-replaces.
+replaces. The minimax record oracle builds each record from the
+report's NamedTuples with ``_asdict``, where ``report.minimax_record``
+writes dict displays and zips field names onto the tuples.
 """
 import json
 import math
@@ -174,3 +176,42 @@ def distance_extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
 def json_oracle(record) -> str:
     """The reference serialization of a report record."""
     return json.dumps(record, indent=2) + "\n"
+
+
+def asdict_minimax_record(report) -> dict:
+    """The minimax record of a report, built from ``_asdict()`` copies:
+    each applicable verdict is its case minus ``slot``, plus the case's
+    ``neighbor_is_closest`` and ``passed``."""
+    top = report.n - 1
+    verdicts = {}
+    for case in report.cases:
+        if case.applicable:
+            verdict = case._asdict()
+            del verdict["slot"]
+            verdict.update(neighbor_is_closest=case.neighbor_is_closest, passed=case.passed)
+        else:
+            verdict = {"neighbor": case.neighbor, "applicable": False}
+        verdicts[case.slot] = verdict
+    extended = [
+        {
+            "k": int(key[:-1]),
+            "sign": key[-1],
+            "empty": not members,
+            "passed": report.extrema[key].minimax_holds if members else None,
+        }
+        for key, members in report.target_sets.items()
+    ]
+    return {
+        "O": report.base,
+        "n": report.n,
+        "neighbors": report.neighbors._asdict(),
+        "target_sets": {key: list(members) for key, members in report.target_sets.items()},
+        "minimax": {
+            key: report.extrema[key]._asdict()
+            for key in (f"{top}+", f"{top}-")
+            if key in report.extrema
+        },
+        "verdicts": verdicts,
+        "extended": extended,
+        "passed": report.passed,
+    }

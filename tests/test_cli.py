@@ -14,6 +14,8 @@ from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, main
 from sturm.enumeration import DEFAULT_BOUND
 
 PERM7_TEXT = "1 4 5 6 3 2 7"
+# 400 nines as an error line shows them: 20 digits, then "..."
+NINES_CUT = "9" * 20 + "..."
 
 
 def run(capsys, *argv):
@@ -180,10 +182,12 @@ class TestSuspend:
         assert status == 0 and out.split()[:3] == ["1", "40006", "3"]
 
     def test_times_above_cap_rejected(self, capsys):
-        for times in (str(MAX_TIMES + 1), "9" * 400):
+        # a value of more than 20 digits is cut (deliberate change: the
+        # whole 400 digits were quoted)
+        for times, shown in ((str(MAX_TIMES + 1), str(MAX_TIMES + 1)), ("9" * 400, NINES_CUT)):
             status, out, err = run(capsys, "suspend", PERM7_TEXT, "--times", times)
             assert status == 2 and out == ""
-            assert err == f"error: parse: --times must be at most {MAX_TIMES}, got {times}\n"
+            assert err == f"error: parse: --times must be at most {MAX_TIMES}, got {shown}\n"
 
     def test_times_cap_admitted_and_documented(self, capsys, monkeypatch):
         # At the cap the real suspension takes seconds and a few hundred
@@ -291,10 +295,12 @@ class TestRender:
         assert err == f"error: parse: --scale must be positive, got {scale}\n"
 
     def test_scale_above_cap_rejected(self, capsys):
-        for scale in (str(MAX_SCALE + 1), "9" * 400):
+        # a value of more than 20 digits is cut (deliberate change: the
+        # whole 400 digits were quoted)
+        for scale, shown in ((str(MAX_SCALE + 1), str(MAX_SCALE + 1)), ("9" * 400, NINES_CUT)):
             status, out, err = run(capsys, "render", "--scale", scale, PERM7_TEXT)
             assert status == 2 and out == ""
-            assert err == f"error: parse: --scale must be at most {MAX_SCALE}, got {scale}\n"
+            assert err == f"error: parse: --scale must be at most {MAX_SCALE}, got {shown}\n"
 
     def test_scale_cap_matches_renderer(self):
         assert MAX_SCALE == sturm.render.MAX_SCALE
@@ -448,6 +454,64 @@ class TestIntegerTokens:
         assert (status, out) == (2, "")
         choices = "(choose from auto, filter, backtrack)"
         assert err == f"error: usage: invalid choice '{'x' * 20}...' for --engine {choices}\n"
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["validate", "1 2 " + "9" * 400],
+                f"error: parse: label {NINES_CUT} out of range 1..3 (token 3)\n",
+            ),
+            (
+                ["validate", "--zero-based-input", "0 1 " + "9" * 4300],
+                # one more than 4,300 nines: more digits than str() writes
+                f"error: parse: label 1{'0' * 19}... out of range 1..3 (token 3)\n",
+            ),
+            (
+                ["minimax", "--eq", "9" * 400, PERM7_TEXT],
+                f"error: label-range: equilibrium {NINES_CUT} out of range 1..7\n",
+            ),
+            (
+                ["enumerate", "--n", "9" * 400],
+                f"error: value: size {NINES_CUT} exceeds the configured bound {DEFAULT_BOUND}\n",
+            ),
+            (
+                ["enumerate", "--n", "8" * 400],
+                f"error: value: size must be odd and positive, got {'8' * 20}...\n",
+            ),
+            (
+                ["enumerate", "--n", "3", "--bound", "-" + "9" * 400],
+                f"error: value: size 3 exceeds the configured bound -{NINES_CUT}\n",
+            ),
+            (
+                ["suspend", "--times", "-" + "9" * 400, PERM7_TEXT],
+                f"error: parse: --times must be non-negative, got -{NINES_CUT}\n",
+            ),
+            (
+                ["render", "--scale", "-" + "9" * 400, PERM7_TEXT],
+                f"error: parse: --scale must be positive, got -{NINES_CUT}\n",
+            ),
+        ],
+        ids=[
+            "label",
+            "label-beyond-str",
+            "minimax-eq",
+            "enumerate-n-bound",
+            "enumerate-n-even",
+            "enumerate-bound",
+            "suspend-times",
+            "render-scale",
+        ],
+    )
+    def test_range_errors_cut_integers(self, capsys, argv, line):
+        status = 1 if line.startswith(("error: value", "error: label-range")) else 2
+        assert run(capsys, *argv) == (status, "", line)
+
+    def test_twenty_digits_are_shown_whole(self, capsys):
+        for digits, shown in (("9" * 20, "9" * 20), ("1" + "0" * 20, "1" + "0" * 19 + "...")):
+            status, _, err = run(capsys, "minimax", "--eq", digits, PERM7_TEXT)
+            assert status == 1
+            assert err == f"error: label-range: equilibrium {shown} out of range 1..7\n"
 
     def test_twenty_characters_are_quoted_whole(self, capsys):
         token = "x" * 20

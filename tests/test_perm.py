@@ -23,7 +23,7 @@ from sturm import (
     z_matrix,
     z_pair_nsl,
 )
-from sturm.perm import _decimal
+from sturm.perm import _decimal, _echo_int
 
 
 class TestParse:
@@ -65,6 +65,19 @@ class TestParse:
     def test_decimal_refuses(self, token):
         with pytest.raises(ValueError):
             _decimal(token)
+
+    def test_echo_int_cuts_after_twenty_digits(self):
+        for digits in range(1, 4300, 7):
+            for magnitude in (10**digits - 1, 10 ** (digits - 1), 10**digits // 7):
+                text = str(magnitude)
+                want = text if len(text) <= 20 else text[:20] + "..."
+                assert _echo_int(magnitude) == want
+                assert _echo_int(-magnitude) == ("-" + want if magnitude else "0")
+
+    def test_echo_int_beyond_str_limit(self):
+        # str() refuses an int of more than 4,300 digits
+        assert _echo_int(10**4300) == "1" + "0" * 19 + "..."
+        assert _echo_int(-(3 * 10**9000 + 7)) == "-3" + "0" * 19 + "..."
 
     def test_out_of_range(self):
         with pytest.raises(ParseError):

@@ -8,6 +8,7 @@ these literals. ``to_json`` must also agree byte for byte with
 JSON-like trees.
 """
 import hashlib
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import PERM15, PERM7, _suspended
-from oracles import json_oracle
+from oracles import asdict_minimax_record, json_oracle
 from sturm import NEIGHBOR_SLOTS, SturmPermutation, build_model, enumerate_sturm, minimax_report
 from sturm.report import analyze_record, dot_graph, minimax_record, to_json
 
@@ -84,7 +85,27 @@ def test_minimax_verdict_key_order():
     assert seen == {True, False}
 
 
+def _same_record(record, oracle) -> bool:
+    # equal values, and the same text: key order and bool against int
+    return record == oracle and json_oracle(record) == json_oracle(oracle)
+
+
 class TestAgainstOracle:
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+    def test_minimax_record_of_every_unstable_base(self, n):
+        for p in enumerate_sturm(n):
+            model = build_model(p)
+            for base in model.unstable():
+                report = minimax_report(model, base)
+                assert _same_record(minimax_record(report), asdict_minimax_record(report))
+
+    def test_minimax_record_of_large_inputs(self, large_inputs):
+        for p in large_inputs:
+            model = build_model(p)
+            for base in model.unstable():
+                report = minimax_report(model, base)
+                assert _same_record(minimax_record(report), asdict_minimax_record(report))
+
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
     def test_every_analyze_record(self, n):
         for p in enumerate_sturm(n):
@@ -122,6 +143,8 @@ _rows = st.lists(
     max_size=4,
 )
 _flat_dicts = st.dictionaries(_texts, _leaves, max_size=4)
+# Dicts whose values are all int lists, empty lists included (target_sets)
+_int_list_dicts = st.dictionaries(_texts, _int_lists, min_size=1, max_size=4)
 # Lists that repeat one flat dict of bool and int values, some copies with
 # each bool read as an int and each int as a bool: equal dicts, such as
 # {"a": True} and {"a": 1}, whose texts differ.
@@ -136,11 +159,11 @@ _repeats = st.tuples(_bool_int_dicts, st.lists(st.booleans(), min_size=2, max_si
     ]
 )
 _trees = st.recursive(
-    _leaves | _int_lists | _rows | _flat_dicts | _repeats,
+    _leaves | _int_lists | _rows | _flat_dicts | _repeats | _int_list_dicts,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(_flat_dicts | children, max_size=4)
-    | st.dictionaries(_texts, children | _int_lists, max_size=4),
+    | st.dictionaries(_texts, children | _int_lists | _int_list_dicts, max_size=4),
     max_leaves=25,
 )
 
@@ -168,6 +191,54 @@ def test_flat_dict_memo_traps(tree):
     # Equal dicts that differ in a value's type or in depth are written
     # apart; the memo of one to_json call must not mix them up.
     assert to_json(tree) == json_oracle(tree)
+
+
+_LISTS = {"a": [1, 2], "b": []}
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"x": {"a": [], "b": [1, 2], "c": []}},
+        {"x": {"a": [1, True], "b": [2]}},
+        {"x": {"a": [1], "b": (2, 3)}},
+        {"x": {"a": [1], "b": [2, 3], "c": (4,)}, "y": {"a": ()}},
+        {"x": _LISTS, "y": {"z": _LISTS, "w": [_LISTS, {"v": _LISTS}]}},
+        {"a": True, "b": {"c": False, "d": {"e": None, "f": [True, None, False]}}},
+        [True, [False, [None, {"a": None, "b": [{"c": True}]}]], None],
+        True,
+        None,
+    ],
+    ids=[
+        "empty-lists",
+        "bool-in-list",
+        "next-to-tuple",
+        "tuples-beside-lists",
+        "two-depths",
+        "bool-and-null-in-dicts",
+        "bool-and-null-in-lists",
+        "top-level-bool",
+        "top-level-null",
+    ],
+)
+def test_int_list_dict_and_scalar_traps(tree):
+    # A dict of int lists is written in one join only when every value is
+    # a list of exact ints; bools and None go through their own encoders.
+    assert to_json(tree) == json_oracle(tree)
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+def test_int_enum_is_refused():
+    # json.dumps writes an IntEnum member as its int value; to_json refuses
+    # it, as it refuses every type beyond the documented ones, also inside
+    # a dict of int lists.
+    for tree in ({"x": _Level.ONE}, {"x": {"a": [1, _Level.ONE]}}, [[1, _Level.ONE]]):
+        assert json_oracle(tree)
+        with pytest.raises(TypeError):
+            to_json(tree)
 
 
 def test_record_shares_no_mutable_member():
@@ -198,6 +269,8 @@ def test_record_shares_no_mutable_member():
         [[1, 2], (3, 4.0)],
         {"x": [1, 2.5]},
         [{"a": 1}, {"a": 1.0}],
+        {"x": {"a": [1], 2: [3]}},
+        {"x": {"a": [], None: []}},
     ],
     ids=[
         "float",
@@ -212,6 +285,8 @@ def test_record_shares_no_mutable_member():
         "float-in-int-pairs",
         "float-in-int-list-value",
         "float-after-equal-int-in-flat-dicts",
+        "int-key-beside-int-lists",
+        "none-key-beside-empty-lists",
     ],
 )
 def test_unsupported_types_raise(record):
