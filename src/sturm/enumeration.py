@@ -4,10 +4,19 @@ Two engines produce every Sturm permutation of a given odd size in
 lexicographic order:
 
 * the *backtrack* engine, which ``engine="auto"`` runs, grows the axis
-  sequence left to right. It tries the free labels in ascending order,
-  keeps only those that fit the one stack of open arcs per side of
-  ``meander.is_meander``, and checks Morse numbers on the fly as label
-  prefixes complete;
+  sequence left to right and hands out each member as it completes. It
+  tries the free labels in ascending order and keeps those that fit the
+  one stack of open arcs per side of ``meander.is_meander``, whose stack
+  step it runs inline; the arc from n - 1 to n ends in the last slot, so
+  it may open under no other arc. Step m of the curve joins labels m
+  and m + 1. Its direction is decided as soon as either label is placed,
+  and from then on its Morse step is known. The engine runs the Morse
+  numbers over the decided steps up from i(1) = 0 and down from
+  i(n) = 0, and drops a prefix when one goes negative or the undecided
+  gap between the two runs cannot be bridged by unit steps. Every Sturm
+  permutation has i(n) = 0: a loop over the top from label n back to
+  label 1 closes its curve to a simple closed curve turning once
+  counterclockwise, all of it in the loop. So no member is lost;
 * the *filter* engine tests all permutations fixing the end labels. It
   is the brute-force cross-check, fine up to size 9 or so.
 
@@ -19,7 +28,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Literal
 
-from .meander import _arcs, _fits, _place, is_meander
+from .meander import is_meander
 from .perm import SturmPermutation, _echo_int, is_morse
 
 __all__ = ["DEFAULT_BOUND", "enumerate_sturm", "count_sturm"]
@@ -49,53 +58,93 @@ def _enumerate_filter(n: int) -> Iterator[SturmPermutation]:
 
 
 def _enumerate_backtrack(n: int) -> Iterator[SturmPermutation]:
-    arcs = _arcs(n)
-    placed = [0] * (n + 1)  # label -> axis position, 0 when unplaced
-    stacks: tuple[list[int], list[int]] = ([], [])  # partners closing open arcs, per side
-    axis: list[int] = []
-    morse = [0] * (n + 1)
+    if n == 1:
+        yield SturmPermutation((1,))
+        return
+    # Axis position of each label. Label n is reserved for the last slot,
+    # so it counts as placed from the start, right of all others (n + 1);
+    # every other unplaced label shares position n, right of the placed.
+    free = n
+    placed = [free] * (n + 1)
+    placed[1], placed[n] = 1, n + 1
+    # Partners that close the open arcs above (0) and below (1) the axis,
+    # innermost on top; label 1 has opened the arc to 2.
+    stacks: tuple[list[int], list[int]] = ([2], [])
+    axis = [1]
+    # fwd[m] is the Morse number i(m) for the labels 1..up, counted up
+    # from i(1) = 0, and bwd[m] is i(m) for the labels down..n, counted
+    # down from i(n) = 0; step n - 1 rises, so i(n - 1) = 1.
+    fwd = [0] * (n + 1)
+    bwd = [0] * (n + 1)
+    bwd[n - 1] = 1
 
-    def search(pos: int, frontier: int) -> Iterator[tuple[int, ...]]:
-        # Every open arc still needs its own unplaced closing label.
-        remaining = n - pos + 1
-        if len(stacks[0]) > remaining or len(stacks[1]) > remaining:
+    def search(pos: int, up: int, down: int) -> Iterator[SturmPermutation]:
+        if pos == n:
+            yield SturmPermutation((*axis, n))
             return
-        if pos > n:
-            yield tuple(axis)
-            return
-        # Crossing directions alternate along the axis, so position and
-        # label parity agree; label n is reserved for the last slot.
-        for label in (n,) if pos == n else range(2 - pos % 2, n, 2):
-            if placed[label] or not _fits(arcs, stacks, placed, label):
+        # Crossing directions alternate along the axis, so labels share the
+        # parity of their positions. The two arcs of a label lie on opposite
+        # sides: the arc to label - 1 on the ``lower`` side, the arc to
+        # label + 1 on the ``upper`` one.
+        lower, upper = stacks[pos % 2], stacks[1 - pos % 2]
+        for label in range(2 - pos % 2, n, 2):
+            if placed[label] != free:
                 continue
-            _place(arcs, stacks, placed, label)
+            # A placed partner closes its arc at label, which must then be
+            # the innermost open arc on its side. The arc from n - 1 to n
+            # ends in the last slot, so it must open under no other arc.
+            closes_lower = placed[label - 1] < pos
+            closes_upper = placed[label + 1] < pos
+            if (
+                closes_lower and lower[-1] != label
+                or closes_upper and upper[-1] != label
+                or label == n - 1 and upper
+            ):
+                continue
+            if closes_lower:
+                lower.pop()
+            else:
+                lower.append(label - 1)
+            if closes_upper:
+                upper.pop()
+            else:
+                upper.append(label + 1)
             placed[label] = pos
-            axis.append(label)
-            # Extend Morse numbers over the longest placed label prefix.
-            m = frontier
-            while m < n and placed[m + 1]:
-                step = 1 if placed[m + 1] > placed[m] else -1
-                value = morse[m] + (step if m % 2 == 1 else -step)
+            # Step m joins labels m and m + 1; its direction is decided once
+            # either is placed, since the one placed first lies left. Run
+            # both Morse counts over the decided steps, then ask that the
+            # undecided gap between them can be bridged by unit steps.
+            m = up
+            while m < down and placed[m] != placed[m + 1]:
+                value = fwd[m] + (1 if (placed[m] < placed[m + 1]) == (m % 2 == 1) else -1)
                 if value < 0:
                     break
-                morse[m + 1] = value
+                fwd[m + 1] = value
                 m += 1
-            else:  # no Morse number went negative
-                yield from search(pos + 1, m)
-            axis.pop()
-            placed[label] = 0
-            # A partner is still placed exactly when the step closed its arc.
-            for side, partner in arcs[label]:
-                if placed[partner]:
-                    stacks[side].append(label)
+            else:
+                j = down
+                while j > m and placed[j - 1] != placed[j]:
+                    value = bwd[j] - (1 if (placed[j - 1] < placed[j]) == (j % 2 == 0) else -1)
+                    if value < 0:
+                        break
+                    bwd[j - 1] = value
+                    j -= 1
                 else:
-                    stacks[side].pop()
+                    if abs(bwd[j] - fwd[m]) <= j - m:
+                        axis.append(label)
+                        yield from search(pos + 1, m, j)
+                        axis.pop()
+            placed[label] = free
+            if closes_lower:
+                lower.append(label)
+            else:
+                lower.pop()
+            if closes_upper:
+                upper.append(label)
+            else:
+                upper.pop()
 
-    _place(arcs, stacks, placed, 1)
-    placed[1] = 1
-    axis.append(1)
-    for entry in search(2, 1):
-        yield SturmPermutation(entry)
+    yield from search(2, 1, n - 1)
 
 
 def enumerate_sturm(

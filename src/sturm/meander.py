@@ -6,8 +6,8 @@ starting above. The permutation is a meander permutation exactly when
 the arcs above the axis are pairwise non-crossing and so are the arcs
 below. The test places the labels in axis order and keeps one stack of
 open arcs per side: a label that closes an arc must close the innermost
-open arc on that side. The backtrack enumerator runs the same arc table
-and stack step incrementally.
+open arc on that side. The backtrack enumerator runs the same stack step
+inline, with the sides read off label parity.
 
 Crossing counts and the pairwise zero-number identity share one kernel
 over a sequence of axis coordinates with an anchor Morse parity:

@@ -85,7 +85,7 @@ class SturmPermutation(_Frozen):
         if n % 2 == 0:
             raise ValueError(f"crossing count must be odd, got {n}")
         if sorted(entries) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {entries}")
+            raise ValueError(f"not a bijection of 1..{n}: {_echo_ints(entries)}")
         object.__setattr__(self, "map", entries)
 
     def __eq__(self, other):
@@ -171,6 +171,13 @@ def _echo_int(value: int) -> str:
         return str(value)
     head = str(magnitude // 10 ** (magnitude.bit_length() * 3 // 10 - 20))[:20]
     return ("-" if value < 0 else "") + head + "..."
+
+
+def _echo_ints(values: Sequence[int]) -> str:
+    # A sequence of integers shown in an error line: at most 20 entries,
+    # each through _echo_int, then "..." if there are more.
+    head = ", ".join(_echo_int(v) for v in values[:20])
+    return f"({head}, ...)" if len(values) > 20 else f"({head})"
 
 
 def _parse_ints(text: str, empty: str) -> list[int]:

@@ -28,7 +28,14 @@ from typing import Literal, NamedTuple, Sequence
 
 from .errors import WindowError
 from .meander import _pair_zero
-from .perm import SturmPermutation, _check_labels, _Frozen, _morse_recursion, _require_sturm
+from .perm import (
+    SturmPermutation,
+    _check_labels,
+    _echo_ints,
+    _Frozen,
+    _morse_recursion,
+    _require_sturm,
+)
 
 __all__ = [
     "ZeroMatrix",
@@ -167,7 +174,7 @@ class MeanderWindow(_Frozen):
         if L < 2:
             raise ValueError("window needs at least two labels")
         if sorted(ranks) != list(range(1, L + 1)):
-            raise ValueError(f"axis ranks must be a bijection of 1..{L}: {ranks}")
+            raise ValueError(f"axis ranks must be a bijection of 1..{L}: {_echo_ints(ranks)}")
         if anchor_morse < 0:
             raise ValueError("anchor Morse number must be non-negative")
         object.__setattr__(self, "axis_rank", ranks)
@@ -197,7 +204,7 @@ class MeanderWindow(_Frozen):
         """
         L = len(order)
         if sorted(order) != list(range(1, L + 1)):
-            raise ValueError(f"axis order must be a bijection of 1..{L}: {tuple(order)}")
+            raise ValueError(f"axis order must be a bijection of 1..{L}: {_echo_ints(order)}")
         ranks = [0] * L
         for rank, label in enumerate(order, start=1):
             ranks[label - 1] = rank

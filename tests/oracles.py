@@ -13,7 +13,10 @@ every label for the bucketed target sets. The distance-extrema oracle
 takes the min and max of each boundary distance over a set in any order,
 where ``attractor._extrema`` reads boundary 0 off the ascending members.
 The JSON oracle is the standard library encoder that ``report.to_json``
-replaces. The minimax record oracle builds each record from the
+replaces. The prefix backtrack oracle is the enumerator that checks Morse
+numbers only over complete label prefixes, through the stack step of
+``meander.is_meander``, where ``enumeration`` prunes at every decided
+step, from both ends, with the stack step inline. The minimax record oracle builds each record from the
 report's NamedTuples with ``_asdict``, where ``report.minimax_record``
 writes dict displays and zips field names onto the tuples.
 """
@@ -30,6 +33,7 @@ from sturm import (
     is_z_adjacent,
     z_matrix,
 )
+from sturm.meander import _arcs, _fits, _place
 
 
 def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
@@ -215,3 +219,55 @@ def asdict_minimax_record(report) -> dict:
         "extended": extended,
         "passed": report.passed,
     }
+
+
+def prefix_backtrack(n: int):
+    """Sturm permutations of odd size n in lexicographic order: the axis
+    grows left to right through the stack step of ``meander.is_meander``,
+    and a prefix is dropped when a Morse number over the longest complete
+    label prefix goes negative."""
+    arcs = _arcs(n)
+    placed = [0] * (n + 1)  # label -> axis position, 0 when unplaced
+    stacks = ([], [])  # partners closing open arcs, per side
+    axis = []
+    morse = [0] * (n + 1)
+
+    def search(pos, frontier):
+        # Every open arc still needs its own unplaced closing label.
+        remaining = n - pos + 1
+        if len(stacks[0]) > remaining or len(stacks[1]) > remaining:
+            return
+        if pos > n:
+            yield tuple(axis)
+            return
+        # Position and label parity agree; label n takes the last slot.
+        for label in (n,) if pos == n else range(2 - pos % 2, n, 2):
+            if placed[label] or not _fits(arcs, stacks, placed, label):
+                continue
+            _place(arcs, stacks, placed, label)
+            placed[label] = pos
+            axis.append(label)
+            m = frontier
+            while m < n and placed[m + 1]:
+                step = 1 if placed[m + 1] > placed[m] else -1
+                value = morse[m] + (step if m % 2 == 1 else -step)
+                if value < 0:
+                    break
+                morse[m + 1] = value
+                m += 1
+            else:  # no Morse number went negative
+                yield from search(pos + 1, m)
+            axis.pop()
+            placed[label] = 0
+            # A partner is still placed exactly when the step closed its arc.
+            for side, partner in arcs[label]:
+                if placed[partner]:
+                    stacks[side].append(label)
+                else:
+                    stacks[side].pop()
+
+    _place(arcs, stacks, placed, 1)
+    placed[1] = 1
+    axis.append(1)
+    for entry in search(2, 1):
+        yield SturmPermutation(entry)

@@ -232,7 +232,15 @@ class TestWindow:
     def test_bad_order(self, capsys):
         status, _, err = run(capsys, "window", "--anchor-morse", "0", "--order", "1 3")
         assert status == 2
-        assert err.startswith("error: parse:")
+        assert err == "error: parse: axis order must be a bijection of 1..2: (1, 3)\n"
+
+    def test_bad_order_is_cut_after_twenty_labels(self, capsys):
+        # Labels 2..21 and 2..22 are no bijections; at most 20 are quoted.
+        for last, tail in ((21, ""), (22, ", ...")):
+            order = " ".join(map(str, range(2, last + 1)))
+            shown = ", ".join(map(str, range(2, 22))) + tail
+            line = f"error: parse: axis order must be a bijection of 1..{last - 1}: ({shown})\n"
+            assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
 
     @pytest.mark.parametrize(
         "order, line",
@@ -491,6 +499,10 @@ class TestIntegerTokens:
                 ["render", "--scale", "-" + "9" * 400, PERM7_TEXT],
                 f"error: parse: --scale must be positive, got -{NINES_CUT}\n",
             ),
+            (
+                ["window", "--anchor-morse", "0", "--order", "1 " + "9" * 400],
+                f"error: parse: axis order must be a bijection of 1..2: (1, {NINES_CUT})\n",
+            ),
         ],
         ids=[
             "label",
@@ -501,6 +513,7 @@ class TestIntegerTokens:
             "enumerate-bound",
             "suspend-times",
             "render-scale",
+            "window-order",
         ],
     )
     def test_range_errors_cut_integers(self, capsys, argv, line):

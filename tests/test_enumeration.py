@@ -1,8 +1,10 @@
 import hashlib
+import time
 
 import pytest
 
 from conftest import PERM7, PERM15
+from oracles import prefix_backtrack
 from sturm import (
     SturmPermutation,
     apply_kappa,
@@ -72,6 +74,29 @@ class TestEnumerate:
             assert list(enumerate_sturm(n, engine="filter")) == list(
                 enumerate_sturm(n, engine="backtrack")
             )
+
+    def test_pruning_matches_the_prefix_oracle(self):
+        # Pruning at every decided step and from both ends loses no member.
+        for n in range(1, 14, 2):
+            assert list(enumerate_sturm(n, bound=n)) == list(prefix_backtrack(n)), n
+
+    def test_first_member_comes_at_once(self):
+        # Size 21 has 3,293,148 members: a search that collects them all
+        # before the first one is handed out would take minutes here.
+        start = time.perf_counter()
+        assert next(enumerate_sturm(21, bound=21)) == identity(21)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("n, count", [(17, 53372), (19, 409982)])
+    def test_large_counts(self, n, count):
+        assert count_sturm(n, bound=n) == count
+
+    @pytest.mark.slow
+    def test_engines_agree_at_eleven(self):
+        assert list(enumerate_sturm(11, engine="filter", bound=11)) == list(
+            enumerate_sturm(11, engine="backtrack")
+        )
 
     def test_lexicographic_order(self, pool9):
         maps = [p.map for p in pool9]

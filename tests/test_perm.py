@@ -105,6 +105,12 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.3: \(1, 1, 3\)$"):
             SturmPermutation((1, 1, 3))
 
+    def test_non_bijection_is_cut_after_twenty_entries(self):
+        shown = ", ".join(map(str, (1, 1, *range(3, 21), "...")))
+        with pytest.raises(ValueError) as info:
+            SturmPermutation((1, 1, *range(3, 2002)))
+        assert str(info.value) == f"not a bijection of 1..2001: ({shown})"
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match=r"^empty permutation$"):
             SturmPermutation(())
