@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .perm import SturmPermutation, _check_labels, _Frozen, _require_sturm
+from .perm import SturmPermutation, _check_labels, _echo_int, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
@@ -219,12 +219,9 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
     >>> sorted(target_set(model, 3, 1, "+"))
     [4, 5, 6]
     """
-    _check_labels(model.n, base=base)
-    n_base = model.morse[base - 1]
-    if n_base == 0:
-        raise ValueError(f"equilibrium {base} is stable, it has no targets")
+    n_base = _unstable_morse(model, base)
     if not 0 <= k < n_base:
-        raise ValueError(f"level k={k} out of range 0..{n_base - 1}")
+        raise ValueError(f"level k={_echo_int(k)} out of range 0..{n_base - 1}")
     if sign not in ("+", "-"):
         raise ValueError(f"sign {sign!r} is not '+' or '-'")
     return set(_buckets(model, base)[2 * k + (sign == "-")])

@@ -5,18 +5,19 @@ lexicographic order:
 
 * the *backtrack* engine, which ``engine="auto"`` runs, grows the axis
   sequence left to right and hands out each member as it completes. It
-  tries the free labels in ascending order and keeps those that fit the
-  one stack of open arcs per side of ``meander.is_meander``, whose stack
-  step it runs inline; the arc from n - 1 to n ends in the last slot, so
-  it may open under no other arc. Step m of the curve joins labels m
-  and m + 1. Its direction is decided as soon as either label is placed,
-  and from then on its Morse step is known. The engine runs the Morse
-  numbers over the decided steps up from i(1) = 0 and down from
-  i(n) = 0, and drops a prefix when one goes negative or the undecided
-  gap between the two runs cannot be bridged by unit steps. Every Sturm
-  permutation has i(n) = 0: a loop over the top from label n back to
-  label 1 closes its curve to a simple closed curve turning once
-  counterclockwise, all of it in the loop. So no member is lost;
+  tries the free labels in ascending order and keeps those that pass the
+  stack step of ``meander.is_meander``, run inline: one stack of open
+  arcs per side, each arc's side read off label parity. The arc from
+  n - 1 to n ends in the last slot, so it may open under no other arc.
+  Step m of the curve joins labels m and m + 1. Its direction is decided
+  as soon as either label is placed, and from then on its Morse step is
+  known. The engine runs the Morse numbers over the decided steps up
+  from i(1) = 0 and down from i(n) = 0, and drops a prefix when one goes
+  negative or the undecided gap between the two runs cannot be bridged
+  by unit steps. Every Sturm permutation has i(n) = 0: a loop over the
+  top from label n back to label 1 closes its curve to a simple closed
+  curve turning once counterclockwise, all of it in the loop. So no
+  member is lost;
 * the *filter* engine tests all permutations fixing the end labels. It
   is the brute-force cross-check, fine up to size 9 or so.
 

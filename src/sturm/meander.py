@@ -6,8 +6,9 @@ starting above. The permutation is a meander permutation exactly when
 the arcs above the axis are pairwise non-crossing and so are the arcs
 below. The test places the labels in axis order and keeps one stack of
 open arcs per side: a label that closes an arc must close the innermost
-open arc on that side. The backtrack enumerator runs the same stack step
-inline, with the sides read off label parity.
+open arc on that side. The side of an arc is read off label parity, as
+in :func:`build_diagram`, and the backtrack enumerator runs the same
+stack step inline.
 
 Crossing counts and the pairwise zero-number identity share one kernel
 over a sequence of axis coordinates with an anchor Morse parity:
@@ -19,10 +20,11 @@ route that the kernel is checked against.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Literal, NamedTuple, Sequence
 
-from .perm import SturmPermutation, _check_labels, _require_sturm, is_dissipative, is_morse
+from .perm import (
+    SturmPermutation, _check_labels, _echo_int, _require_sturm, is_dissipative, is_morse
+)
 
 __all__ = [
     "Arc",
@@ -81,70 +83,37 @@ def build_diagram(p: SturmPermutation) -> MeanderDiagram:
     return MeanderDiagram(n=p.n, arcs=arcs)
 
 
-_ArcTable = tuple[tuple[tuple[int, int], ...], ...]
-_Stacks = tuple[list[int], list[int]]
-
-
-@lru_cache(maxsize=16)
-def _arcs(n: int) -> _ArcTable:
-    """For each label, the ``(side, partner)`` of its one or two arcs.
-
-    Arc (m, m+1) lies above the axis (side 0) for odd m and below it
-    (side 1) for even m, as in :func:`build_diagram`. Entry 0 is unused.
-    """
-    return tuple(
-        tuple(
-            (0 if min(label, partner) % 2 else 1, partner)
-            for partner in (label - 1, label + 1)
-            if 1 <= partner <= n
-        )
-        for label in range(n + 1)
-    )
-
-
-def _fits(arcs: _ArcTable, stacks: _Stacks, placed: Sequence[int], label: int) -> bool:
-    """Whether ``label`` may take the next axis position.
-
-    Each side's stack holds the partners that close its open arcs,
-    innermost on top. An arc whose partner is already placed closes at
-    ``label``, so it must be the innermost open arc on its side.
-    """
-    for side, partner in arcs[label]:
-        if placed[partner] and stacks[side][-1] != label:
-            return False
-    return True
-
-
-def _place(arcs: _ArcTable, stacks: _Stacks, placed: Sequence[int], label: int) -> None:
-    """Stack step of a label that fits: pop each arc it closes and push
-    the partner of each arc it opens. The caller marks the label placed."""
-    for side, partner in arcs[label]:
-        if placed[partner]:
-            stacks[side].pop()
-        else:
-            stacks[side].append(partner)
-
-
 def is_meander(p: SturmPermutation) -> bool:
     """True when the canonical diagram is free of self-intersections.
 
     Same-side semicircles are non-crossing exactly when they close in
     last-in, first-out order, so the labels of ``p.map`` are placed left
-    to right with one stack of open arcs per side, and the first label
-    that does not close the innermost open arc of its side fails the test.
+    to right with one stack of open arcs per side. As in
+    :func:`build_diagram`, the arc from a label to label - 1 lies on side
+    ``label % 2`` (0 above, 1 below) and the arc to label + 1 on the
+    other. A label pushes the partner of each arc it opens; each arc it
+    closes must be the innermost open arc on its side, or the test fails.
 
     >>> is_meander(SturmPermutation((1, 3, 2, 4, 5)))
     False
     >>> is_meander(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
     True
     """
-    arcs = _arcs(p.n)
-    stacks: _Stacks = ([], [])
-    placed = [False] * (p.n + 1)
+    n = p.n
+    stacks: tuple[list[int], list[int]] = ([], [])
+    placed = [False] * (n + 1)
     for label in p.map:
-        if not _fits(arcs, stacks, placed, label):
-            return False
-        _place(arcs, stacks, placed, label)
+        lower, upper = stacks[label % 2], stacks[1 - label % 2]
+        if label > 1:
+            if not placed[label - 1]:
+                lower.append(label - 1)
+            elif lower.pop() != label:
+                return False
+        if label < n:
+            if not placed[label + 1]:
+                upper.append(label + 1)
+            elif upper.pop() != label:
+                return False
         placed[label] = True
     return True
 
@@ -221,7 +190,7 @@ def quadrant_parity(p: SturmPermutation, j: int) -> Literal["odd", "even"]:
     it falls; this is the case selector of the zero-number formula.
     """
     if not 1 <= j < p.n:
-        raise ValueError(f"label {j} has no outgoing arc (need 1 <= j < {p.n})")
+        raise ValueError(f"label {_echo_int(j)} has no outgoing arc (need 1 <= j < {p.n})")
     _require_sturm(p)
     morse = p.morse
     return "odd" if morse[j] == morse[j - 1] + 1 else "even"

@@ -36,7 +36,7 @@ __all__ = [
 def _check_labels(n: int, **labels: int) -> None:
     for name, label in labels.items():
         if not 1 <= label <= n:
-            raise ValueError(f"label {name}={label} out of range 1..{n}")
+            raise ValueError(f"label {name}={_echo_int(label)} out of range 1..{n}")
 
 
 def _sign(x: int) -> int:
@@ -165,9 +165,10 @@ def _echo(token: str) -> str:
 def _echo_int(value: int) -> str:
     # An integer shown in an error line: its sign and at most 20 digits,
     # then "..." if it has more. The digits are read off a quotient, since
-    # str() refuses an int longer than sys.get_int_max_str_digits().
+    # str() refuses an int longer than sys.get_int_max_str_digits(). Any
+    # other number is shown as str() shows it.
     magnitude = abs(value)
-    if magnitude < 10**20:
+    if magnitude < 10**20 or not isinstance(value, int):
         return str(value)
     head = str(magnitude // 10 ** (magnitude.bit_length() * 3 // 10 - 20))[:20]
     return ("-" if value < 0 else "") + head + "..."

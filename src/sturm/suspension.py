@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .meander import is_sturm
-from .perm import SturmPermutation, _require_sturm
+from .perm import SturmPermutation, _check_labels, _require_sturm
 
 if TYPE_CHECKING:
     # The attractor loads only for verification, so suspending alone
@@ -29,8 +29,7 @@ class SuspensionResult(NamedTuple):
     suspended: SturmPermutation
 
     def inner_image(self, j: int) -> int:
-        if not 1 <= j <= self.original.n:
-            raise ValueError(f"label {j} out of range 1..{self.original.n}")
+        _check_labels(self.original.n, j=j)
         return j + 1
 
 

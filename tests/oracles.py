@@ -14,11 +14,13 @@ takes the min and max of each boundary distance over a set in any order,
 where ``attractor._extrema`` reads boundary 0 off the ascending members.
 The JSON oracle is the standard library encoder that ``report.to_json``
 replaces. The prefix backtrack oracle is the enumerator that checks Morse
-numbers only over complete label prefixes, through the stack step of
-``meander.is_meander``, where ``enumeration`` prunes at every decided
-step, from both ends, with the stack step inline. The minimax record oracle builds each record from the
-report's NamedTuples with ``_asdict``, where ``report.minimax_record``
-writes dict displays and zips field names onto the tuples.
+numbers only over complete label prefixes, through its own table-driven
+stack step (each label's arcs listed with their sides), where
+``enumeration`` prunes at every decided step, from both ends, and reads
+the sides off label parity inline. The minimax record oracle builds each
+record from the report's NamedTuples with ``_asdict``, where
+``report.minimax_record`` writes dict displays and zips field names onto
+the tuples.
 """
 import json
 import math
@@ -33,7 +35,6 @@ from sturm import (
     is_z_adjacent,
     z_matrix,
 )
-from sturm.meander import _arcs, _fits, _place
 
 
 def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
@@ -221,11 +222,47 @@ def asdict_minimax_record(report) -> dict:
     }
 
 
+def _arcs(n: int):
+    """For each label, the ``(side, partner)`` of its one or two arcs.
+
+    Arc (m, m+1) lies above the axis (side 0) for odd m and below it
+    (side 1) for even m, as in ``build_diagram``. Entry 0 is unused.
+    """
+    return tuple(
+        tuple(
+            (0 if min(label, partner) % 2 else 1, partner)
+            for partner in (label - 1, label + 1)
+            if 1 <= partner <= n
+        )
+        for label in range(n + 1)
+    )
+
+
+def _fits(arcs, stacks, placed, label: int) -> bool:
+    """Whether ``label`` may take the next axis position: each arc whose
+    partner is already placed closes at ``label``, so it must be the
+    innermost open arc on its side (the top of that side's stack)."""
+    for side, partner in arcs[label]:
+        if placed[partner] and stacks[side][-1] != label:
+            return False
+    return True
+
+
+def _place(arcs, stacks, placed, label: int) -> None:
+    """Stack step of a label that fits: pop each arc it closes and push
+    the partner of each arc it opens. The caller marks the label placed."""
+    for side, partner in arcs[label]:
+        if placed[partner]:
+            stacks[side].pop()
+        else:
+            stacks[side].append(partner)
+
+
 def prefix_backtrack(n: int):
     """Sturm permutations of odd size n in lexicographic order: the axis
-    grows left to right through the stack step of ``meander.is_meander``,
-    and a prefix is dropped when a Morse number over the longest complete
-    label prefix goes negative."""
+    grows left to right through the table-driven stack step of
+    ``_arcs``, ``_fits`` and ``_place``, and a prefix is dropped when a
+    Morse number over the longest complete label prefix goes negative."""
     arcs = _arcs(n)
     placed = [0] * (n + 1)  # label -> axis position, 0 when unplaced
     stacks = ([], [])  # partners closing open arcs, per side

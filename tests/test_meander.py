@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -6,9 +7,12 @@ from oracles import geometric_crossing, geometric_is_meander
 from sturm import (
     NotSturmError,
     SturmPermutation,
+    apply_kappa,
+    apply_tau,
     build_diagram,
     crossing_number,
     identity,
+    is_dissipative,
     is_meander,
     is_sturm,
     quadrant_parity,
@@ -79,6 +83,31 @@ class TestIsMeander:
             for p in [SturmPermutation((1,) + middle + (9,))]
         )
         assert agree == 5040
+
+    def test_geometric_oracle_beyond_nine(self, large_inputs):
+        rng = random.Random(19)
+        meanders = [f(p) for p in large_inputs for f in (lambda p: p, apply_tau, apply_kappa)]
+        # The axis reversal of a Sturm permutation is a meander that
+        # moves both end labels to the wrong ends.
+        reversals = [SturmPermutation(p.map[::-1]) for p in meanders]
+        for p in meanders + reversals:
+            assert is_meander(p) and geometric_is_meander(p), p.map
+        assert not any(is_dissipative(p) for p in reversals)
+        # Two swapped axis entries keep the meander property only now and then.
+        swapped = []
+        for p in meanders + reversals:
+            for _ in range(20):
+                word = list(p.map)
+                a, b = rng.sample(range(p.n), 2)
+                word[a], word[b] = word[b], word[a]
+                swapped.append(SturmPermutation(word))
+        words = [rng.sample(range(1, n + 1), n) for n in range(11, 62, 2) for _ in range(40)]
+        kept = 0
+        for p in swapped + [SturmPermutation(w) for w in words]:
+            verdict = is_meander(p)
+            assert verdict == geometric_is_meander(p), p.map
+            kept += verdict
+        assert 0 < kept < len(swapped)
 
 
 class TestIsSturm:

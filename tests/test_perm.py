@@ -10,16 +10,20 @@ from sturm import (
     apply_kappa,
     apply_tau,
     build_model,
+    connects,
+    crossing_number,
     format_permutation,
     identity,
     inverse,
     is_dissipative,
     is_morse,
+    is_z_adjacent,
     klein_orbit,
     morse_indices,
     parse_permutation,
     quadrant_parity,
     suspend,
+    target_set,
     z_matrix,
     z_pair_nsl,
 )
@@ -78,6 +82,11 @@ class TestParse:
         # str() refuses an int of more than 4,300 digits
         assert _echo_int(10**4300) == "1" + "0" * 19 + "..."
         assert _echo_int(-(3 * 10**9000 + 7)) == "-3" + "0" * 19 + "..."
+
+    def test_echo_int_shows_other_numbers_as_str(self):
+        assert _echo_int(1e30) == "1e+30"
+        with pytest.raises(ValueError, match=r"^label j=1e\+30 out of range 1\.\.3$"):
+            SturmPermutation((1, 2, 3)).position(1e30)
 
     def test_out_of_range(self):
         with pytest.raises(ParseError):
@@ -274,3 +283,38 @@ class TestKleinOrbit:
         for p in pool[7]:
             for q in klein_orbit(p).members:
                 assert is_sturm(q)
+
+
+_P3 = SturmPermutation((1, 2, 3))
+_LABEL_J = "label j={} out of range 1..3"
+_HUGE_CALLS = {
+    "connects": (lambda v: connects(build_model(_P3), v, 1), _LABEL_J),
+    "is_z_adjacent": (lambda v: is_z_adjacent(build_model(_P3), v, 1), _LABEL_J),
+    "pair": (lambda v: z_matrix(_P3).pair(v, 1), _LABEL_J),
+    "position": (lambda v: _P3.position(v), _LABEL_J),
+    "crossing_number": (lambda v: crossing_number(_P3, v, 1, 1), _LABEL_J),
+    "inner_image": (lambda v: suspend(_P3).inner_image(v), _LABEL_J),
+    "quadrant_parity": (
+        lambda v: quadrant_parity(_P3, v),
+        "label {} has no outgoing arc (need 1 <= j < 3)",
+    ),
+    "target_set_base": (
+        lambda v: target_set(build_model(_P3), v, 0, "+"),
+        "label base={} out of range 1..3",
+    ),
+    "target_set_k": (
+        lambda v: target_set(build_model(_P3), 2, v, "+"),
+        "level k={} out of range 0..0",
+    ),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", sorted(_HUGE_CALLS))
+def test_api_label_checks_cut_huge_integers(name, sign):
+    # str() refuses an int of more than 4,300 digits; the line shows 20
+    call, template = _HUGE_CALLS[name]
+    shown = ("-" if sign < 0 else "") + "1" + "0" * 19 + "..."
+    with pytest.raises(ValueError) as info:
+        call(sign * 10**5000)
+    assert str(info.value) == template.format(shown)
