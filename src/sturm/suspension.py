@@ -112,16 +112,22 @@ def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[Check
     shift_ok = all(mq[j] == p.morse[j - 1] + 1 for j in range(1, n + 1))
     items.append(_check("inner Morse numbers shift by one", shift_ok, f"{mq}"))
 
-    zp, zq = model_p.z, model_q.z
-    pairs = ((j, k) for j in range(1, n + 1) for k in range(j + 1, n + 1))
-    bad_pair = next(((j, k) for j, k in pairs if zq.pair(j + 1, k + 1) != zp.pair(j, k) + 1), None)
+    # Row j of q's inner block, right of the diagonal, against row j of p
+    # plus one; the first bad row names the first bad pair in row-major order.
+    vp, vq = model_p.z.values, model_q.z.values
+    bad_pair = None
+    for j in range(1, n + 1):
+        got, want = vq[j][j + 1 : n + 1], vp[j - 1][j:]
+        if got != tuple([v + 1 for v in want]):
+            k = next(k for k, g, w in zip(range(j + 1, n + 1), got, want) if g != w + 1)
+            bad_pair = (j, k)
+            break
     items.append(
         _check("inner zero numbers shift by one", bad_pair is None, f"first mismatch at {bad_pair}")
     )
 
-    extremes_ok = all(zq.pair(1, k) == 0 for k in range(2, n + 3)) and all(
-        zq.pair(j, n + 2) == 0 for j in range(1, n + 2)
-    )
+    # Row 1 and column n + 2 of q, off the diagonal.
+    extremes_ok = not any(vq[0][1:]) and not any(row[-1] for row in vq[:-1])
     items.append(_check("zero numbers against the extremes vanish", extremes_ok))
 
     inner = set(range(2, n + 2))

@@ -71,11 +71,15 @@ class ZeroMatrix(NamedTuple):
         """Zero number z(v_k - v_j) for distinct labels j, k."""
         if j == k:
             raise ValueError("zero number of a pair requires distinct labels")
-        _check_labels(self.n, j=j, k=k)
+        n = len(self.values)
+        if not (1 <= j <= n and 1 <= k <= n):
+            _check_labels(n, j=j, k=k)  # raises
         return self.values[j - 1][k - 1]
 
     def morse(self, j: int) -> int:
-        _check_labels(self.n, j=j)
+        n = len(self.values)
+        if not 1 <= j <= n:
+            _check_labels(n, j=j)  # raises
         return self.values[j - 1][j - 1]
 
 
@@ -125,8 +129,9 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     """
     if j == k:
         raise ValueError("zero number of a pair requires distinct labels")
-    lo, hi = min(j, k), max(j, k)
-    _check_labels(p.n, j=lo, k=hi)
+    lo, hi, n = min(j, k), max(j, k), p.n
+    if not (1 <= lo <= n and 1 <= hi <= n):
+        _check_labels(n, j=lo, k=hi)  # raises
     _require_sturm(p)
     return _pair_zero(p.inv, p.morse, lo, hi)
 

@@ -20,7 +20,9 @@ stack step (each label's arcs listed with their sides), where
 the sides off label parity inline. The minimax record oracle builds each
 record from the report's NamedTuples with ``_asdict``, where
 ``report.minimax_record`` writes dict displays and zips field names onto
-the tuples.
+the tuples. The loop crossing oracle adds up the signed crossings one
+curve step at a time, where ``meander._crossings`` sums each run of steps
+in telescoped form with one count per label parity class.
 """
 import json
 import math
@@ -67,6 +69,22 @@ def geometric_crossing(p: SturmPermutation, j: int, k: int, ell: int) -> int:
         omega = 0.0 * velocity[1] - point_y * velocity[0]
         total += 1 if omega < 0 else -1
     return total if j <= k else -total
+
+
+def loop_crossings(xs, anchor: int, lo: int, hi: int, ell: int) -> int:
+    """Signed crossings of the steps lo..hi-1 with the vertical line at
+    label ell, step by step: step m adds the change of side between its
+    two labels, signed by the parity of ``anchor + m``, unless its arc
+    ends at ell."""
+    x = xs[ell - 1]
+    doubled = 0
+    for m in range(lo, hi):
+        if m == ell or m + 1 == ell:
+            continue
+        diff = ((xs[m] > x) - (xs[m] < x)) - ((xs[m - 1] > x) - (xs[m - 1] < x))
+        doubled += diff if (anchor + m) % 2 == 1 else -diff
+    assert doubled % 2 == 0, "crossing count must be an integer"
+    return doubled // 2
 
 
 def _circles_cross(a, b) -> bool:

@@ -150,6 +150,47 @@ class TestHarness:
             == "065a1653c833c6c1cd123ee3969f5247445a9c2b7d8bc2926984e64ec93a0714"
         )
 
+    @pytest.mark.parametrize(
+        "n_max, members, suspended",
+        [(11, 218, 43), pytest.param(13, 1301, 218, marks=pytest.mark.slow)],
+    )
+    def test_larger_runs_are_pinned(self, n_max, members, suspended):
+        # Every property's check count: one per member, except the checks
+        # per size, the suspensions of all members two sizes down, and the
+        # windows, which size 1 has none of.
+        report = property_harness(n_max, bound=n_max)
+        assert report.passed
+        assert report.counts == {n: KNOWN_COUNTS[n] for n in range(1, n_max + 1, 2)}
+        assert report.permutations == members
+        sizes = len(report.counts)
+        per_member = [
+            "adjacent zero number is the smaller Morse number",
+            "arc endpoints never count as crossings",
+            "boundary neighbors have Morse number one off",
+            "boundary swap and flip are commuting involutions",
+            "boundary swap relabels Morse numbers through the permutation",
+            "boundary-adjacent equilibria are connected",
+            "connection graph is equivariant under the involutions",
+            "crossing numbers are additive and antisymmetric",
+            "flip reverses the Morse vector",
+            "last Morse number is zero (empirical)",
+            "minimax data is equivariant under the involutions",
+            "minimax property at every signed level (extended)",
+            "minimax property at more-stable boundary neighbors",
+            "morse parity is opposite to label parity",
+            "morse recursion starts at zero with unit steps",
+            "pairwise zero formula agrees with the matrix recursion",
+            "zero matrix is symmetric with zero boundary rows",
+        ]
+        assert {name: r.checked for name, r in report.properties.items()} == {
+            **dict.fromkeys(per_member, members),
+            "both enumeration engines agree": 4,
+            "suspension laws hold": suspended,
+            "suspensions reappear two sizes up": sizes - 1,
+            "the family is closed under the involutions": sizes,
+            "windows reproduce the matrix sub-block": members - 1,
+        }
+
     def test_image_outside_the_family_is_a_failure(self):
         # PERM15 has a Klein orbit of size 4, so leaving out tau p
         # leaves out only that image

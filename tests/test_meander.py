@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import geometric_crossing, geometric_is_meander
+from oracles import geometric_crossing, geometric_is_meander, loop_crossings
 from sturm import (
     NotSturmError,
     SturmPermutation,
@@ -17,6 +17,7 @@ from sturm import (
     is_sturm,
     quadrant_parity,
 )
+from sturm.meander import _crossings
 
 
 class TestDiagram:
@@ -155,10 +156,53 @@ class TestCrossingNumber:
                 assert crossing_number(p, j, j + 1, j + 1).value == 0
 
     def test_out_of_range(self, perm7):
-        with pytest.raises(ValueError):
-            crossing_number(perm7, 0, 7, 4)
-        with pytest.raises(ValueError):
-            crossing_number(perm7, 1, 7, 8)
+        # the first bad label is named, in the order j, k, ell
+        cases = [(0, 7, 4, "j=0"), (1, -1, 4, "k=-1"), (1, 7, 8, "ell=8"), (9, 0, 0, "j=9")]
+        for j, k, ell, message in cases:
+            with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
+                crossing_number(perm7, j, k, ell)
+
+    def test_kernel_matches_the_loop_oracle(self, pool, pool9):
+        # Every segment lo..hi and every line, over the axis positions of
+        # all Sturm permutations up to n = 9 and over every rank tuple of
+        # up to six window labels under anchors 0..3.
+        cases = [(p.inv, a) for members in (*pool.values(), pool9) for p in members for a in (0, 1)]
+        cases += [
+            (ranks, a)
+            for size in range(1, 7)
+            for ranks in itertools.permutations(range(1, size + 1))
+            for a in range(4)
+        ]
+        for xs, anchor in cases:
+            labels = range(1, len(xs) + 1)
+            for lo, hi, ell in itertools.product(labels, repeat=3):
+                if lo <= hi:
+                    assert _crossings(xs, anchor, lo, hi, ell) == loop_crossings(
+                        xs, anchor, lo, hi, ell
+                    ), (xs, anchor, lo, hi, ell)
+
+    def test_geometric_oracle_on_large_inputs(self, large_inputs):
+        # The line before the segment, inside it, at either end and after
+        # it, for sampled and whole-curve segments of members up to n = 61.
+        rng = random.Random(61)
+        seen = set()
+        for p in large_inputs:
+            n = p.n
+            segments = [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(12)]
+            for lo, hi in segments + [(1, n), (2, n - 1)]:
+                lines = [lo, hi]
+                if lo > 1:
+                    lines.append(rng.randint(1, lo - 1))
+                if hi - lo > 1:
+                    lines += rng.sample(range(lo + 1, hi), min(3, hi - lo - 1))
+                if hi < n:
+                    lines.append(rng.randint(hi + 1, n))
+                for ell in lines:
+                    for j, k in ((lo, hi), (hi, lo)):
+                        value = crossing_number(p, j, k, ell).value
+                        assert value == geometric_crossing(p, j, k, ell), (p.map, j, k, ell)
+                        seen.add(value)
+        assert max(seen) >= 2 and min(seen) <= -2
 
     def test_geometric_oracle_full_sweep(self, pool):
         for p in pool[5] + pool[7]:

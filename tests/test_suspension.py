@@ -1,12 +1,16 @@
 import pytest
 
 from sturm import (
+    AttractorModel,
     SturmPermutation,
+    ZeroMatrix,
     format_permutation,
     suspend,
     verify_suspension,
     z_matrix,
 )
+from sturm.attractor import _analyze
+from sturm.suspension import _suspension_items
 
 
 class TestSuspend:
@@ -73,3 +77,59 @@ class TestVerifySuspension:
             "inner connection graph is preserved",
             "target sets and minimax equilibria correspond",
         ]
+
+
+def _edited(analysis, entries):
+    """The analysis with the zero-number entries at 0-based (row, column)
+    raised by one and nothing else changed."""
+    model, reports = analysis
+    rows = [list(row) for row in model.z.values]
+    for r, c in entries:
+        rows[r][c] += 1
+    z = ZeroMatrix(tuple(map(tuple, rows)))
+    return AttractorModel(model.p, model.morse, z, model.successors), reports
+
+
+def _failed(analysis_q):
+    p = SturmPermutation((1, 4, 5, 6, 3, 2, 7))
+    items = _suspension_items(_analyze(p), analysis_q)
+    return [(item.name, item.detail) for item in items if not item.passed]
+
+
+class TestSuspensionItemFailures:
+    # The suspension of the worked example has n = 9: inner pair (j, k)
+    # sits at labels (j + 1, k + 1), that is at 0-based (j, k).
+    Q = suspend(SturmPermutation((1, 4, 5, 6, 3, 2, 7))).suspended
+
+    @pytest.mark.parametrize(
+        "pairs, first",
+        [
+            ([(2, 5)], (2, 5)),
+            ([(3, 4), (2, 6)], (2, 6)),
+            ([(4, 7), (4, 5)], (4, 5)),
+            ([(1, 2), (6, 7)], (1, 2)),
+            ([(6, 7)], (6, 7)),
+        ],
+    )
+    def test_inner_zero_number_mismatch(self, pairs, first):
+        entries = [e for j, k in pairs for e in ((j, k), (k, j))]
+        assert _failed(_edited(_analyze(self.Q), entries)) == [
+            ("inner zero numbers shift by one", f"first mismatch at {first}")
+        ]
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            [(0, 4), (4, 0)],  # z(1, 5) and its mirror
+            [(0, 4)],  # row 1 only
+            [(3, 8)],  # column 9 only
+            [(0, 8), (8, 0)],  # the two extremes against each other
+        ],
+    )
+    def test_extreme_zero_number_mismatch(self, entries):
+        assert _failed(_edited(_analyze(self.Q), entries)) == [
+            ("zero numbers against the extremes vanish", None)
+        ]
+
+    def test_unedited_analyses_pass(self):
+        assert _failed(_analyze(self.Q)) == []

@@ -77,6 +77,7 @@ class TestZMatrix:
             (lambda: zm.pair(3, 0), "k=0"),
             (lambda: zm.pair(2, 8), "k=8"),
             (lambda: zm.morse(0), "j=0"),
+            (lambda: zm.morse(8), "j=8"),
         ]
         for read, message in reads:
             with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
