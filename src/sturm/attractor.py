@@ -25,7 +25,7 @@ formats no names.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Literal, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Sequence
 
 from .perm import SturmPermutation, _check_labels, _echo_int, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
@@ -430,39 +430,3 @@ def _analyze(p: SturmPermutation) -> Analysis:
     model = build_model(p)
     return model, {base: minimax_report(model, base) for base in model.unstable()}
 
-
-def _levels(
-    report: MinimaxReport,
-    relabel: Optional[Callable[[int], int]] = None,
-    shift: int = 0,
-    flips: Optional[Callable[[int], bool]] = None,
-    swap: bool = False,
-) -> dict[str, tuple[tuple[int, ...], MinimaxExtrema]]:
-    """The non-empty signed levels ``{"k±": (members, extrema)}`` of a
-    report seen through a symmetry: labels relabelled (members sorted),
-    level k moved to k + shift, the sign flipped where ``flips(k)``, and
-    the two boundaries exchanged when ``swap``; ``None`` relabels or
-    flips nothing. With no symmetry at all the result holds the report's
-    own member tuples and extrema, so two reports correspond under a
-    symmetry exactly when the image of one equals the levels of the other.
-    A one-member level needs no sort."""
-    sets = report.target_sets
-    if relabel is None and flips is None and not (shift or swap):
-        return {key: (sets[key], ex) for key, ex in report.extrema.items()}
-    relabel = relabel or (lambda w: w)
-    flips = flips or (lambda k: False)
-    out: dict[str, tuple[tuple[int, ...], MinimaxExtrema]] = {}
-    for key, ex in report.extrema.items():
-        k, sign = int(key[:-1]), key[-1]
-        if flips(k):
-            sign = "+" if sign == "-" else "-"
-        if swap:
-            ex = MinimaxExtrema(
-                ex.closest_at_1, ex.closest_at_0, ex.farthest_at_1, ex.farthest_at_0
-            )
-        members = sets[key]
-        out[f"{k + shift}{sign}"] = (
-            tuple(sorted(map(relabel, members))) if len(members) > 1 else (relabel(members[0]),),
-            MinimaxExtrema(*map(relabel, ex)),
-        )
-    return out

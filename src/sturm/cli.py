@@ -123,7 +123,7 @@ def cmd_minimax(args: SimpleNamespace) -> int:
 
 
 def cmd_suspend(args: SimpleNamespace) -> int:
-    from .perm import SturmPermutation, _echo_int, _require_sturm, format_permutation
+    from .perm import _derived, _echo_int, _require_sturm, format_permutation
     from .suspension import _suspend_labels
 
     if args.times < 0:
@@ -134,7 +134,7 @@ def cmd_suspend(args: SimpleNamespace) -> int:
     p = _read_permutation(args)
     # Suspension keeps the Sturm property, so only the input is gated.
     _require_sturm(p)
-    p = SturmPermutation(_suspend_labels(p.map, args.times))
+    p = _derived(_suspend_labels(p.map, args.times))
     print(format_permutation(p, zero_based=args.zero_based))
     return 0
 

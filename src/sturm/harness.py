@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from .attractor import Analysis, _analyze, _levels, boundary_neighbors
+from .attractor import Analysis, MinimaxExtrema, MinimaxReport, _analyze, boundary_neighbors
 from .enumeration import DEFAULT_BOUND, _check_size, enumerate_sturm
 from .meander import crossing_number
 from .perm import SturmPermutation, apply_kappa, apply_tau
@@ -177,6 +177,42 @@ def _check_permutation_properties(
     )
 
     _check_klein_equivariance(report, p, t, k, analyses, ctx)
+
+
+def _levels(
+    report: MinimaxReport,
+    relabel: Optional[Callable[[int], int]] = None,
+    flips: Optional[Callable[[int], bool]] = None,
+    swap: bool = False,
+) -> dict[str, tuple[tuple[int, ...], MinimaxExtrema]]:
+    """The non-empty signed levels ``{"k±": (members, extrema)}`` of a
+    report seen through a symmetry: labels relabelled (members sorted),
+    the sign of level k flipped where ``flips(k)``, and the two boundaries
+    exchanged when ``swap``; ``None`` relabels or flips nothing. With no
+    symmetry at all the result holds the report's own member tuples and
+    extrema, so two reports correspond under a symmetry exactly when the
+    image of one equals the levels of the other. A one-member level needs
+    no sort."""
+    sets = report.target_sets
+    if relabel is None and flips is None and not swap:
+        return {key: (sets[key], ex) for key, ex in report.extrema.items()}
+    relabel = relabel or (lambda w: w)
+    flips = flips or (lambda k: False)
+    out: dict[str, tuple[tuple[int, ...], MinimaxExtrema]] = {}
+    for key, ex in report.extrema.items():
+        k, sign = int(key[:-1]), key[-1]
+        if flips(k):
+            sign = "+" if sign == "-" else "-"
+        if swap:
+            ex = MinimaxExtrema(
+                ex.closest_at_1, ex.closest_at_0, ex.farthest_at_1, ex.farthest_at_0
+            )
+        members = sets[key]
+        out[f"{k}{sign}"] = (
+            tuple(sorted(map(relabel, members))) if len(members) > 1 else (relabel(members[0]),),
+            MinimaxExtrema(*map(relabel, ex)),
+        )
+    return out
 
 
 def _check_klein_equivariance(

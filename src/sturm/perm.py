@@ -9,6 +9,17 @@ crossing labeled j. All labels and positions are 1-based.
 A permutation is *dissipative* when it fixes 1 and n, *Morse* when the
 half-winding recursion stays non-negative, and *Sturm* when it is
 additionally a meander permutation (see :mod:`sturm.meander`).
+
+Each input passes one Sturm gate: the first function that needs a Sturm
+permutation runs the test and caches the answer on the object. Suspension
+(:func:`sturm.suspension.suspend`, ``sturm suspend``) and the two
+involutions :func:`apply_tau` and :func:`apply_kappa` gate their input and
+keep the Sturm property, so their results arrive already trusted and are
+never tested again. Enumerator members, :func:`parse_permutation` results
+and permutations built with ``SturmPermutation(...)`` stay untrusted until
+gated. The tests and the property harness still prove each of these laws
+by calling :func:`sturm.meander.is_sturm` on the images, never by reading
+the cached answer.
 """
 from __future__ import annotations
 
@@ -76,6 +87,7 @@ class SturmPermutation(_Frozen):
     """
 
     map: tuple[int, ...]
+    n: int
 
     def __init__(self, map: Sequence[int]):
         entries = tuple(map)
@@ -87,6 +99,7 @@ class SturmPermutation(_Frozen):
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {_echo_ints(entries)}")
         object.__setattr__(self, "map", entries)
+        object.__setattr__(self, "n", n)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -98,10 +111,6 @@ class SturmPermutation(_Frozen):
 
     def __repr__(self) -> str:
         return f"SturmPermutation(map={self.map!r})"
-
-    @property
-    def n(self) -> int:
-        return len(self.map)
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
@@ -272,9 +281,19 @@ def is_morse(p: SturmPermutation) -> bool:
 
 
 def _require_sturm(p: SturmPermutation) -> None:
-    # The one Sturm gate of the package: decided once per permutation.
+    # The one Sturm gate of the package: decided once per input, and never
+    # for the results of a Sturm-preserving law, which _derived marks.
     if not p._sturm:
         raise NotSturmError(f"not a Sturm permutation: {p}")
+
+
+def _derived(entries: Sequence[int]) -> SturmPermutation:
+    # A permutation that a Sturm-preserving law built from a gated input:
+    # the constructor still checks the bijection, and the cached gate
+    # answer is seeded, as _Frozen requires, with object.__setattr__.
+    p = SturmPermutation(entries)
+    object.__setattr__(p, "_sturm", True)
+    return p
 
 
 def apply_tau(p: SturmPermutation) -> SturmPermutation:
@@ -286,7 +305,7 @@ def apply_tau(p: SturmPermutation) -> SturmPermutation:
     is exercised by the property suite.
     """
     _require_sturm(p)
-    return SturmPermutation(p.inv)
+    return _derived(p.inv)
 
 
 def apply_kappa(p: SturmPermutation) -> SturmPermutation:
@@ -297,7 +316,7 @@ def apply_kappa(p: SturmPermutation) -> SturmPermutation:
     """
     _require_sturm(p)
     n = p.n
-    return SturmPermutation(tuple(n + 1 - p.map[n - k - 1] for k in range(n)))
+    return _derived(tuple(n + 1 - p.map[n - k - 1] for k in range(n)))
 
 
 class KleinOrbit(NamedTuple):

@@ -6,13 +6,22 @@ inner Morse number grows by one, every inner zero number grows by one,
 and the connection structure between inner equilibria is preserved, so
 the suspended attractor carries a faithful copy of the original one
 strung between the two new extreme equilibria.
+
+:func:`suspend` gates its input once and returns a suspension that is
+already trusted as Sturm, so no later gate tests it again;
+:func:`verify_suspension` still proves the law with
+:func:`sturm.meander.is_sturm`. The signed levels are compared by index:
+level k of base b in p, members and extrema one label up, is level
+k + 1 of base b + 1 in the suspension, whose level 0 holds just the two
+new extremes.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .meander import is_sturm
-from .perm import SturmPermutation, _check_labels, _require_sturm
+from .perm import SturmPermutation, _check_labels, _derived, _require_sturm
 
 if TYPE_CHECKING:
     # The attractor loads only for verification, so suspending alone
@@ -42,7 +51,7 @@ def suspend(p: SturmPermutation) -> SuspensionResult:
     (1, 2, 3)
     """
     _require_sturm(p)
-    return SuspensionResult(original=p, suspended=SturmPermutation(_suspend_labels(p.map)))
+    return SuspensionResult(original=p, suspended=_derived(_suspend_labels(p.map)))
 
 
 def _suspend_labels(m: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
@@ -93,8 +102,6 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
 
 def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[CheckItem, ...]:
     # The checks of verify_suspension, read from the analyses of p and q.
-    from .attractor import _levels
-
     (model_p, reports_p), (model_q, reports_q) = analysis_p, analysis_q
     p, q = model_p.p, model_q.p
     n = p.n
@@ -141,16 +148,23 @@ def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[Check
         )
     )
 
-    # Every signed level of each unstable base, shifted up one; level 0
-    # of the suspended base holds only the new extremes.
+    # Level k of base b in p, members and extrema one label up, is level
+    # k + 1 of base b + 1 in q, and level 0 of q holds just the new
+    # extremes. The levels are compared in order as (members, extrema),
+    # with no extrema for an empty level.
+    extremes = [((n + 2,), (n + 2,) * 4), ((1,), (1,) * 4)]
     bad = None
     for base, report in reports_p.items():
-        want = _levels(report, relabel=lambda w: w + 1, shift=1)
-        got = _levels(reports_q[base + 1])
-        for key in ("0+", "0-"):
-            got.pop(key, None)
+        ex_p, report_q = report.extrema, reports_q[base + 1]
+        want = extremes + [
+            (tuple([w + 1 for w in ws]), tuple([w + 1 for w in ex_p.get(key, ())]))
+            for key, ws in report.target_sets.items()
+        ]
+        ex_q = report_q.extrema
+        got = [(ws, ex_q.get(key, ())) for key, ws in report_q.target_sets.items()]
         if want != got:
-            keys = sorted(key for key in want.keys() | got.keys() if want.get(key) != got.get(key))
+            levels = enumerate(zip_longest(want, got))
+            keys = sorted(f"{i // 2}{'+-'[i % 2]}" for i, (w, g) in levels if w != g)
             bad = f"levels {', '.join(keys)} of {base}"
             break
     items.append(_check("target sets and minimax equilibria correspond", bad is None, bad))

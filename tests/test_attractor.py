@@ -23,7 +23,7 @@ from sturm import (
     suspend,
     target_set,
 )
-from sturm.attractor import _levels
+from sturm.harness import _levels
 from sturm.report import analyze_record, dot_graph
 
 # All heteroclinic connections of the seven-crossing example, by the
@@ -344,9 +344,9 @@ class TestLevels:
             key: (report.target_sets[key], ex) for key, ex in report.extrema.items()
         }
         assert _levels(report)["1+"] == ((4, 5, 6), MinimaxExtrema(4, 6, 6, 4))
-        image = _levels(report, lambda w: 10 * w, shift=2, flips=lambda k: k == 1, swap=True)
-        assert set(image) == {"2+", "2-", "3+", "3-"}
-        assert image["3-"] == ((40, 50, 60), MinimaxExtrema(60, 40, 40, 60))
+        image = _levels(report, lambda w: 10 * w, flips=lambda k: k == 1, swap=True)
+        assert set(image) == {"0+", "0-", "1+", "1-"}
+        assert image["1-"] == ((40, 50, 60), MinimaxExtrema(60, 40, 40, 60))
 
     def test_klein_equivariance_at_every_level(self, large_inputs):
         # Boundary swap: labels to axis positions, signs flip at odd

@@ -1,6 +1,7 @@
 import pytest
 
 import sturm.meander
+from conftest import PERM15, PERM7
 from sturm import (
     KleinOrbit,
     MeanderWindow,
@@ -12,6 +13,7 @@ from sturm import (
     build_model,
     connects,
     crossing_number,
+    enumerate_sturm,
     format_permutation,
     identity,
     inverse,
@@ -27,6 +29,8 @@ from sturm import (
     z_matrix,
     z_pair_nsl,
 )
+from sturm.cli import main
+from sturm.meander import is_sturm
 from sturm.perm import _decimal, _echo_int
 
 
@@ -251,17 +255,35 @@ class TestSturmGate:
             entry(SturmPermutation((1, 3, 2, 4, 5)))
 
     def test_meander_test_runs_once_per_permutation(self, monkeypatch):
+        # A permutation the user built is tested at its first gate and never
+        # again. What suspension and the involutions derive from it arrives
+        # trusted, so no gate tests it, however many the analysis passes.
         seen = []
         is_meander = sturm.meander.is_meander
         monkeypatch.setattr(sturm.meander, "is_meander", lambda p: seen.append(p) or is_meander(p))
-        p = suspend(SturmPermutation((1, 4, 5, 6, 3, 2, 7))).suspended
-        seen.clear()
-        build_model(p)
-        for j in range(1, p.n + 1):
-            for k in range(1, p.n + 1):
-                if j != k:
-                    z_pair_nsl(p, j, k)
+        p = SturmPermutation(PERM7)
+        derived = [suspend(p).suspended, apply_tau(p), apply_kappa(p)]
+        for q in [p, *derived]:
+            build_model(q)
+            for j in range(1, q.n + 1):
+                for k in range(1, q.n + 1):
+                    if j != k:
+                        z_pair_nsl(q, j, k)
         assert seen == [p]
+
+    def test_inputs_stay_untrusted_until_gated(self):
+        # Trust comes only from a Sturm-preserving law applied to a gated
+        # input; members, parsed text and built maps are all tested first.
+        members = [q for n in range(1, 10, 2) for q in enumerate_sturm(n)]
+        members += enumerate_sturm(7, engine="filter")
+        parsed = [parse_permutation("1 4 5 6 3 2 7"), parse_permutation("1 3 2 4 5")]
+        built = [SturmPermutation(PERM15), SturmPermutation((1, 3, 2, 4, 5)), identity(9)]
+        for q in members + parsed + built:
+            assert "_sturm" not in vars(q), q
+        p = SturmPermutation(PERM7)
+        for q in (suspend(p).suspended, apply_tau(p), apply_kappa(p)):
+            assert vars(q)["_sturm"] is True
+        assert vars(p)["_sturm"] is True
 
 
 class TestKleinOrbit:
@@ -277,12 +299,16 @@ class TestKleinOrbit:
     def test_symmetric_involution(self):
         assert klein_orbit(SturmPermutation((1, 4, 3, 2, 5))).size == 1
 
-    def test_orbit_members_are_sturm(self, pool):
-        from sturm import is_sturm
-
-        for p in pool[7]:
-            for q in klein_orbit(p).members:
-                assert is_sturm(q)
+    def test_orbit_members_are_sturm(self, large_inputs, capsys):
+        # The involutions and suspension hand out trusted results; each of
+        # these laws is still proven here by the meander test itself.
+        inputs = [p for n in range(1, 12, 2) for p in enumerate_sturm(n)] + large_inputs
+        for p in inputs:
+            q = suspend(p).suspended
+            for image in (*klein_orbit(p).members, *klein_orbit(q).members):
+                assert is_sturm(image), (p, image)
+            assert main(["suspend", str(p), "--times", "3"]) == 0
+            assert is_sturm(parse_permutation(capsys.readouterr().out)), p
 
 
 _P3 = SturmPermutation((1, 2, 3))

@@ -2,6 +2,7 @@ import pytest
 
 from sturm import (
     AttractorModel,
+    MinimaxExtrema,
     SturmPermutation,
     ZeroMatrix,
     format_permutation,
@@ -90,6 +91,19 @@ def _edited(analysis, entries):
     return AttractorModel(model.p, model.morse, z, model.successors), reports
 
 
+def _level_edited(analysis, base, key, members=None, extrema=None):
+    """The analysis with the members or the extrema of signed level ``key``
+    of ``base`` replaced and nothing else changed."""
+    model, reports = analysis
+    report = reports[base]
+    sets, ex = dict(report.target_sets), dict(report.extrema)
+    if members is not None:
+        sets[key] = members
+    if extrema is not None:
+        ex[key] = extrema
+    return model, {**reports, base: report._replace(target_sets=sets, extrema=ex)}
+
+
 def _failed(analysis_q):
     p = SturmPermutation((1, 4, 5, 6, 3, 2, 7))
     items = _suspension_items(_analyze(p), analysis_q)
@@ -129,6 +143,36 @@ class TestSuspensionItemFailures:
     def test_extreme_zero_number_mismatch(self, entries):
         assert _failed(_edited(_analyze(self.Q), entries)) == [
             ("zero numbers against the extremes vanish", None)
+        ]
+
+    @pytest.mark.parametrize(
+        "base, key, members, extrema, bad",
+        [
+            (4, "2+", (5, 6, 8), None, "2+ of 3"),  # one member of a three-member level
+            (7, "1-", (5,), None, "1- of 6"),  # a one-member level
+            (4, "2+", None, MinimaxExtrema(7, 7, 7, 5), "2+ of 3"),  # closest at 0
+            (4, "1+", None, MinimaxExtrema(8, 8, 7, 8), "1+ of 3"),  # farthest at 0
+        ],
+    )
+    def test_inner_level_mismatch(self, base, key, members, extrema, bad):
+        analysis = _level_edited(_analyze(self.Q), base, key, members, extrema)
+        assert _failed(analysis) == [
+            ("target sets and minimax equilibria correspond", f"levels {bad}")
+        ]
+
+    @pytest.mark.parametrize(
+        "base, key, members, extrema, bad",
+        [
+            (4, "0+", (8,), None, "0+ of 3"),
+            (7, "0-", (1, 2), None, "0- of 6"),
+            (4, "0-", None, MinimaxExtrema(1, 1, 1, 2), "0- of 3"),
+        ],
+    )
+    def test_level_zero_mismatch(self, base, key, members, extrema, bad):
+        # level 0 of q has no level of p behind it: it holds just the new extremes
+        analysis = _level_edited(_analyze(self.Q), base, key, members, extrema)
+        assert _failed(analysis) == [
+            ("target sets and minimax equilibria correspond", f"levels {bad}")
         ]
 
     def test_unedited_analyses_pass(self):
