@@ -21,6 +21,16 @@ model, built once with the model's first report. The level names
 ``"0+", "0-", "1+", ...`` are likewise built once per model, up to its
 largest Morse number, and each report reads its own as a slice, so a base
 formats no names.
+
+The four cases of a report come from one loop over a module-level slot
+table: per neighbor slot, whether the neighbor is at the left boundary and
+its own sign. The paper's rule is then arithmetic on that row: a left
+neighbor keeps its sign, a right one swaps it when the base's Morse number
+is even, and the case reads the top level of that sign, its closest member
+at the neighbor's boundary and its most distant one at the other. The
+records built once per base (the neighbors, the cases and the report) are
+made with ``tuple.__new__`` from all their fields, which skips the
+NamedTuple's generated Python ``__new__``.
 """
 from __future__ import annotations
 
@@ -55,6 +65,11 @@ __all__ = [
 Iota = Literal[0, 1]
 
 NEIGHBOR_SLOTS = ("w0_minus", "w0_plus", "w1_minus", "w1_plus")
+
+# Builds a NamedTuple from the tuple of all its fields in order, at about
+# half the cost of calling the class, whose generated __new__ is Python
+# code. The records built once per base use it.
+_tuple_new = tuple.__new__
 
 
 class AttractorModel(_Frozen):
@@ -201,14 +216,18 @@ def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
 
 
 def _neighbors(p: SturmPermutation, base: int) -> NeighborQuartet:
-    # base must be a checked label, so the raw tuples skip the accessors' checks
+    # base must be a checked label, so the raw tuples skip the accessors'
+    # checks; the fields are w0_minus, w0_plus, w1_minus, w1_plus
     n = p.n
     pos = p.inv[base - 1]
-    return NeighborQuartet(
-        w0_minus=base - 1 if base > 1 else None,
-        w0_plus=base + 1 if base < n else None,
-        w1_minus=p.map[pos - 2] if pos > 1 else None,
-        w1_plus=p.map[pos] if pos < n else None,
+    return _tuple_new(
+        NeighborQuartet,
+        (
+            base - 1 if base > 1 else None,
+            base + 1 if base < n else None,
+            p.map[pos - 2] if pos > 1 else None,
+            p.map[pos] if pos < n else None,
+        ),
     )
 
 
@@ -286,21 +305,13 @@ def _extrema(p: SturmPermutation, base: int, members: Sequence[int]) -> MinimaxE
 
 
 def _unstable_morse(model: AttractorModel, base: int) -> int:
-    _check_labels(model.n, base=base)
+    n = model.p.n
+    if not 1 <= base <= n:
+        _check_labels(n, base=base)  # raises
     n_base = model.morse[base - 1]
     if n_base < 1:
         raise ValueError(f"equilibrium {base} is stable")
     return n_base
-
-
-def _associated_sign(slot: str, n_base: int) -> Sign:
-    # The sign of the minimax equilibrium a neighbor identifies with.
-    # Left-boundary neighbors keep their own sign for every Morse number;
-    # right-boundary neighbors swap sign when the Morse number is even.
-    own: Sign = "+" if slot.endswith("plus") else "-"
-    if slot.startswith("w0") or n_base % 2 == 1:
-        return own
-    return "+" if own == "-" else "-"
 
 
 class MinimaxCase(NamedTuple):
@@ -329,26 +340,17 @@ class MinimaxCase(NamedTuple):
         return self.closest == self.farthest_opposite if self.applicable else None
 
 
-def _case(
-    model: AttractorModel,
-    base: int,
-    n_base: int,
-    slot: str,
-    neighbor: Optional[int],
-    names: tuple[str, ...],
-    extrema: dict[str, MinimaxExtrema],
-) -> MinimaxCase:
-    # names are the base's level names, so the last two are the top level's
-    if neighbor is None or model.morse[neighbor - 1] != n_base - 1:
-        return MinimaxCase(slot=slot, neighbor=neighbor, applicable=False)
-    sign = _associated_sign(slot, n_base)
-    key = names[-1] if sign == "-" else names[-2]
-    if key not in extrema:
-        raise ValueError(f"target set {key} of {base} is empty")
-    ex = extrema[key]
-    if slot.startswith("w0"):
-        return MinimaxCase(slot, neighbor, True, sign, 0, ex.closest_at_0, ex.farthest_at_1)
-    return MinimaxCase(slot, neighbor, True, sign, 1, ex.closest_at_1, ex.farthest_at_0)
+# One row per neighbor slot, in NEIGHBOR_SLOTS order: the slot, whether
+# its neighbor is at the left boundary (iota 0), and its own sign as a
+# bucket offset, 0 for "+" and 1 for "-". Left-boundary neighbors keep
+# their own sign for every Morse number; right-boundary neighbors swap it
+# when the Morse number is even.
+_SLOT_TABLE = (
+    ("w0_minus", True, 1),
+    ("w0_plus", True, 0),
+    ("w1_minus", False, 1),
+    ("w1_plus", False, 0),
+)
 
 
 class MinimaxReport(NamedTuple):
@@ -413,13 +415,26 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
         if ws
     }
     neighbors = _neighbors(p, base)
-    cases = tuple(
-        [
-            _case(model, base, n_base, slot, neighbor, names, extrema)
-            for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors)
-        ]
-    )
-    return MinimaxReport(base, n_base, neighbors, target_sets, extrema, cases)
+    # A neighbor one Morse level down reads the top level of its
+    # associated sign: names[top + s] names bucket offset s of that level.
+    morse, below, top, swap = model.morse, n_base - 1, 2 * n_base - 2, n_base % 2 == 0
+    cases = []
+    for (slot, left, own), neighbor in zip(_SLOT_TABLE, neighbors):
+        if neighbor is None or morse[neighbor - 1] != below:
+            cases.append(_tuple_new(MinimaxCase, (slot, neighbor, False, None, None, None, None)))
+            continue
+        s = own if left or not swap else 1 - own
+        key = names[top + s]
+        ex = extrema.get(key)
+        if ex is None:
+            raise ValueError(f"target set {key} of {base} is empty")
+        if left:
+            case = (slot, neighbor, True, "+-"[s], 0, ex.closest_at_0, ex.farthest_at_1)
+        else:
+            case = (slot, neighbor, True, "+-"[s], 1, ex.closest_at_1, ex.farthest_at_0)
+        cases.append(_tuple_new(MinimaxCase, case))
+    report = (base, n_base, neighbors, target_sets, extrema, tuple(cases))
+    return _tuple_new(MinimaxReport, report)
 
 
 # A permutation's model and the minimax report of each unstable base.

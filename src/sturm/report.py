@@ -6,9 +6,12 @@ so golden tests can compare bytes. Dictionaries are built in the
 documented key order and serialized without re-sorting.
 
 ``minimax_record`` builds each record straight from the report's tuples:
-an applicable verdict is one dict display of the case's fields and its two
-properties, and ``neighbors`` and each ``minimax`` entry zip the field
-names onto the NamedTuple, with no ``_asdict`` copy to trim and extend.
+each case unpacks into one verdict dict display, whose
+``neighbor_is_closest`` and ``passed`` are compared there, and the record's
+``passed`` is their conjunction, so no case or report property is called.
+The top level's two keys are the last two of ``target_sets``, and
+``neighbors`` and each ``minimax`` entry zip the field names onto the
+NamedTuple, with no ``_asdict`` copy to trim and extend.
 
 ``to_json`` is a hand-written emitter whose output is byte-identical to
 ``json.dumps(record, indent=2)`` plus a final newline: two-space
@@ -50,6 +53,13 @@ text of each list member that is a dict of scalars, so each distinct
 last memo is keyed on the indentation, the items and the value types:
 the types are needed because ``True == 1`` and ``1 == 1.0`` with equal
 hashes, and each is written differently (or, for a float, refused).
+A list stops using that memo at its first member whose key cannot be
+hashed, and writes it and every later member through the recursion. Such
+a member holds a list or dict, so it is no dict of scalars, and its
+siblings are most likely records like it: the ``minimax`` list of an
+analyze record holds one per base, and each would build a key of some
+twenty items only to fail hashing it. A per-member type test would cost
+every ``extended`` level instead.
 """
 from __future__ import annotations
 
@@ -70,25 +80,28 @@ __all__ = ["minimax_record", "analyze_record", "to_json", "dot_graph"]
 
 def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     """JSON-ready record of one equilibrium's minimax analysis."""
-    top = report.n - 1
     verdicts = {}
-    for case in report.cases:
-        if case.applicable:
-            verdicts[case.slot] = {
-                "neighbor": case.neighbor,
+    passed = True
+    for slot, neighbor, applicable, sign, iota, closest, farthest in report.cases:
+        if applicable:
+            ok = closest == farthest
+            passed = passed and ok
+            verdicts[slot] = {
+                "neighbor": neighbor,
                 "applicable": True,
-                "sign": case.sign,
-                "iota": case.iota,
-                "closest": case.closest,
-                "farthest_opposite": case.farthest_opposite,
-                "neighbor_is_closest": case.neighbor_is_closest,
-                "passed": case.passed,
+                "sign": sign,
+                "iota": iota,
+                "closest": closest,
+                "farthest_opposite": farthest,
+                "neighbor_is_closest": neighbor == closest,
+                "passed": ok,
             }
         else:
-            verdicts[case.slot] = {"neighbor": case.neighbor, "applicable": False}
+            verdicts[slot] = {"neighbor": neighbor, "applicable": False}
     # target_sets lists every level in order "0+", "0-", "1+", ..., and
-    # extrema holds the non-empty ones under the same keys.
-    extrema = report.extrema
+    # extrema holds the non-empty ones under the same keys; the top
+    # level's two keys are the last two.
+    target_sets, extrema = report.target_sets, report.extrema
     extended = [
         {
             "k": i >> 1,
@@ -97,21 +110,24 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
             # one member is closest and most distant at both boundaries
             "passed": (len(members) == 1 or extrema[key].minimax_holds) if members else None,
         }
-        for i, (key, members) in enumerate(report.target_sets.items())
+        for i, (key, members) in enumerate(target_sets.items())
     ]
+    top = reversed(target_sets)
+    top_minus = next(top)
+    top_plus = next(top)
     return {
         "O": report.base,
         "n": report.n,
         "neighbors": dict(zip(NEIGHBOR_SLOTS, report.neighbors)),
-        "target_sets": dict(zip(report.target_sets, map(list, report.target_sets.values()))),
+        "target_sets": dict(zip(target_sets, map(list, target_sets.values()))),
         "minimax": {
             key: dict(zip(MinimaxExtrema._fields, extrema[key]))
-            for key in (f"{top}+", f"{top}-")
+            for key in (top_plus, top_minus)
             if key in extrema
         },
         "verdicts": verdicts,
         "extended": extended,
-        "passed": report.passed,
+        "passed": passed,
     }
 
 
@@ -267,7 +283,8 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     else:
         sep = "[" + inner
         flat = heads.flat
-        for x in v:
+        members = iter(v)
+        for x in members:
             text = None
             if type(x) is dict and x:
                 # the types tell apart equal values such as True, 1 and 1.0
@@ -276,17 +293,26 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
                 try:
                     text = flat.get(key)
                 except TypeError:  # an unhashable value, so no dict of scalars
-                    pass
-                else:
-                    if text is None:
-                        text = _flat(x, bar, comma_bar, inner, heads)
-                        if text is not None:
-                            flat[key] = text
+                    break
+                if text is None:
+                    text = _flat(x, bar, comma_bar, inner, heads)
+                    if text is not None:
+                        flat[key] = text
             if text is None:
                 out.append(sep)
                 _emit(x, inner, out, heads)
             else:
                 out.append(sep + text)
+            sep = later
+        else:
+            out.append(nl + "]")
+            return
+        # x is the first member that cannot be memoized. Its siblings are
+        # most likely records like it (the bases of an analyze record), so
+        # it and the rest skip the memo and its doomed key.
+        for x in chain((x,), members):
+            out.append(sep)
+            _emit(x, inner, out, heads)
             sep = later
         out.append(nl + "]")
 

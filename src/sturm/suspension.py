@@ -13,7 +13,8 @@ already trusted as Sturm, so no later gate tests it again;
 :func:`sturm.meander.is_sturm`. The signed levels are compared by index:
 level k of base b in p, members and extrema one label up, is level
 k + 1 of base b + 1 in the suspension, whose level 0 holds just the two
-new extremes.
+new extremes; a stable b of p becomes a base b + 1 of Morse number 1 in
+the suspension, whose one level is that level 0.
 """
 from __future__ import annotations
 
@@ -90,8 +91,8 @@ def verify_suspension(p: SturmPermutation) -> SuspensionReport:
     extremes are stable; inner Morse numbers shift by one; inner zero
     numbers shift by one; the zero numbers against the extremes vanish;
     the inner connection graphs are isomorphic under the label shift; and
-    the target sets and minimax equilibria of every unstable equilibrium
-    correspond under the shift, at every signed level.
+    the target sets and minimax equilibria of every inner equilibrium of
+    the suspension correspond under the shift, at every signed level.
     """
     from .attractor import _analyze
 
@@ -150,18 +151,24 @@ def _suspension_items(analysis_p: Analysis, analysis_q: Analysis) -> tuple[Check
 
     # Level k of base b in p, members and extrema one label up, is level
     # k + 1 of base b + 1 in q, and level 0 of q holds just the new
-    # extremes. The levels are compared in order as (members, extrema),
-    # with no extrema for an empty level.
+    # extremes, so a stable b of p leaves b + 1 that level only. The levels
+    # are compared in order as (members, extrema), with no extrema for an
+    # empty level.
     extremes = [((n + 2,), (n + 2,) * 4), ((1,), (1,) * 4)]
     bad = None
-    for base, report in reports_p.items():
-        ex_p, report_q = report.extrema, reports_q[base + 1]
-        want = extremes + [
-            (tuple([w + 1 for w in ws]), tuple([w + 1 for w in ex_p.get(key, ())]))
-            for key, ws in report.target_sets.items()
-        ]
-        ex_q = report_q.extrema
-        got = [(ws, ex_q.get(key, ())) for key, ws in report_q.target_sets.items()]
+    for base in range(1, n + 1):
+        report, report_q = reports_p.get(base), reports_q.get(base + 1)
+        want = extremes
+        if report is not None:
+            ex_p = report.extrema
+            want = extremes + [
+                (tuple([w + 1 for w in ws]), tuple([w + 1 for w in ex_p.get(key, ())]))
+                for key, ws in report.target_sets.items()
+            ]
+        got = []
+        if report_q is not None:
+            ex_q = report_q.extrema
+            got = [(ws, ex_q.get(key, ())) for key, ws in report_q.target_sets.items()]
         if want != got:
             levels = enumerate(zip_longest(want, got))
             keys = sorted(f"{i // 2}{'+-'[i % 2]}" for i, (w, g) in levels if w != g)

@@ -22,7 +22,12 @@ record from the report's NamedTuples with ``_asdict``, where
 ``report.minimax_record`` writes dict displays and zips field names onto
 the tuples. The loop crossing oracle adds up the signed crossings one
 curve step at a time, where ``meander._crossings`` sums each run of steps
-in telescoped form with one count per label parity class.
+in telescoped form with one count per label parity class. The minimax
+case oracle derives each neighbor slot's case from the paper's rule, with
+the neighbors read off label and axis order, the top-level target set from
+the label scan and the extrema from the distance-extrema oracle, where
+``attractor.minimax_report`` reads the cases off its slot table and the
+report's own buckets and extrema.
 """
 import json
 import math
@@ -30,6 +35,8 @@ import math
 import numpy as np
 
 from sturm import (
+    NEIGHBOR_SLOTS,
+    MinimaxCase,
     MinimaxExtrema,
     SturmPermutation,
     build_diagram,
@@ -194,6 +201,38 @@ def distance_extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:
         farthest_at_0=max(members, key=lambda w: (d0(w), -w)),
         farthest_at_1=max(members, key=lambda w: (d1(w), -w)),
     )
+
+
+def paper_cases(model, base: int) -> tuple:
+    """The ``MinimaxCase`` of each neighbor slot of an unstable base, by
+    the paper's rule. A neighbor one Morse level below the base makes its
+    case applicable. Left-boundary neighbors keep their own sign; right-
+    boundary neighbors swap it when the base's Morse number is even. The
+    case reads the top-level target set of that sign: its closest member
+    at the neighbor's boundary and its most distant one at the other."""
+    p, top = model.p, model.morse[base - 1] - 1
+    at_axis = {p.position(w): w for w in range(1, p.n + 1)}
+    neighbors = (
+        base - 1 if base > 1 else None,
+        base + 1 if base < p.n else None,
+        at_axis.get(p.position(base) - 1),
+        at_axis.get(p.position(base) + 1),
+    )
+    cases = []
+    for slot, neighbor in zip(NEIGHBOR_SLOTS, neighbors):
+        if neighbor is None or model.morse[neighbor - 1] != top:
+            cases.append(MinimaxCase(slot, neighbor, False))
+            continue
+        left, own = slot.startswith("w0"), slot.endswith("plus")
+        plus = own if left or top % 2 == 0 else not own
+        sign = "+" if plus else "-"
+        ex = distance_extrema(p, base, scan_target_set(model, base, top, sign))
+        if left:
+            found = (0, ex.closest_at_0, ex.farthest_at_1)
+        else:
+            found = (1, ex.closest_at_1, ex.farthest_at_0)
+        cases.append(MinimaxCase(slot, neighbor, True, sign, *found))
+    return tuple(cases)
 
 
 def json_oracle(record) -> str:

@@ -4,8 +4,15 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
-from oracles import distance_extrema, scalar_connections, scan_connections, scan_target_set
+from oracles import (
+    distance_extrema,
+    paper_cases,
+    scalar_connections,
+    scan_connections,
+    scan_target_set,
+)
 from sturm import (
+    AttractorModel,
     MinimaxExtrema,
     NeighborQuartet,
     SturmPermutation,
@@ -331,6 +338,15 @@ class TestMinimaxReport:
         with pytest.raises(ValueError, match=rf"^label base={base} out of range 1\.\.7$"):
             minimax_report(model7, base)
 
+    def test_empty_associated_target_set_rejected(self, model7):
+        # without the connection 3 -> 2, level 1- of 3 is empty, and the
+        # left neighbor 2 (Morse 1, own sign -) has nothing to read
+        succ = list(model7.successors)
+        succ[3] = tuple(w for w in succ[3] if w != 2)
+        model = AttractorModel(model7.p, model7.morse, model7.z, tuple(succ))
+        with pytest.raises(ValueError, match=r"^target set 1- of 3 is empty$"):
+            minimax_report(model, 3)
+
 
 def _reports(p):
     model = build_model(p)
@@ -423,6 +439,25 @@ class TestExtremaAgainstOracle:
     def test_large(self, large_inputs):
         for p in large_inputs:
             _assert_extrema_match_oracle(build_model(p))
+
+
+class TestCasesAgainstOracle:
+    """The cases of every unstable base against the paper's rule: own sign
+    at the left boundary, swapped at the right one for an even Morse
+    number, extrema from key-based min/max over a scanned target set."""
+
+    @staticmethod
+    def _assert_cases(model):
+        for base in model.unstable():
+            assert minimax_report(model, base).cases == paper_cases(model, base), (model.p, base)
+
+    def test_all_small(self, family11):
+        for p in family11:
+            self._assert_cases(build_model(p))
+
+    def test_large(self, large_inputs):
+        for p in large_inputs:
+            self._assert_cases(build_model(p))
 
 
 class TestSuccessorStore:

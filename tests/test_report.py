@@ -57,6 +57,33 @@ def test_dot_bytes_pinned(times, digest):
     assert _sha256(dot_graph(build_model(p))) == digest
 
 
+@pytest.mark.parametrize(
+    "sizes, count, digest",
+    [
+        (
+            (1, 3, 5, 7, 9, 11),
+            218,
+            "b68edea01ce0243cd3168bbcb23d4dd37e4d4c853dd95d7495c22c3ade7fff93",
+        ),
+        pytest.param(
+            (13,),
+            1083,
+            "fdae97021bea9411562ee98ab60895a4403f794c2348b21e38b0c78186ba440b",
+            marks=pytest.mark.slow,
+        ),
+    ],
+    ids=["n1-11", "n13"],
+)
+def test_family_analyze_bytes_pinned(sizes, count, digest):
+    # One digest over the analyze JSON of every family member in
+    # enumeration order: the small analyses where per-base cost dominates.
+    h = hashlib.sha256()
+    members = [p for n in sizes for p in enumerate_sturm(n, bound=n)]
+    for p in members:
+        h.update(to_json(analyze_record(build_model(p))).encode())
+    assert (len(members), h.hexdigest()) == (count, digest)
+
+
 def test_minimax_bytes_pinned(model7):
     text = to_json(minimax_record(minimax_report(model7, 3)))
     assert _sha256(text) == "18d7ab8f52710c57a7dc21d3a64278c90ca95ba35d74e8cfd4fa29e87b757bfc"
@@ -184,12 +211,29 @@ _SHARED = {"a": 1, "b": None}
         [{"a": 0}, {"a": False}, {"a": 0}],
         [_SHARED, [_SHARED, {"x": [_SHARED]}], _SHARED],
         [_SHARED, {"a": [1]}, _SHARED, {"a": {"b": 2}}, {"a": 1, "b": None}],
+        [{"a": {"b": 1}}, _SHARED, {"a": 1}, _SHARED],
+        [{"a": [1, 2]}, {"a": 1, "b": None}, {"a": True}],
+        [_SHARED, {"a": 1}, {"b": {"c": [1]}}, _SHARED, {"a": 1}],
+        [{"a": True}, {"a": 1}, {"a": [True]}, {"a": 1}, {"a": True}],
+        [{"a": 1}, {"a": True}, {"a": {"b": True}}, {"a": True}, {"a": 1}],
     ],
-    ids=["true-then-one", "zero-false-zero", "two-depths", "next-to-unhashable"],
+    ids=[
+        "true-then-one",
+        "zero-false-zero",
+        "two-depths",
+        "next-to-unhashable",
+        "unhashable-first",
+        "int-lists-first",
+        "unhashable-after-flat",
+        "true-one-around-switch-off",
+        "one-true-around-switch-off",
+    ],
 )
 def test_flat_dict_memo_traps(tree):
     # Equal dicts that differ in a value's type or in depth are written
-    # apart; the memo of one to_json call must not mix them up.
+    # apart; the memo of one to_json call must not mix them up. A list
+    # stops memoizing at its first unhashable member, so flat dicts come
+    # before, after and on both sides of that switch-off.
     assert to_json(tree) == json_oracle(tree)
 
 
@@ -269,6 +313,7 @@ def test_record_shares_no_mutable_member():
         [[1, 2], (3, 4.0)],
         {"x": [1, 2.5]},
         [{"a": 1}, {"a": 1.0}],
+        [{"a": [1]}, {"a": 1}, {"a": 1.0}],
         {"x": {"a": [1], 2: [3]}},
         {"x": {"a": [], None: []}},
     ],
@@ -285,6 +330,7 @@ def test_record_shares_no_mutable_member():
         "float-in-int-pairs",
         "float-in-int-list-value",
         "float-after-equal-int-in-flat-dicts",
+        "float-after-unhashable-in-flat-dicts",
         "int-key-beside-int-lists",
         "none-key-beside-empty-lists",
     ],

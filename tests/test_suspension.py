@@ -166,6 +166,13 @@ class TestSuspensionItemFailures:
             (4, "0+", (8,), None, "0+ of 3"),
             (7, "0-", (1, 2), None, "0- of 6"),
             (4, "0-", None, MinimaxExtrema(1, 1, 1, 2), "0- of 3"),
+            # bases 2, 6 and 8 of q come from the stable equilibria 1, 5
+            # and 7 of p: Morse 1 in q, so level 0 is their only level
+            (2, "0+", (3,), None, "0+ of 1"),
+            (6, "0-", (5,), None, "0- of 5"),
+            (8, "0-", (1, 7), None, "0- of 7"),
+            (2, "0-", None, MinimaxExtrema(1, 1, 1, 9), "0- of 1"),
+            (6, "0+", None, MinimaxExtrema(7, 9, 9, 9), "0+ of 5"),
         ],
     )
     def test_level_zero_mismatch(self, base, key, members, extrema, bad):
