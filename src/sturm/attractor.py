@@ -64,8 +64,6 @@ __all__ = [
 
 Iota = Literal[0, 1]
 
-NEIGHBOR_SLOTS = ("w0_minus", "w0_plus", "w1_minus", "w1_plus")
-
 # Builds a NamedTuple from the tuple of all its fields in order, at about
 # half the cost of calling the class, whose generated __new__ is Python
 # code. The records built once per base use it.
@@ -199,6 +197,9 @@ class NeighborQuartet(NamedTuple):
     w0_plus: Optional[int]
     w1_minus: Optional[int]
     w1_plus: Optional[int]
+
+
+NEIGHBOR_SLOTS = NeighborQuartet._fields
 
 
 def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
@@ -340,16 +341,14 @@ class MinimaxCase(NamedTuple):
         return self.closest == self.farthest_opposite if self.applicable else None
 
 
-# One row per neighbor slot, in NEIGHBOR_SLOTS order: the slot, whether
+# One row per neighbor slot: its name, zipped in from NEIGHBOR_SLOTS, whether
 # its neighbor is at the left boundary (iota 0), and its own sign as a
 # bucket offset, 0 for "+" and 1 for "-". Left-boundary neighbors keep
 # their own sign for every Morse number; right-boundary neighbors swap it
 # when the Morse number is even.
-_SLOT_TABLE = (
-    ("w0_minus", True, 1),
-    ("w0_plus", True, 0),
-    ("w1_minus", False, 1),
-    ("w1_plus", False, 0),
+_SLOT_TABLE = tuple(
+    (slot, *row)
+    for slot, row in zip(NEIGHBOR_SLOTS, ((True, 1), (True, 0), (False, 1), (False, 0)))
 )
 
 

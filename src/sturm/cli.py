@@ -55,6 +55,8 @@ FAIL_EXIT = 1
 # render --scale cap, px: render.MAX_SCALE, repeated so the parser loads no renderer
 MAX_SCALE = 10**6
 MAX_TIMES = 10**6  # suspend --times cap; each suspension adds two labels
+# window --order cap: window_z runs in about L**3 steps, 3 s at the cap
+MAX_WINDOW = 701
 
 
 def _fail(code: str, message: str, status: int) -> int:
@@ -144,6 +146,8 @@ def cmd_window(args: SimpleNamespace) -> int:
     from .zeros import MeanderWindow, matrix_text, window_morse, window_z
 
     order = _parse_ints(args.order, "empty window order")
+    if len(order) > MAX_WINDOW:
+        raise ParseError(f"--order must list at most {MAX_WINDOW} labels, got {len(order)}")
     try:
         win = MeanderWindow.from_axis_order(order, anchor_morse=args.anchor_morse)
     except ValueError as exc:
@@ -278,7 +282,8 @@ COMMANDS = {
             "order": Option(
                 str,
                 REQUIRED,
-                "window labels (1-based, within the window) in axis order, left to right",
+                "window labels (1-based, within the window) in axis order, left to right; "
+                f"at most {MAX_WINDOW}, about 3 s at the cap",
             ),
         },
     ),
@@ -290,9 +295,7 @@ COMMANDS = {
             "n": Option(int, REQUIRED, "odd size"),
             "count-only": Option(bool, False, "print only the number of permutations"),
             "engine": Option(
-                ("auto", "filter", "backtrack"),
-                "auto",
-                "auto runs backtrack; filter is the brute-force cross-check",
+                ("backtrack", "filter"), "backtrack", "filter is the brute-force cross-check"
             ),
             "bound": _BOUND,
         },

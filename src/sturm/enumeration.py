@@ -3,8 +3,8 @@
 Two engines produce every Sturm permutation of a given odd size in
 lexicographic order:
 
-* the *backtrack* engine, which ``engine="auto"`` runs, grows the axis
-  sequence left to right and hands out each member as it completes. It
+* the *backtrack* engine, the default, grows the axis sequence left to
+  right and hands out each member as it completes. It
   tries the free labels in ascending order and keeps those that pass the
   stack step of ``meander.is_meander``, run inline: one stack of open
   arcs per side, each arc's side read off label parity. The arc from
@@ -36,7 +36,7 @@ __all__ = ["DEFAULT_BOUND", "enumerate_sturm", "count_sturm"]
 
 DEFAULT_BOUND = 11
 
-Engine = Literal["auto", "filter", "backtrack"]
+Engine = Literal["backtrack", "filter"]
 
 
 def _check_size(n: int, bound: int) -> None:
@@ -149,7 +149,7 @@ def _enumerate_backtrack(n: int) -> Iterator[SturmPermutation]:
 
 
 def enumerate_sturm(
-    n: int, engine: Engine = "auto", bound: int = DEFAULT_BOUND
+    n: int, engine: Engine = "backtrack", bound: int = DEFAULT_BOUND
 ) -> Iterator[SturmPermutation]:
     """All Sturm permutations of odd size n, in lexicographic map order.
 
@@ -159,12 +159,12 @@ def enumerate_sturm(
     [(1, 2, 3, 4, 5), (1, 4, 3, 2, 5)]
     """
     _check_size(n, bound)
+    if engine == "backtrack":
+        return _enumerate_backtrack(n)
     if engine == "filter":
         return _enumerate_filter(n)
-    if engine in ("auto", "backtrack"):
-        return _enumerate_backtrack(n)
     raise ValueError(f"unknown engine {engine!r}")
 
 
-def count_sturm(n: int, engine: Engine = "auto", bound: int = DEFAULT_BOUND) -> int:
+def count_sturm(n: int, engine: Engine = "backtrack", bound: int = DEFAULT_BOUND) -> int:
     return sum(1 for _ in enumerate_sturm(n, engine=engine, bound=bound))

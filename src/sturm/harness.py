@@ -21,11 +21,11 @@ __all__ = ["PropertyResult", "HarnessReport", "property_harness"]
 
 
 class PropertyResult:
-    def __init__(self, name: str, checked: int = 0, failures: int = 0, first_counterexample=None):
+    def __init__(self, name: str):
         self.name = name
-        self.checked = checked
-        self.failures = failures
-        self.first_counterexample: Optional[str] = first_counterexample
+        self.checked = 0
+        self.failures = 0
+        self.first_counterexample: Optional[str] = None
 
     def record(self, ok: bool, context: str) -> None:
         self.checked += 1
@@ -40,15 +40,15 @@ class PropertyResult:
 
 
 class HarnessReport:
-    def __init__(self, n_max: int, permutations: int = 0, counts=None, properties=None):
+    def __init__(self, n_max: int):
         self.n_max = n_max
-        self.permutations = permutations
-        self.counts: dict[int, int] = {} if counts is None else counts
-        self.properties: dict[str, PropertyResult] = {} if properties is None else properties
+        self.permutations = 0
+        self.counts: dict[int, int] = {}
+        self.properties: dict[str, PropertyResult] = {}
 
     def prop(self, name: str) -> PropertyResult:
         if name not in self.properties:
-            self.properties[name] = PropertyResult(name=name)
+            self.properties[name] = PropertyResult(name)
         return self.properties[name]
 
     @property
@@ -260,12 +260,7 @@ def _check_suspension(
     report.prop("suspension laws hold").record(ok, ctx)
 
 
-def property_harness(
-    n_max: int = 7,
-    *,
-    bound: int = DEFAULT_BOUND,
-    progress: Optional[Callable[[str], None]] = None,
-) -> HarnessReport:
+def property_harness(n_max: int = 7, *, bound: int = DEFAULT_BOUND) -> HarnessReport:
     """Run every documented invariant over all Sturm permutations up to n_max.
 
     Each family is enumerated once, and each member's model and minimax
@@ -278,7 +273,7 @@ def property_harness(
     """
     _check_size(n_max, bound)
     rng = random.Random(20240)
-    report = HarnessReport(n_max=n_max)
+    report = HarnessReport(n_max)
     families = {n: list(enumerate_sturm(n, bound=bound)) for n in range(1, n_max + 1, 2)}
     by_size = {n: {p.map: _analyze(p) for p in members} for n, members in families.items()}
     for n, members in families.items():
@@ -288,8 +283,6 @@ def property_harness(
             _check_permutation_properties(report, p, analyses, rng)
             if n + 2 <= n_max:
                 _check_suspension(report, p, analyses, by_size[n + 2])
-            if progress:
-                progress(f"n={n}: checked {p}")
         report.counts[n] = len(members)
 
         if n <= 7:

@@ -96,8 +96,7 @@ class SturmPermutation(_Frozen):
             raise ValueError("empty permutation")
         if n % 2 == 0:
             raise ValueError(f"crossing count must be odd, got {n}")
-        if sorted(entries) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {_echo_ints(entries)}")
+        _check_bijection(entries, "not a bijection")
         object.__setattr__(self, "map", entries)
         object.__setattr__(self, "n", n)
 
@@ -175,10 +174,10 @@ def _echo_int(value: int) -> str:
     # An integer shown in an error line: its sign and at most 20 digits,
     # then "..." if it has more. The digits are read off a quotient, since
     # str() refuses an int longer than sys.get_int_max_str_digits(). Any
-    # other number is shown as str() shows it.
-    magnitude = abs(value)
-    if magnitude < 10**20 or not isinstance(value, int):
+    # other value is shown as str() shows it.
+    if not isinstance(value, int) or -(10**20) < value < 10**20:
         return str(value)
+    magnitude = abs(value)
     head = str(magnitude // 10 ** (magnitude.bit_length() * 3 // 10 - 20))[:20]
     return ("-" if value < 0 else "") + head + "..."
 
@@ -188,6 +187,21 @@ def _echo_ints(values: Sequence[int]) -> str:
     # each through _echo_int, then "..." if there are more.
     head = ", ".join(_echo_int(v) for v in values[:20])
     return f"({head}, ...)" if len(values) > 20 else f"({head})"
+
+
+_INT = frozenset((int,))
+
+
+def _check_bijection(entries: Sequence[int], message: str) -> None:
+    # Raises ValueError unless the entries are a bijection of 1..L made of
+    # exact ints; ``message`` opens the bijection error. bool and float
+    # entries compare equal to ints, so the type test comes first, in one
+    # C-level pass over the entry types.
+    if not _INT.issuperset(map(type, entries)):
+        raise ValueError(f"entries must be of type int: {_echo_ints(entries)}")
+    L = len(entries)
+    if sorted(entries) != list(range(1, L + 1)):
+        raise ValueError(f"{message} of 1..{L}: {_echo_ints(entries)}")
 
 
 def _parse_ints(text: str, empty: str) -> list[int]:

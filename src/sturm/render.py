@@ -15,13 +15,13 @@ from .perm import SturmPermutation
 __all__ = ["RenderStyle", "render_svg"]
 
 MAX_SCALE = 10**6  # px; far larger scales overflow the float coordinates
+MARGIN = 40  # px around the drawing
+DOT_RADIUS = 3  # px
+STROKE_WIDTH = 2  # px, of the arcs
 
 
 class RenderStyle(NamedTuple):
     scale: int = 40  # pixels between adjacent crossings
-    margin: int = 40
-    dot_radius: int = 3
-    stroke_width: int = 2
     show_morse: bool = False
     zero_based_labels: bool = False
 
@@ -35,37 +35,31 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
 
     Raises :class:`NotMeanderError` for permutations whose arc families
     cross; drawings of those would be self-intersecting. Raises
-    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``, and for
-    a ``margin``, ``dot_radius`` or ``stroke_width`` outside
-    ``0..MAX_SCALE``.
+    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``.
     """
     if not 1 <= style.scale <= MAX_SCALE:
         raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {style.scale}")
-    for field in ("margin", "dot_radius", "stroke_width"):
-        value = getattr(style, field)
-        if not 0 <= value <= MAX_SCALE:
-            raise ValueError(f"{field} must be in 0..{MAX_SCALE}, got {value}")
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n
     arcs = build_diagram(p).arcs
-    scale, margin = style.scale, style.margin
-    width = 2 * margin + scale * (n - 1)
+    scale = style.scale
+    width = 2 * MARGIN + scale * (n - 1)
     max_radius = max(
         [scale * (abs(a.to_pos - a.from_pos)) / 2 for a in arcs],
         default=scale / 2,
     )
-    height = int(2 * margin + 2 * max_radius)
+    height = int(2 * MARGIN + 2 * max_radius)
     y0 = height / 2
 
     def x(pos: int) -> float:
-        return margin + scale * (pos - 1)
+        return MARGIN + scale * (pos - 1)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
-        f'  <line x1="{_fmt(margin / 2)}" y1="{_fmt(y0)}" x2="{_fmt(width - margin / 2)}" '
+        f'  <line x1="{_fmt(MARGIN / 2)}" y1="{_fmt(y0)}" x2="{_fmt(width - MARGIN / 2)}" '
         f'y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>',
     ]
     for arc in arcs:
@@ -77,13 +71,13 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
         lines.append(
             f'  <path d="M {_fmt(x1)} {_fmt(y0)} A {_fmt(r)} {_fmt(r)} 0 0 {sweep} '
             f'{_fmt(x2)} {_fmt(y0)}" fill="none" stroke="black" '
-            f'stroke-width="{style.stroke_width}"/>'
+            f'stroke-width="{STROKE_WIDTH}"/>'
         )
     for j in range(1, n + 1):
         cx = x(p.position(j))
         label = j - 1 if style.zero_based_labels else j
         lines.append(
-            f'  <circle cx="{_fmt(cx)}" cy="{_fmt(y0)}" r="{style.dot_radius}" fill="black"/>'
+            f'  <circle cx="{_fmt(cx)}" cy="{_fmt(y0)}" r="{DOT_RADIUS}" fill="black"/>'
         )
         lines.append(
             f'  <text x="{_fmt(cx)}" y="{_fmt(y0 + 16)}" font-size="11" '

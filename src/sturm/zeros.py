@@ -30,8 +30,8 @@ from .errors import WindowError
 from .meander import _pair_zero
 from .perm import (
     SturmPermutation,
+    _check_bijection,
     _check_labels,
-    _echo_ints,
     _Frozen,
     _morse_recursion,
     _require_sturm,
@@ -178,8 +178,10 @@ class MeanderWindow(_Frozen):
         L = len(ranks)
         if L < 2:
             raise ValueError("window needs at least two labels")
-        if sorted(ranks) != list(range(1, L + 1)):
-            raise ValueError(f"axis ranks must be a bijection of 1..{L}: {_echo_ints(ranks)}")
+        _check_bijection(ranks, "axis ranks must be a bijection")
+        if type(anchor_morse) is not int:
+            kind = type(anchor_morse).__name__
+            raise ValueError(f"anchor Morse number must be of type int, got {kind}")
         if anchor_morse < 0:
             raise ValueError("anchor Morse number must be non-negative")
         object.__setattr__(self, "axis_rank", ranks)
@@ -207,10 +209,8 @@ class MeanderWindow(_Frozen):
         ``order`` lists 1-based window labels (offset within the window
         plus one) in axis order, the way a permutation segment is read.
         """
-        L = len(order)
-        if sorted(order) != list(range(1, L + 1)):
-            raise ValueError(f"axis order must be a bijection of 1..{L}: {_echo_ints(order)}")
-        ranks = [0] * L
+        _check_bijection(order, "axis order must be a bijection")
+        ranks = [0] * len(order)
         for rank, label in enumerate(order, start=1):
             ranks[label - 1] = rank
         return cls(axis_rank=tuple(ranks), anchor_morse=anchor_morse)

@@ -8,9 +8,10 @@ import pytest
 import sturm.attractor
 import sturm.render
 import sturm.suspension
+import sturm.zeros
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
-from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, main
+from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, MAX_WINDOW, main
 from sturm.enumeration import DEFAULT_BOUND
 
 PERM7_TEXT = "1 4 5 6 3 2 7"
@@ -242,6 +243,25 @@ class TestWindow:
             line = f"error: parse: axis order must be a bijection of 1..{last - 1}: ({shown})\n"
             assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
 
+    def test_order_above_cap_rejected(self, capsys):
+        # window_z grows as L**3: 701 labels took 3.1 s on a 2-CPU Xeon, so
+        # 2,001 labels ran for minutes
+        count = MAX_WINDOW + 1
+        order = " ".join(map(str, range(1, count + 1)))
+        line = f"error: parse: --order must list at most {MAX_WINDOW} labels, got {count}\n"
+        assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
+
+    def test_order_cap_admitted_and_documented(self, capsys, monkeypatch):
+        # At the cap the real matrix takes seconds, so a stub stands in for
+        # it: only the gate is under test.
+        seen = []
+        monkeypatch.setattr(sturm.zeros, "window_z", lambda win: seen.append(win.length) or ())
+        order = " ".join(map(str, range(1, MAX_WINDOW + 1)))
+        status, _, err = run(capsys, "window", "--anchor-morse", "0", "--order", order)
+        assert (status, err, seen) == (0, "", [MAX_WINDOW])
+        status, out, _ = run(capsys, "window", "--help")
+        assert status == 0 and f"at most {MAX_WINDOW}" in out
+
     @pytest.mark.parametrize(
         "order, line",
         [
@@ -357,7 +377,7 @@ class TestUsage:
             (["minimax", "--eq=3 ", PERM7_TEXT], "invalid int value '3 ' for --eq"),
             (
                 ["enumerate", "--n", "5", "--engine", "x"],
-                "invalid choice 'x' for --engine (choose from auto, filter, backtrack)",
+                "invalid choice 'x' for --engine (choose from backtrack, filter)",
             ),
             (
                 ["render", "--format", "x", PERM7_TEXT],
@@ -460,7 +480,7 @@ class TestIntegerTokens:
         )
         status, out, err = run(capsys, "enumerate", "--n", "5", "--engine", "x" * 5000)
         assert (status, out) == (2, "")
-        choices = "(choose from auto, filter, backtrack)"
+        choices = "(choose from backtrack, filter)"
         assert err == f"error: usage: invalid choice '{'x' * 20}...' for --engine {choices}\n"
 
     @pytest.mark.parametrize(
@@ -575,7 +595,7 @@ class TestHelp:
             ("suspend", "--times INT", "0..1000000 (default 1)"),
             ("render", "--scale INT", "1..1000000 (default 40)"),
             ("render", "--format {svg,dot}", "(default svg)"),
-            ("enumerate", "--engine {auto,filter,backtrack}", "(default auto)"),
+            ("enumerate", "--engine {backtrack,filter}", "(default backtrack)"),
             ("enumerate", "--bound INT", f"(default {DEFAULT_BOUND})"),
             ("harness", "--bound INT", f"(default {DEFAULT_BOUND})"),
             ("window", "--order TEXT", "(required)"),

@@ -23,8 +23,8 @@ from sturm.harness import HarnessReport, _check_klein_equivariance, _check_suspe
 
 # Counts for sizes 7 and 9 are regression values pinned at first
 # computation; sizes 1, 3, 5 were verified by hand against the filter.
-# Sizes 11 to 15 are regression values of the backtrack engine, which
-# "auto" runs at every size.
+# Sizes 11 to 15 are regression values of the backtrack engine, the
+# default at every size.
 KNOWN_COUNTS = {1: 1, 3: 1, 5: 2, 7: 7, 9: 32, 11: 175, 13: 1083, 15: 7342}
 
 # SHA-256 of the `sturm enumerate --n N --bound N` text, pinned at the
@@ -58,11 +58,12 @@ class TestEnumerate:
         "n, kwargs, message",
         [
             (5, {"engine": "bogus"}, "unknown engine 'bogus'"),
+            (5, {"engine": "auto"}, "unknown engine 'auto'"),
             (4, {}, "size must be odd and positive, got 4"),
             (13, {}, "size 13 exceeds the configured bound 11"),
             (7, {"bound": 5, "engine": "filter"}, "size 7 exceeds the configured bound 5"),
         ],
-        ids=["engine", "even", "bound", "filter-bound"],
+        ids=["engine", "auto-engine", "even", "bound", "filter-bound"],
     )
     def test_arguments_checked_at_call(self, n, kwargs, message):
         # The call raises; no iteration is needed to see the error.

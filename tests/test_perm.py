@@ -118,6 +118,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"^not a bijection of 1\.\.3: \(1, 1, 3\)$"):
             SturmPermutation((1, 1, 3))
 
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            # bool and float entries compare equal to ints, so a sort alone
+            # took (True, 2, 3) for Sturm and (1.0, 2.0, 3.0) failed only
+            # at first use, in ``inv``
+            ((True, 2, 3), "entries must be of type int: (True, 2, 3)"),
+            ((1.0, 2.0, 3.0), "entries must be of type int: (1.0, 2.0, 3.0)"),
+        ],
+        ids=["bool", "float"],
+    )
+    def test_rejects_non_int_entries(self, entries, message):
+        with pytest.raises(ValueError) as info:
+            SturmPermutation(entries)
+        assert str(info.value) == message
+
     def test_non_bijection_is_cut_after_twenty_entries(self):
         shown = ", ".join(map(str, (1, 1, *range(3, 21), "...")))
         with pytest.raises(ValueError) as info:

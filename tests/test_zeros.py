@@ -227,6 +227,35 @@ class TestWindow:
         with pytest.raises(ValueError):
             MeanderWindow.from_permutation(identity(3), 2, 2)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: MeanderWindow((1, True), 0), "entries must be of type int: (1, True)"),
+            (
+                lambda: MeanderWindow((1, 2), True),
+                "anchor Morse number must be of type int, got bool",
+            ),
+            (
+                lambda: MeanderWindow((1, 2), 0.5),
+                "anchor Morse number must be of type int, got float",
+            ),
+            (
+                lambda: MeanderWindow.from_axis_order((2.0, 1), 0),
+                "entries must be of type int: (2.0, 1)",
+            ),
+            (
+                lambda: MeanderWindow.from_axis_order((1, 2), anchor_morse=True),
+                "anchor Morse number must be of type int, got bool",
+            ),
+        ],
+        ids=["bool-rank", "bool-anchor", "float-anchor", "float-order", "bool-anchor-order"],
+    )
+    def test_entries_and_anchor_are_exact_ints(self, build, message):
+        # True on the diagonal of window_z and an anchor of 0.5 used to pass
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
     def test_value_record(self, perm7):
         win = MeanderWindow.from_permutation(perm7, 2, 6)
         twin = MeanderWindow(axis_rank=list(win.axis_rank), anchor_morse=win.anchor_morse)
