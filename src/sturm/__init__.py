@@ -13,9 +13,10 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# The public names of each submodule. A name is imported on first access
-# (PEP 562), so ``import sturm`` loads no submodule and each ``sturm``
-# command loads only the modules it runs.
+# The one list of public names, by the submodule that defines them; the
+# submodules keep no ``__all__`` of their own. A name is imported on first
+# access (PEP 562), so ``import sturm`` loads no submodule and each
+# ``sturm`` command loads only the modules it runs.
 _EXPORTS = {
     "attractor": (
         "AttractorModel",

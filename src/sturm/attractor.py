@@ -45,23 +45,6 @@ if TYPE_CHECKING:
     # uses it, so importing the package does not load it.
     import networkx as nx
 
-__all__ = [
-    "AttractorModel",
-    "build_model",
-    "is_z_adjacent",
-    "connects",
-    "connection_graph",
-    "NeighborQuartet",
-    "boundary_neighbors",
-    "target_set",
-    "MinimaxExtrema",
-    "minimax",
-    "MinimaxCase",
-    "MinimaxReport",
-    "minimax_report",
-    "NEIGHBOR_SLOTS",
-]
-
 Iota = Literal[0, 1]
 
 # Builds a NamedTuple from the tuple of all its fields in order, at about

@@ -17,8 +17,6 @@ from .perm import SturmPermutation, apply_kappa, apply_tau
 from .suspension import _suspend_labels, _suspension_items, suspend
 from .zeros import MeanderWindow, window_z, z_pair_nsl
 
-__all__ = ["PropertyResult", "HarnessReport", "property_harness"]
-
 
 class PropertyResult:
     def __init__(self, name: str):

@@ -37,17 +37,6 @@ from .perm import (
     SturmPermutation, _check_labels, _echo_int, _require_sturm, is_dissipative, is_morse
 )
 
-__all__ = [
-    "Arc",
-    "MeanderDiagram",
-    "build_diagram",
-    "is_meander",
-    "is_sturm",
-    "CrossingCount",
-    "crossing_number",
-    "quadrant_parity",
-]
-
 Side = Literal["above", "below"]
 
 

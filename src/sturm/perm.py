@@ -28,21 +28,6 @@ from typing import NamedTuple, Sequence
 
 from .errors import NotSturmError, ParseError
 
-__all__ = [
-    "SturmPermutation",
-    "identity",
-    "parse_permutation",
-    "format_permutation",
-    "inverse",
-    "is_dissipative",
-    "morse_indices",
-    "is_morse",
-    "apply_tau",
-    "apply_kappa",
-    "klein_orbit",
-    "KleinOrbit",
-]
-
 
 def _check_labels(n: int, **labels: int) -> None:
     for name, label in labels.items():
@@ -174,8 +159,11 @@ def _echo_int(value: int) -> str:
     # An integer shown in an error line: its sign and at most 20 digits,
     # then "..." if it has more. The digits are read off a quotient, since
     # str() refuses an int longer than sys.get_int_max_str_digits(). Any
-    # other value is shown as str() shows it.
-    if not isinstance(value, int) or -(10**20) < value < 10**20:
+    # other value is shown by its repr, cut after 20 characters.
+    if not isinstance(value, int):
+        text = repr(value)
+        return text if len(text) <= 20 else text[:20] + "..."
+    if -(10**20) < value < 10**20:
         return str(value)
     magnitude = abs(value)
     head = str(magnitude // 10 ** (magnitude.bit_length() * 3 // 10 - 20))[:20]

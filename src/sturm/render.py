@@ -10,9 +10,7 @@ from typing import NamedTuple
 
 from .errors import NotMeanderError
 from .meander import build_diagram, is_meander
-from .perm import SturmPermutation
-
-__all__ = ["RenderStyle", "render_svg"]
+from .perm import SturmPermutation, _echo_int
 
 MAX_SCALE = 10**6  # px; far larger scales overflow the float coordinates
 MARGIN = 40  # px around the drawing
@@ -35,10 +33,13 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
 
     Raises :class:`NotMeanderError` for permutations whose arc families
     cross; drawings of those would be self-intersecting. Raises
-    ``ValueError`` for a ``style.scale`` outside ``1..MAX_SCALE``.
+    ``ValueError`` for a ``style.scale`` that is not an int in
+    ``1..MAX_SCALE``.
     """
+    if type(style.scale) is not int:
+        raise ValueError(f"scale must be of type int, got {type(style.scale).__name__}")
     if not 1 <= style.scale <= MAX_SCALE:
-        raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {style.scale}")
+        raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {_echo_int(style.scale)}")
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n

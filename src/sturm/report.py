@@ -75,8 +75,6 @@ from .attractor import (
     minimax_report,
 )
 
-__all__ = ["minimax_record", "analyze_record", "to_json", "dot_graph"]
-
 
 def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     """JSON-ready record of one equilibrium's minimax analysis."""

@@ -29,8 +29,6 @@ if TYPE_CHECKING:
     # (``sturm suspend``) does not import it.
     from .attractor import Analysis
 
-__all__ = ["SuspensionResult", "suspend", "CheckItem", "SuspensionReport", "verify_suspension"]
-
 
 class SuspensionResult(NamedTuple):
     """Original and suspended permutation; inner label j maps to j + 1."""

@@ -37,18 +37,6 @@ from .perm import (
     _require_sturm,
 )
 
-__all__ = [
-    "ZeroMatrix",
-    "z_matrix",
-    "z_pair_nsl",
-    "SignedZero",
-    "signed_z",
-    "MeanderWindow",
-    "window_morse",
-    "window_z",
-    "matrix_text",
-]
-
 Sign = Literal["+", "-"]
 
 

@@ -714,6 +714,26 @@ def test_each_command_loads_only_its_modules():
 
 
 @pytest.mark.parametrize(
+    "command, expected", [("validate", _BASE), ("analyze", _ANALYSIS)], ids=["validate", "analyze"]
+)
+def test_module_run_loads_only_its_modules(command, expected):
+    # ``python -m sturm`` also runs the package loader and ``__main__``;
+    # -X importtime names on stderr every module the interpreter imports.
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "sturm", command, PERM7_TEXT],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert {m for m in imported if m.startswith("sturm.")} == {f"sturm.{m}" for m in expected}
+
+
+@pytest.mark.parametrize(
     "argv",
     [["suspend", "--times", "20000", PERM7_TEXT], ["enumerate", "--n", "15", "--bound", "15"]],
     ids=["suspend", "enumerate"],

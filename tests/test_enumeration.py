@@ -62,8 +62,25 @@ class TestEnumerate:
             (4, {}, "size must be odd and positive, got 4"),
             (13, {}, "size 13 exceeds the configured bound 11"),
             (7, {"bound": 5, "engine": "filter"}, "size 7 exceeds the configured bound 5"),
+            # bool and float sizes compare like ints: 5.0 failed only at
+            # the first member, True gave the n = 1 family and a bound of
+            # 11.5 counted like 11
+            (5.0, {}, "size must be of type int, got float"),
+            (True, {}, "size must be of type int, got bool"),
+            (5, {"bound": 11.5}, "bound must be of type int, got float"),
+            (5, {"bound": True}, "bound must be of type int, got bool"),
         ],
-        ids=["engine", "auto-engine", "even", "bound", "filter-bound"],
+        ids=[
+            "engine",
+            "auto-engine",
+            "even",
+            "bound",
+            "filter-bound",
+            "float-size",
+            "bool-size",
+            "float-bound",
+            "bool-bound",
+        ],
     )
     def test_arguments_checked_at_call(self, n, kwargs, message):
         # The call raises; no iteration is needed to see the error.
@@ -128,6 +145,11 @@ class TestHarness:
         assert report.passed
         assert report.permutations == 4
         assert report.counts == {1: 1, 3: 1, 5: 2}
+
+    def test_float_size_rejected_at_call(self):
+        # used to raise TypeError from deep inside the enumeration
+        with pytest.raises(ValueError, match="^size must be of type int, got float$"):
+            property_harness(7.0)
 
     def test_text_summary(self):
         report = property_harness(5)

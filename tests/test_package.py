@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import subprocess
 import sys
@@ -14,13 +15,28 @@ def test_public_names_are_the_submodule_objects():
         assert getattr(sturm, name) is getattr(module, name), name
 
 
-def test_exports_match_every_module_all():
-    names = [m.name for m in pkgutil.iter_modules(sturm.__path__) if m.name != "__main__"]
-    assert set(sturm._EXPORTS) < set(names)
-    for name in names:
+def test_exports_name_every_public_definition():
+    # ``_EXPORTS`` is the one list of public names: every function and
+    # class a submodule defines without a leading underscore is in it,
+    # every name in it is an attribute of its submodule, and no submodule
+    # keeps a second list in ``__all__``.
+    api = sorted(
+        m.name for m in pkgutil.iter_modules(sturm.__path__) if m.name not in ("cli", "__main__")
+    )
+    assert sorted(sturm._EXPORTS) == api
+    for name in api:
         module = importlib.import_module(f"sturm.{name}")
-        if hasattr(module, "__all__"):
-            assert set(module.__all__) == set(sturm._EXPORTS.get(name, ())), name
+        exported = set(sturm._EXPORTS[name])
+        defined = {
+            attr
+            for attr, value in vars(module).items()
+            if not attr.startswith("_")
+            and (inspect.isfunction(value) or inspect.isclass(value))
+            and value.__module__ == module.__name__
+        }
+        assert defined <= exported, (name, sorted(defined - exported))
+        assert all(hasattr(module, attr) for attr in exported), name
+        assert not hasattr(module, "__all__"), name
 
 
 def test_star_import_binds_all_public_names():

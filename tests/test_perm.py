@@ -126,8 +126,11 @@ class TestConstruction:
             # at first use, in ``inv``
             ((True, 2, 3), "entries must be of type int: (True, 2, 3)"),
             ((1.0, 2.0, 3.0), "entries must be of type int: (1.0, 2.0, 3.0)"),
+            # str() showed the string "2" as the int 2
+            ((1, "2", 3), "entries must be of type int: (1, '2', 3)"),
+            ((1, "x" * 30, 3), f"entries must be of type int: (1, '{'x' * 19}..., 3)"),
         ],
-        ids=["bool", "float"],
+        ids=["bool", "float", "str", "long-str"],
     )
     def test_rejects_non_int_entries(self, entries, message):
         with pytest.raises(ValueError) as info:

@@ -46,12 +46,29 @@ def test_rejects_non_meander():
         render_svg(SturmPermutation((1, 3, 2, 4, 5)))
 
 
-@pytest.mark.parametrize("scale", [0, -5, MAX_SCALE + 1, 10**400])
-def test_scale_out_of_range_rejected(perm7, scale):
-    # 10**400 used to raise OverflowError from the float coordinates
+_HUGE = "10000000000000000000..."  # an int over 20 digits, as error lines echo it
+
+
+@pytest.mark.parametrize(
+    "scale, message",
+    [
+        (0, "scale must be in 1..1000000, got 0"),
+        (-5, "scale must be in 1..1000000, got -5"),
+        (MAX_SCALE + 1, "scale must be in 1..1000000, got 1000001"),
+        # 10**400 used to raise OverflowError from the float coordinates
+        (10**400, f"scale must be in 1..1000000, got {_HUGE}"),
+        # str() refuses an int this long
+        (10**5000, f"scale must be in 1..1000000, got {_HUGE}"),
+        # 1.5 drew at width="89.0" and True at scale 1
+        (1.5, "scale must be of type int, got float"),
+        (True, "scale must be of type int, got bool"),
+    ],
+    ids=["0", "-5", "1000001", str(10**400), "10**5000", "1.5", "True"],
+)
+def test_scale_out_of_range_rejected(perm7, scale, message):
     with pytest.raises(ValueError) as exc_info:
         render_svg(perm7, RenderStyle(scale=scale))
-    assert str(exc_info.value) == f"scale must be in 1..1000000, got {scale}"
+    assert str(exc_info.value) == message
 
 
 @pytest.mark.parametrize("scale", [1, MAX_SCALE])
