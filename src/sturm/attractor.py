@@ -37,7 +37,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Sequence
 
-from .perm import SturmPermutation, _check_labels, _echo_int, _Frozen, _require_sturm
+from .perm import SturmPermutation, _check_int, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
 
 if TYPE_CHECKING:
@@ -116,18 +116,20 @@ def is_z_adjacent(model: AttractorModel, j: int, k: int) -> tuple[bool, Optional
     blocking label. Blocking means a label strictly between j and k whose
     zero numbers against both endpoints equal the endpoint pair's own.
     """
+    _check_int(j, "label j", 1, model.n)
+    _check_int(k, "label k", 1, model.n)
     if j == k:
         raise ValueError("z-adjacency requires distinct labels")
-    _check_labels(model.n, j=j, k=k)
     w = _blocker(model.z.values, j, k)
     return (w is None), w
 
 
 def connects(model: AttractorModel, j: int, k: int) -> bool:
     """Heteroclinic connection criterion: Morse drop plus z-adjacency."""
+    _check_int(j, "label j", 1, model.n)
+    _check_int(k, "label k", 1, model.n)
     if j == k:
         raise ValueError("connection test requires distinct labels")
-    _check_labels(model.n, j=j, k=k)
     return model.morse[j - 1] > model.morse[k - 1] and _blocker(model.z.values, j, k) is None
 
 
@@ -195,7 +197,7 @@ def boundary_neighbors(model: AttractorModel, base: int) -> NeighborQuartet:
     >>> boundary_neighbors(model, 3)
     NeighborQuartet(w0_minus=2, w0_plus=4, w1_minus=6, w1_plus=2)
     """
-    _check_labels(model.n, base=base)
+    _check_int(base, "label base", 1, model.n)
     return _neighbors(model.p, base)
 
 
@@ -223,8 +225,7 @@ def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]
     [4, 5, 6]
     """
     n_base = _unstable_morse(model, base)
-    if not 0 <= k < n_base:
-        raise ValueError(f"level k={_echo_int(k)} out of range 0..{n_base - 1}")
+    _check_int(k, "level k", 0, n_base - 1)
     if sign not in ("+", "-"):
         raise ValueError(f"sign {sign!r} is not '+' or '-'")
     return set(_buckets(model, base)[2 * k + (sign == "-")])
@@ -289,9 +290,7 @@ def _extrema(p: SturmPermutation, base: int, members: Sequence[int]) -> MinimaxE
 
 
 def _unstable_morse(model: AttractorModel, base: int) -> int:
-    n = model.p.n
-    if not 1 <= base <= n:
-        _check_labels(n, base=base)  # raises
+    _check_int(base, "label base", 1, model.p.n)
     n_base = model.morse[base - 1]
     if n_base < 1:
         raise ValueError(f"equilibrium {base} is stable")

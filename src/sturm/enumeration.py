@@ -30,25 +30,11 @@ import itertools
 from typing import Iterator, Literal
 
 from .meander import is_meander
-from .perm import SturmPermutation, _echo_int, is_morse
+from .perm import SturmPermutation, _check_size, is_morse
 
 DEFAULT_BOUND = 11
 
 Engine = Literal["backtrack", "filter"]
-
-
-def _check_size(n: int, bound: int) -> None:
-    # bool and float sizes compare like ints, so the type test comes first.
-    for name, value in (("size", n), ("bound", bound)):
-        if type(value) is not int:
-            kind = type(value).__name__
-            raise ValueError(f"{name} must be of type int, got {kind}")
-    if n < 1 or n % 2 == 0:
-        raise ValueError(f"size must be odd and positive, got {_echo_int(n)}")
-    if n > bound:
-        raise ValueError(
-            f"size {_echo_int(n)} exceeds the configured bound {_echo_int(bound)}"
-        )
 
 
 def _enumerate_filter(n: int) -> Iterator[SturmPermutation]:

@@ -11,9 +11,9 @@ import random
 from typing import Callable, Optional
 
 from .attractor import Analysis, MinimaxExtrema, MinimaxReport, _analyze, boundary_neighbors
-from .enumeration import DEFAULT_BOUND, _check_size, enumerate_sturm
+from .enumeration import DEFAULT_BOUND, enumerate_sturm
 from .meander import crossing_number
-from .perm import SturmPermutation, apply_kappa, apply_tau
+from .perm import SturmPermutation, _check_size, apply_kappa, apply_tau
 from .suspension import _suspend_labels, _suspension_items, suspend
 from .zeros import MeanderWindow, window_z, z_pair_nsl
 
@@ -39,6 +39,7 @@ class PropertyResult:
 
 class HarnessReport:
     def __init__(self, n_max: int):
+        _check_size(n_max)
         self.n_max = n_max
         self.permutations = 0
         self.counts: dict[int, int] = {}

@@ -34,10 +34,11 @@ from operator import lt
 from typing import Literal, NamedTuple, Sequence
 
 from .perm import (
-    SturmPermutation, _check_labels, _echo_int, _require_sturm, is_dissipative, is_morse
+    SturmPermutation, _check_int, _require_sturm, is_dissipative, is_morse
 )
 
 Side = Literal["above", "below"]
+_NO_ARC = "label {value} has no outgoing arc (need 1 <= j < {end})"
 
 
 class Arc(NamedTuple):
@@ -206,9 +207,9 @@ def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCo
     >>> crossing_number(p, 7, 1, 4).value
     -1
     """
-    n = p.n
-    if not (1 <= j <= n and 1 <= k <= n and 1 <= ell <= n):
-        _check_labels(n, j=j, k=k, ell=ell)  # raises
+    _check_int(j, "label j", 1, p.n)
+    _check_int(k, "label k", 1, p.n)
+    _check_int(ell, "label ell", 1, p.n)
     value = _crossings(p.inv, 0, min(j, k), max(j, k), ell)
     return CrossingCount(value=-value if j > k else value, j=j, k=k, ell=ell)
 
@@ -219,8 +220,7 @@ def quadrant_parity(p: SturmPermutation, j: int) -> Literal["odd", "even"]:
     "odd" when the Morse number rises across the step to j+1, "even" when
     it falls; this is the case selector of the zero-number formula.
     """
-    if not 1 <= j < p.n:
-        raise ValueError(f"label {_echo_int(j)} has no outgoing arc (need 1 <= j < {p.n})")
+    _check_int(j, "label j", 1, p.n - 1, _NO_ARC)
     _require_sturm(p)
     morse = p.morse
     return "odd" if morse[j] == morse[j - 1] + 1 else "even"

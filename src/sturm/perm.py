@@ -20,19 +20,42 @@ and permutations built with ``SturmPermutation(...)`` stay untrusted until
 gated. The tests and the property harness still prove each of these laws
 by calling :func:`sturm.meander.is_sturm` on the images, never by reading
 the cached answer.
+
+Every int argument of the API (label, level, size) passes one gate,
+:func:`_check_int`: an exact ``int`` first, since ``True`` and ``2.0``
+compare like ints, then its range.
 """
 from __future__ import annotations
 
+import sys
 from functools import cached_property
+from math import inf
 from typing import NamedTuple, Sequence
 
 from .errors import NotSturmError, ParseError
 
 
-def _check_labels(n: int, **labels: int) -> None:
-    for name, label in labels.items():
-        if not 1 <= label <= n:
-            raise ValueError(f"label {name}={_echo_int(label)} out of range 1..{n}")
+_RANGE = "{name}={value} out of range {lo}..{hi}"
+
+
+def _check_int(value: int, name: str, lo: float = -inf, hi: float = inf, line=_RANGE) -> None:
+    # The one test of an int argument: an exact int in lo..hi, else a ValueError
+    # whose ``line`` is formatted with name, value, lo, hi and end = hi + 1.
+    if type(value) is not int:
+        raise ValueError(f"{name} must be of type int, got {type(value).__name__}")
+    if not lo <= value <= hi:
+        raise ValueError(line.format(name=name, value=_echo_int(value), lo=lo, hi=hi, end=hi + 1))
+
+
+def _check_size(n: int, bound: int = sys.maxsize) -> None:
+    # The size rule of identity, the enumerators and the harness: types first,
+    # then an odd positive size within the bound (by default, a tuple's limit).
+    _check_int(n, "size")
+    _check_int(bound, "bound")
+    if n < 1 or n % 2 == 0:
+        raise ValueError(f"size must be odd and positive, got {_echo_int(n)}")
+    if n > bound:
+        raise ValueError(f"size {_echo_int(n)} exceeds the configured bound {_echo_int(bound)}")
 
 
 def _sign(x: int) -> int:
@@ -116,12 +139,12 @@ class SturmPermutation(_Frozen):
 
     def sigma(self, k: int) -> int:
         """Label at axis position k (1-based)."""
-        _check_labels(self.n, k=k)
+        _check_int(k, "label k", 1, self.n)
         return self.map[k - 1]
 
     def position(self, j: int) -> int:
         """Axis position of meander label j (1-based)."""
-        _check_labels(self.n, j=j)
+        _check_int(j, "label j", 1, self.n)
         return self.inv[j - 1]
 
     def __str__(self) -> str:
@@ -129,11 +152,12 @@ class SturmPermutation(_Frozen):
 
 
 def identity(n: int) -> SturmPermutation:
-    """The identity permutation of odd size n.
+    """The identity permutation of odd size n, at most ``sys.maxsize``.
 
     >>> identity(5).morse
     (0, 1, 0, 1, 0)
     """
+    _check_size(n)
     return SturmPermutation(tuple(range(1, n + 1)))
 
 
@@ -219,19 +243,18 @@ def parse_permutation(text: str, zero_based: bool = False) -> SturmPermutation:
     (1, 8, 3, 4, 7, 6, 5, 2, 9)
     """
     values = _parse_ints(text, "empty input")
-    if zero_based:
-        values = [v + 1 for v in values]
     n = len(values)
     if n % 2 == 0:
         raise ParseError(f"crossing count must be odd, got {n} entries")
+    lo = 0 if zero_based else 1  # errors quote the labels as typed
     seen: dict[int, int] = {}
     for idx, v in enumerate(values, start=1):
-        if not 1 <= v <= n:
-            raise ParseError(f"label {_echo_int(v)} out of range 1..{n}", position=idx)
+        if not lo <= v < lo + n:
+            raise ParseError(f"label {_echo_int(v)} out of range {lo}..{lo + n - 1}", position=idx)
         if v in seen:
             raise ParseError(f"duplicate label {v}, first at token {seen[v]}", position=idx)
         seen[v] = idx
-    return SturmPermutation(tuple(values))
+    return SturmPermutation(tuple(v + 1 for v in values) if zero_based else tuple(values))
 
 
 def format_permutation(p: SturmPermutation, zero_based: bool = False) -> str:

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from .errors import NotMeanderError
 from .meander import build_diagram, is_meander
-from .perm import SturmPermutation, _echo_int
+from .perm import SturmPermutation, _check_int
 
 MAX_SCALE = 10**6  # px; far larger scales overflow the float coordinates
 MARGIN = 40  # px around the drawing
@@ -36,10 +36,7 @@ def render_svg(p: SturmPermutation, style: RenderStyle = RenderStyle()) -> str:
     ``ValueError`` for a ``style.scale`` that is not an int in
     ``1..MAX_SCALE``.
     """
-    if type(style.scale) is not int:
-        raise ValueError(f"scale must be of type int, got {type(style.scale).__name__}")
-    if not 1 <= style.scale <= MAX_SCALE:
-        raise ValueError(f"scale must be in 1..{MAX_SCALE}, got {_echo_int(style.scale)}")
+    _check_int(style.scale, "scale", 1, MAX_SCALE, "scale must be in 1..{hi}, got {value}")
     if not is_meander(p):
         raise NotMeanderError(f"not a meander permutation: {p}")
     n = p.n

@@ -22,7 +22,7 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .meander import is_sturm
-from .perm import SturmPermutation, _check_labels, _derived, _require_sturm
+from .perm import SturmPermutation, _check_int, _derived, _require_sturm
 
 if TYPE_CHECKING:
     # The attractor loads only for verification, so suspending alone
@@ -37,7 +37,7 @@ class SuspensionResult(NamedTuple):
     suspended: SturmPermutation
 
     def inner_image(self, j: int) -> int:
-        _check_labels(self.original.n, j=j)
+        _check_int(j, "label j", 1, self.original.n)
         return j + 1
 
 

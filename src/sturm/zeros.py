@@ -29,15 +29,11 @@ from typing import Literal, NamedTuple, Sequence
 from .errors import WindowError
 from .meander import _pair_zero
 from .perm import (
-    SturmPermutation,
-    _check_bijection,
-    _check_labels,
-    _Frozen,
-    _morse_recursion,
-    _require_sturm,
+    SturmPermutation, _check_bijection, _check_int, _Frozen, _morse_recursion, _require_sturm
 )
 
 Sign = Literal["+", "-"]
+_NEGATIVE_ANCHOR = "anchor Morse number must be non-negative"
 
 
 class ZeroMatrix(NamedTuple):
@@ -57,17 +53,15 @@ class ZeroMatrix(NamedTuple):
 
     def pair(self, j: int, k: int) -> int:
         """Zero number z(v_k - v_j) for distinct labels j, k."""
+        n = len(self.values)
+        _check_int(j, "label j", 1, n)
+        _check_int(k, "label k", 1, n)
         if j == k:
             raise ValueError("zero number of a pair requires distinct labels")
-        n = len(self.values)
-        if not (1 <= j <= n and 1 <= k <= n):
-            _check_labels(n, j=j, k=k)  # raises
         return self.values[j - 1][k - 1]
 
     def morse(self, j: int) -> int:
-        n = len(self.values)
-        if not 1 <= j <= n:
-            _check_labels(n, j=j)  # raises
+        _check_int(j, "label j", 1, len(self.values))
         return self.values[j - 1][j - 1]
 
 
@@ -115,11 +109,14 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     Evaluated on (min, max) since the zero number is symmetric and the
     identity is stated for ordered pairs. Independent of :func:`z_matrix`.
     """
+    # Types by argument, ranges by order: the smaller label is j.
+    _check_int(j, "label j")
+    _check_int(k, "label k")
     if j == k:
         raise ValueError("zero number of a pair requires distinct labels")
-    lo, hi, n = min(j, k), max(j, k), p.n
-    if not (1 <= lo <= n and 1 <= hi <= n):
-        _check_labels(n, j=lo, k=hi)  # raises
+    lo, hi = (j, k) if j < k else (k, j)
+    _check_int(lo, "label j", 1, p.n)
+    _check_int(hi, "label k", 1, p.n)
     _require_sturm(p)
     return _pair_zero(p.inv, p.morse, lo, hi)
 
@@ -143,6 +140,8 @@ def signed_z(p: SturmPermutation, base: int, w: int) -> SignedZero:
     >>> signed_z(SturmPermutation((1, 4, 5, 6, 3, 2, 7)), 3, 2)
     SignedZero(z=1, sign='-')
     """
+    _check_int(base, "label base")
+    _check_int(w, "label w")
     if base == w:
         raise ValueError("signed zero number requires distinct labels")
     return SignedZero(z=z_pair_nsl(p, base, w), sign="+" if w > base else "-")
@@ -167,11 +166,7 @@ class MeanderWindow(_Frozen):
         if L < 2:
             raise ValueError("window needs at least two labels")
         _check_bijection(ranks, "axis ranks must be a bijection")
-        if type(anchor_morse) is not int:
-            kind = type(anchor_morse).__name__
-            raise ValueError(f"anchor Morse number must be of type int, got {kind}")
-        if anchor_morse < 0:
-            raise ValueError("anchor Morse number must be non-negative")
+        _check_int(anchor_morse, "anchor Morse number", 0, line=_NEGATIVE_ANCHOR)
         object.__setattr__(self, "axis_rank", ranks)
         object.__setattr__(self, "anchor_morse", anchor_morse)
 
@@ -206,15 +201,12 @@ class MeanderWindow(_Frozen):
     @classmethod
     def from_permutation(cls, p: SturmPermutation, first: int, last: int) -> "MeanderWindow":
         """Window of the labels first..last of a Sturm permutation."""
-        if not 1 <= first < last <= p.n:
-            raise ValueError(f"need 1 <= first < last <= {p.n}")
+        span = "need 1 <= first < last <= {hi}"
+        _check_int(first, "first", 1, p.n, span)
+        _check_int(last, "last", first + 1, p.n, span)
         _require_sturm(p)
-        positions = p.inv[first - 1 : last]
-        by_pos = sorted(range(len(positions)), key=positions.__getitem__)
-        ranks = [0] * len(positions)
-        for rank, t in enumerate(by_pos, start=1):
-            ranks[t] = rank
-        return cls(axis_rank=tuple(ranks), anchor_morse=p.morse[first - 1])
+        order = [t - first + 1 for t in p.map if first <= t <= last]
+        return cls.from_axis_order(order, p.morse[first - 1])
 
 
 def window_morse(win: MeanderWindow) -> tuple[int, ...]:

@@ -68,6 +68,19 @@ class TestValidate:
         status, out, _ = run(capsys, "validate", "0 3 4 5 2 1 6", "--zero-based-input")
         assert status == 0 and "sturm: true" in out
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 5 2", "label 5 out of range 0..2 (token 2)"),
+            ("-1 1 2", "label -1 out of range 0..2 (token 1)"),
+            ("0 1 1", "duplicate label 1, first at token 2 (token 3)"),
+        ],
+    )
+    def test_zero_based_errors_quote_the_input(self, capsys, text, line):
+        # labels as typed, in the range 0..n-1 of the input, not shifted up
+        result = run(capsys, "validate", "--zero-based-input", text)
+        assert result == (2, "", f"error: parse: {line}\n")
+
 
 class TestAnalyze:
     def test_report_fields(self, capsys):
@@ -492,8 +505,9 @@ class TestIntegerTokens:
             ),
             (
                 ["validate", "--zero-based-input", "0 1 " + "9" * 4300],
-                # one more than 4,300 nines: more digits than str() writes
-                f"error: parse: label 1{'0' * 19}... out of range 1..3 (token 3)\n",
+                # echoed as typed, not shifted up to 10**4300; 4,300 digits
+                # are the most a token may have (one more is non-integer)
+                f"error: parse: label {NINES_CUT} out of range 0..2 (token 3)\n",
             ),
             (
                 ["minimax", "--eq", "9" * 400, PERM7_TEXT],

@@ -63,3 +63,37 @@ def test_bare_import_loads_no_submodule_and_reaches_them_by_attribute():
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _int_parameters():
+    # "qualname.parameter" for every parameter annotated int of the public
+    # functions and methods, but not of the generated constructors of the
+    # NamedTuple records, which only store their fields.
+    found = set()
+    for name in sturm.__all__:
+        obj = getattr(sturm, name)
+        if inspect.isfunction(obj):
+            callables = [(name, obj)]
+        elif inspect.isclass(obj):
+            callables = [
+                (f"{name}.{attr}", getattr(value, "__func__", value))
+                for attr, value in vars(obj).items()
+                if inspect.isfunction(getattr(value, "__func__", value))
+                and not (attr == "__new__" and hasattr(obj, "_fields"))
+            ]
+        else:
+            continue
+        for qualname, function in callables:
+            for param in inspect.signature(function).parameters.values():
+                if param.annotation in ("int", int):
+                    found.add(f"{qualname}.{param.name}")
+    return found
+
+
+def test_every_int_argument_has_a_gate_row():
+    # A new API with an int argument fails here until the gate table of
+    # tests/test_perm.py gets a row for it, so no argument skips the gate.
+    from test_perm import _INT_ARGS
+
+    rows = {row[0] for row in _INT_ARGS.values()}
+    assert _int_parameters() | {"RenderStyle.scale"} == rows

@@ -1,17 +1,23 @@
+import sys
+
 import pytest
 
 import sturm.meander
 from conftest import PERM15, PERM7
 from sturm import (
+    HarnessReport,
     KleinOrbit,
     MeanderWindow,
     NotSturmError,
     ParseError,
+    RenderStyle,
     SturmPermutation,
     apply_kappa,
     apply_tau,
+    boundary_neighbors,
     build_model,
     connects,
+    count_sturm,
     crossing_number,
     enumerate_sturm,
     format_permutation,
@@ -21,9 +27,14 @@ from sturm import (
     is_morse,
     is_z_adjacent,
     klein_orbit,
+    minimax,
+    minimax_report,
     morse_indices,
     parse_permutation,
+    property_harness,
     quadrant_parity,
+    render_svg,
+    signed_z,
     suspend,
     target_set,
     z_matrix,
@@ -89,7 +100,8 @@ class TestParse:
 
     def test_echo_int_shows_other_numbers_as_str(self):
         assert _echo_int(1e30) == "1e+30"
-        with pytest.raises(ValueError, match=r"^label j=1e\+30 out of range 1\.\.3$"):
+        # A float label is refused for its type before its range is read.
+        with pytest.raises(ValueError, match=r"^label j must be of type int, got float$"):
             SturmPermutation((1, 2, 3)).position(1e30)
 
     def test_out_of_range(self):
@@ -331,35 +343,172 @@ class TestKleinOrbit:
 
 
 _P3 = SturmPermutation((1, 2, 3))
-_LABEL_J = "label j={} out of range 1..3"
-_HUGE_CALLS = {
-    "connects": (lambda v: connects(build_model(_P3), v, 1), _LABEL_J),
-    "is_z_adjacent": (lambda v: is_z_adjacent(build_model(_P3), v, 1), _LABEL_J),
-    "pair": (lambda v: z_matrix(_P3).pair(v, 1), _LABEL_J),
-    "position": (lambda v: _P3.position(v), _LABEL_J),
-    "crossing_number": (lambda v: crossing_number(_P3, v, 1, 1), _LABEL_J),
-    "inner_image": (lambda v: suspend(_P3).inner_image(v), _LABEL_J),
+_M3 = build_model(_P3)  # morse (0, 1, 0): base 2 is unstable with level 0 only
+_BIG = 10**5000  # str() refuses an int of more than 4,300 digits
+
+
+def _label(name):
+    # A label row's type name and its line for 0, _BIG and -_BIG alike.
+    return f"label {name}", (f"label {name}={{}} out of range 1..3",) * 3
+
+
+# _BIG is even, so a size refuses it as even; a bound accepts it.
+_SIZE = ("size", ("size must be odd and positive, got {}",) * 3)
+
+
+def _bound(n):
+    line = f"size {n} exceeds the configured bound {{}}"
+    return "bound", (line, None, line)
+
+
+_SPAN = ("need 1 <= first < last <= 3",) * 3
+# z_pair_nsl reads its range by order: the smaller label is j, the larger k.
+_ORDERED = tuple(f"label {x}={{}} out of range 1..3" for x in "jkj")
+_ANCHOR = (None, None, "anchor Morse number must be non-negative")
+
+# The table of the int-argument gate, one row per public label, level and
+# size argument: the argument as "qualname.parameter", a call that passes
+# it the value v, the name its type line gives, and its lines for v = 0,
+# _BIG and -_BIG ({} is the value as the line shows it; None where the
+# value is valid). tests/test_package.py checks that no argument is missing.
+_INT_ARGS = {
+    "sigma": ("SturmPermutation.sigma.k", lambda v: _P3.sigma(v), *_label("k")),
+    "position": ("SturmPermutation.position.j", lambda v: _P3.position(v), *_label("j")),
+    "identity": ("identity.n", identity, *_SIZE),
+    "crossing_number": ("crossing_number.j", lambda v: crossing_number(_P3, v, 3, 2), *_label("j")),
+    "crossing_number_k": ("crossing_number.k", lambda v: crossing_number(_P3, 1, v, 2), *_label("k")),
+    "crossing_number_ell": (
+        "crossing_number.ell", lambda v: crossing_number(_P3, 1, 3, v), *_label("ell")
+    ),
     "quadrant_parity": (
+        "quadrant_parity.j",
         lambda v: quadrant_parity(_P3, v),
-        "label {} has no outgoing arc (need 1 <= j < 3)",
+        "label j",
+        ("label {} has no outgoing arc (need 1 <= j < 3)",) * 3,
+    ),
+    "pair": ("ZeroMatrix.pair.j", lambda v: z_matrix(_P3).pair(v, 3), *_label("j")),
+    "pair_k": ("ZeroMatrix.pair.k", lambda v: z_matrix(_P3).pair(1, v), *_label("k")),
+    "morse": ("ZeroMatrix.morse.j", lambda v: z_matrix(_P3).morse(v), *_label("j")),
+    "z_pair_nsl": ("z_pair_nsl.j", lambda v: z_pair_nsl(_P3, v, 3), "label j", _ORDERED),
+    "z_pair_nsl_k": ("z_pair_nsl.k", lambda v: z_pair_nsl(_P3, 1, v), "label k", _ORDERED),
+    "signed_z": ("signed_z.base", lambda v: signed_z(_P3, v, 3), "label base", _ORDERED),
+    "signed_z_w": ("signed_z.w", lambda v: signed_z(_P3, 1, v), "label w", _ORDERED),
+    "window_anchor": (
+        "MeanderWindow.__init__.anchor_morse",
+        lambda v: MeanderWindow((1, 2), v),
+        "anchor Morse number",
+        _ANCHOR,
+    ),
+    "from_axis_order": (
+        "MeanderWindow.from_axis_order.anchor_morse",
+        lambda v: MeanderWindow.from_axis_order((2, 1), v),
+        "anchor Morse number",
+        _ANCHOR,
+    ),
+    "from_permutation": (
+        "MeanderWindow.from_permutation.first",
+        lambda v: MeanderWindow.from_permutation(_P3, v, 3),
+        "first",
+        _SPAN,
+    ),
+    "from_permutation_last": (
+        "MeanderWindow.from_permutation.last",
+        lambda v: MeanderWindow.from_permutation(_P3, 1, v),
+        "last",
+        _SPAN,
+    ),
+    "is_z_adjacent": ("is_z_adjacent.j", lambda v: is_z_adjacent(_M3, v, 3), *_label("j")),
+    "is_z_adjacent_k": ("is_z_adjacent.k", lambda v: is_z_adjacent(_M3, 1, v), *_label("k")),
+    "connects": ("connects.j", lambda v: connects(_M3, v, 3), *_label("j")),
+    "connects_k": ("connects.k", lambda v: connects(_M3, 1, v), *_label("k")),
+    "boundary_neighbors": (
+        "boundary_neighbors.base", lambda v: boundary_neighbors(_M3, v), *_label("base")
     ),
     "target_set_base": (
-        lambda v: target_set(build_model(_P3), v, 0, "+"),
-        "label base={} out of range 1..3",
+        "target_set.base", lambda v: target_set(_M3, v, 0, "+"), *_label("base")
     ),
     "target_set_k": (
-        lambda v: target_set(build_model(_P3), 2, v, "+"),
-        "level k={} out of range 0..0",
+        "target_set.k",
+        lambda v: target_set(_M3, 2, v, "+"),
+        "level k",
+        (None, "level k={} out of range 0..0", "level k={} out of range 0..0"),
+    ),
+    "minimax": ("minimax.base", lambda v: minimax(_M3, v, 0, "+"), *_label("base")),
+    "minimax_k": (
+        "minimax.k",
+        lambda v: minimax(_M3, 2, v, "+"),
+        "level k",
+        (None, "level k={} out of range 0..0", "level k={} out of range 0..0"),
+    ),
+    "minimax_report": ("minimax_report.base", lambda v: minimax_report(_M3, v), *_label("base")),
+    "inner_image": (
+        "SuspensionResult.inner_image.j", lambda v: suspend(_P3).inner_image(v), *_label("j")
+    ),
+    "enumerate_sturm": ("enumerate_sturm.n", enumerate_sturm, *_SIZE),
+    "enumerate_sturm_bound": (
+        "enumerate_sturm.bound",
+        lambda v: enumerate_sturm(3, bound=v),
+        *_bound(3),
+    ),
+    "count_sturm": ("count_sturm.n", count_sturm, *_SIZE),
+    "count_sturm_bound": (
+        "count_sturm.bound",
+        lambda v: count_sturm(3, bound=v),
+        *_bound(3),
+    ),
+    "property_harness": ("property_harness.n_max", property_harness, *_SIZE),
+    "property_harness_bound": (
+        "property_harness.bound",
+        lambda v: property_harness(1, bound=v),
+        *_bound(1),
+    ),
+    "harness_report": ("HarnessReport.__init__.n_max", HarnessReport, *_SIZE),
+    "render_scale": (
+        "RenderStyle.scale",
+        lambda v: render_svg(_P3, RenderStyle(scale=v)),
+        "scale",
+        ("scale must be in 1..1000000, got {}",) * 3,
     ),
 }
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("name", sorted(_HUGE_CALLS))
-def test_api_label_checks_cut_huge_integers(name, sign):
-    # str() refuses an int of more than 4,300 digits; the line shows 20
-    call, template = _HUGE_CALLS[name]
-    shown = ("-" if sign < 0 else "") + "1" + "0" * 19 + "..."
+@pytest.mark.parametrize("value", [True, 2.0, "2"], ids=["bool", "float", "str"])
+@pytest.mark.parametrize("name", sorted(_INT_ARGS))
+def test_int_arguments_refuse_other_types(name, value):
+    # bool and float compare like ints and str like nothing, so each is
+    # refused for its type, before its range or any other argument is read.
+    _, call, arg, _ = _INT_ARGS[name]
     with pytest.raises(ValueError) as info:
-        call(sign * 10**5000)
-    assert str(info.value) == template.format(shown)
+        call(value)
+    assert str(info.value) == f"{arg} must be of type int, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("sign", [1, -1, 0])
+@pytest.mark.parametrize("name", sorted(_INT_ARGS))
+def test_api_label_checks_cut_huge_integers(name, sign):
+    # v = sign * _BIG: the line shows 20 digits of a value str() cannot
+    # write. The row's lines for 0, _BIG and -_BIG are indexed by the sign.
+    _, call, _, lines = _INT_ARGS[name]
+    value, line = sign * _BIG, lines[sign]
+    if line is None:
+        call(value)  # a valid value: no error
+        return
+    with pytest.raises(ValueError) as info:
+        call(value)
+    assert str(info.value) == line.format(_echo_int(value))
+
+
+def test_float_label_gets_no_answer():
+    # crossing_number once answered CrossingCount(value=0, j=1.5, ...).
+    with pytest.raises(ValueError, match=r"^label j must be of type int, got float$"):
+        crossing_number(_P3, 1.5, 3, 2)
+
+
+def test_identity_size_rule():
+    assert identity(1).map == (1,)
+    with pytest.raises(ValueError, match=r"^size must be odd and positive, got 4$"):
+        identity(4)
+    with pytest.raises(ValueError) as info:
+        identity(_BIG + 1)
+    bound = sys.maxsize
+    assert str(info.value) == f"size {_echo_int(_BIG + 1)} exceeds the configured bound {bound}"
