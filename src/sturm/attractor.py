@@ -16,11 +16,13 @@ the base whose signed zero number against it is the given level. One
 pass over a base's successors buckets them all, and the whole analysis of
 that base is derived from those buckets in one ``MinimaxReport``. Almost
 every signed level has one member, which is every extremum and trivially
-minimax; such levels share one immutable ``MinimaxExtrema`` per label and
-model, built once with the model's first report. The level names
-``"0+", "0-", "1+", ...`` are likewise built once per model, up to its
-largest Morse number, and each report reads its own as a slice, so a base
-formats no names.
+minimax; such levels share one immutable ``MinimaxExtrema`` per label,
+from a table that the whole process shares, since it depends on nothing
+but n. The level names ``"0+", "0-", "1+", ...`` come from a second
+process-wide table, which depends on nothing but the largest Morse number;
+each report reads its own as a slice, so neither a base nor a model formats
+names or builds singletons. Each table grows to the largest model analyzed
+so far, by replacing the whole tuple, and is never cleared.
 
 The four cases of a report come from one loop over a module-level slot
 table: per neighbor slot, whether the neighbor is at the left boundary and
@@ -85,18 +87,6 @@ class AttractorModel(_Frozen):
     def connections(self) -> frozenset[tuple[int, int]]:
         """The complete set of connections (source, target)."""
         return frozenset(self.edges())
-
-    @cached_property
-    def _singletons(self) -> tuple[MinimaxExtrema, ...]:
-        # At index w, the extrema of a one-member signed level {w}: w at
-        # every boundary. Immutable, so every report of the model shares them.
-        return tuple([MinimaxExtrema(w, w, w, w) for w in range(self.n + 1)])
-
-    @cached_property
-    def _level_names(self) -> tuple[str, ...]:
-        # "0+", "0-", "1+", ... up to the largest Morse number: a base of
-        # Morse number m names its 2m signed levels with the first 2m.
-        return tuple([f"{k}{sign}" for k in range(max(self.morse)) for sign in "+-"])
 
 
 def _blocker(rows, j: int, k: int) -> Optional[int]:
@@ -297,6 +287,37 @@ def _unstable_morse(model: AttractorModel, base: int) -> int:
     return n_base
 
 
+# Process-wide tables, shared by every model since they depend on no input
+# but its size: at index w, the extrema of a one-member signed level {w}
+# (w at every boundary), and the level names "0+", "0-", "1+", ... Each
+# grows by replacing the whole tuple with a longer one that keeps the old
+# entries, so a reader never sees a partial table; two threads that grow
+# one at once may each build an extension, and either is correct.
+_SINGLETONS: tuple[MinimaxExtrema, ...] = ()
+_LEVEL_NAMES: tuple[str, ...] = ()
+
+
+def _grow_singletons(n: int) -> tuple[MinimaxExtrema, ...]:
+    # The singleton table through index n.
+    global _SINGLETONS
+    old = _SINGLETONS
+    table = _SINGLETONS = old + tuple(
+        [MinimaxExtrema(w, w, w, w) for w in range(len(old), n + 1)]
+    )
+    return table
+
+
+def _grow_level_names(top: int) -> tuple[str, ...]:
+    # The level names through level top - 1: a base of Morse number
+    # m <= top names its 2m signed levels with the first 2m.
+    global _LEVEL_NAMES
+    old = _LEVEL_NAMES
+    table = _LEVEL_NAMES = old + tuple(
+        [f"{k}{sign}" for k in range(len(old) // 2, top) for sign in "+-"]
+    )
+    return table
+
+
 class MinimaxCase(NamedTuple):
     """One boundary neighbor of the base and, when it is one Morse level
     lower (applicable), the closest member of its associated signed target
@@ -374,8 +395,8 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     neighbor's boundary must be the one most distant at the opposite
     boundary. Levels below the top one are evaluated as well and reported
     separately; they are not part of the theorem's hypothesis. A level
-    with one member w gets the model's shared ``MinimaxExtrema(w, w, w, w)``,
-    so reports of one model share these objects; a larger level gets its own.
+    with one member w gets the process-wide ``MinimaxExtrema(w, w, w, w)``,
+    which every report shares; a larger level gets its own.
 
     >>> model = build_model(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
     >>> report = minimax_report(model, 3)
@@ -387,9 +408,14 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     (True, True)
     """
     n_base = _unstable_morse(model, base)
-    names = model._level_names[: 2 * n_base]
+    names, single = _LEVEL_NAMES, _SINGLETONS
+    if len(names) < 2 * n_base:
+        names = _grow_level_names(max(model.morse))
+    if len(single) <= model.n:
+        single = _grow_singletons(model.n)
+    names = names[: 2 * n_base]
     target_sets = dict(zip(names, map(tuple, _buckets(model, base))))
-    p, single = model.p, model._singletons
+    p = model.p
     extrema = {
         key: single[ws[0]] if len(ws) == 1 else _extrema(p, base, ws)
         for key, ws in target_sets.items()

@@ -36,8 +36,10 @@ per member:
 
 The int paths take exact ints only, so a bool or an ``IntEnum`` member in
 a list falls back to the recursion, which writes the one and refuses the
-other. A dict is tried as int lists only when its scalar pass fails on a
-list, so a dict of dicts (``verdicts``, ``minimax``) pays no second check.
+other. A dict value's first value picks its path: a dict (``verdicts``,
+``minimax``) goes to the recursion, a list to the int-list join, anything
+else to the scalar join. A later value of another kind sends the whole
+dict to the recursion, so no exception steers a report's dicts.
 
 Each scalar is written by a callable implemented in C: ``repr`` for an
 int, and a dict's bound ``__getitem__`` for a bool or None. ``repr`` calls
@@ -46,20 +48,27 @@ cost what a lambda does under Python 3.11, and half of what a tuple's
 ``__getitem__`` (a slot wrapper) or ``"null".format`` (which parses its
 format string) costs.
 
-Every memo lives for one ``to_json`` call, in its ``_Heads``: the encoded
-head of each dict key, the indentation strings of each depth, and the
-text of each list member that is a dict of scalars, so each distinct
-``extended`` level is encoded once per call, not once per base. That
-last memo is keyed on the indentation, the items and the value types:
-the types are needed because ``True == 1`` and ``1 == 1.0`` with equal
-hashes, and each is written differently (or, for a float, refused).
-A list stops using that memo at its first member whose key cannot be
-hashed, and writes it and every later member through the recursion. Such
-a member holds a list or dict, so it is no dict of scalars, and its
-siblings are most likely records like it: the ``minimax`` list of an
-analyze record holds one per base, and each would build a key of some
-twenty items only to fail hashing it. A per-member type test would cost
-every ``extended`` level instead.
+Two tables live for the whole process, since they hold only what a
+record's shape fixes and stay small whatever is serialized: the
+indentation strings of each depth, kept for the first ``_FRAMES_DEPTH``
+depths, and the encoded ``"key": `` heads of the field names of this
+module's records, ``_FIELD_HEADS``. Neither grows with the input.
+
+The other memos live for one ``to_json`` call, in its ``_Heads``, so each
+is bounded by the record it serves. The heads start as a copy of
+``_FIELD_HEADS`` and add every other key, such as a level name, once per
+call. The flat memo holds the text of each list member that is a dict of
+scalars, so each distinct ``extended`` level is encoded once per call, not
+once per base. That memo is keyed on the indentation, the items and the
+value types: the types are needed because ``True == 1`` and ``1 == 1.0``
+with equal hashes, and each is written differently (or, for a float,
+refused). A list stops using that memo at its first member whose key
+cannot be hashed, and writes it and every later member through the
+recursion. Such a member holds a list or dict, so it is no dict of
+scalars, and its siblings are most likely records like it: the
+``minimax`` list of an analyze record holds one per base, and each would
+build a key of some twenty items only to fail hashing it. A per-member
+type test would cost every ``extended`` level instead.
 """
 from __future__ import annotations
 
@@ -175,30 +184,60 @@ def to_json(record: dict[str, Any]) -> str:
     return "".join(out)
 
 
+def _head(key: str) -> str:
+    return encode_basestring_ascii(key) + ": "
+
+
+# The encoded heads of the field names of this module's records, copied
+# into every call's memo.
+_FIELD_HEADS = {
+    key: _head(key)
+    for key in (
+        # analyze_record
+        "index_base", "n", "sigma", "sigma_inverse", "morse", "z_matrix", "connections",
+        "minimax",
+        # minimax_record, its verdicts and its extended levels
+        "O", "neighbors", "target_sets", "verdicts", "extended", "passed",
+        "neighbor", "applicable", "sign", "iota", "closest", "farthest_opposite",
+        "neighbor_is_closest", "k", "empty",
+        *NEIGHBOR_SLOTS,
+        *MinimaxExtrema._fields,
+    )
+}
+
+
 class _Heads(dict):
-    """The memos of one ``to_json`` call, so their size is bounded by that
-    record: the encoded ``"key": `` head of each dict key, ``frames`` the
-    indentation strings of each depth, and ``flat`` the text of each list
-    member that is a dict of scalars, under its depth, items and value
-    types."""
+    """The memos of one ``to_json`` call: the encoded ``"key": `` head of
+    each dict key, seeded with ``_FIELD_HEADS``, and ``flat`` the text of
+    each list member that is a dict of scalars, under its depth, items and
+    value types."""
 
     def __init__(self) -> None:
-        self.frames: dict[str, tuple[str, ...]] = {}
+        dict.__init__(self, _FIELD_HEADS)
         self.flat: dict[tuple, str] = {}
 
     def __missing__(self, key: Any) -> str:
         if not isinstance(key, str):
             raise TypeError(f"key {key!r} is not a str")
-        head = self[key] = encode_basestring_ascii(key) + ": "
+        head = self[key] = _head(key)
         return head
 
-    def frame(self, nl: str) -> tuple[str, ...]:
-        frame = self.frames.get(nl)
-        if frame is None:
-            inner = nl + "  "
-            bar = inner + "  "
-            frame = self.frames[nl] = (inner, bar, "," + inner, "[" + bar, "," + bar, inner + "]")
-        return frame
+
+# The indentation strings of each depth, keyed by the newline that closes a
+# container at that depth; see _frame.
+_FRAMES: dict[str, tuple[str, ...]] = {}
+_FRAMES_DEPTH = 32
+
+
+def _frame(nl: str) -> tuple[str, ...]:
+    # The strings of a container closed by nl: inner indents its members,
+    # bar the members of a member. Kept for the first _FRAMES_DEPTH depths.
+    inner = nl + "  "
+    bar = inner + "  "
+    frame = (inner, bar, "," + inner, "[" + bar, "," + bar, inner + "]")
+    if len(nl) <= 2 * _FRAMES_DEPTH:
+        _FRAMES[nl] = frame
+    return frame
 
 
 _INT = {int}
@@ -207,24 +246,20 @@ _ROWS = {list, tuple}
 
 
 def _flat(x: dict, bar: str, comma_bar: str, inner: str, heads: _Heads) -> Optional[str]:
-    # The text of a non-empty dict whose values are all scalars or all int
-    # lists, or None if they are neither.
+    # The text of a non-empty dict whose values are all scalars, or None.
     try:
         items = [heads[k] + _SCALARS[type(y)](y) for k, y in x.items()]
-    except KeyError as missing:
-        # the missing key is the type of the first value that is no scalar
-        return _lists(x, inner, heads) if missing.args[0] is list else None
+    except KeyError:  # a value that is no scalar
+        return None
     return "{" + bar + comma_bar.join(items) + inner + "}"
 
 
 def _lists(x: dict, inner: str, heads: _Heads) -> Optional[str]:
     # The text of a non-empty dict whose values are all int lists, or None.
-    # Apart from _flat, since its comprehension makes cells of the names it
-    # reads, and in _flat those cells would cost every dict of scalars.
     values = x.values()
     if {*map(type, values)} != _LIST or not {*map(type, chain.from_iterable(values))} <= _INT:
         return None
-    bar, _, later, open_bar, comma_bar, close_bar = heads.frame(inner)
+    bar, _, later, open_bar, comma_bar, close_bar = _FRAMES.get(inner) or _frame(inner)
     items = [
         heads[k] + (open_bar + comma_bar.join(map(repr, ws)) + close_bar if ws else "[]")
         for k, ws in x.items()
@@ -233,8 +268,7 @@ def _lists(x: dict, inner: str, heads: _Heads) -> Optional[str]:
 
 
 def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
-    # nl is the newline plus indentation of the line that closes v; inner
-    # indents v's members and bar the members of a member.
+    # nl is the newline plus indentation of the line that closes v.
     t = type(v)
     if t is not dict and t is not list and t is not tuple:
         scalar = _SCALARS.get(t)
@@ -245,7 +279,7 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     if not v:
         out.append("{}" if t is dict else "[]")
         return
-    inner, bar, later, open_bar, comma_bar, close_inner = heads.frame(nl)
+    inner, bar, later, open_bar, comma_bar, close_inner = _FRAMES.get(nl) or _frame(nl)
     if t is dict:
         sep = "{" + inner
         for key, x in v.items():
@@ -259,7 +293,15 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
                     sep + heads[key] + open_bar + comma_bar.join(map(repr, x)) + close_inner
                 )
             else:
-                text = _flat(x, bar, comma_bar, inner, heads) if tx is dict and x else None
+                text = None
+                if tx is dict and x:
+                    # the first value picks the path: a dict of dicts
+                    # recurses, a dict of lists tries _lists, else _flat
+                    first = type(next(iter(x.values())))
+                    if first is list:
+                        text = _lists(x, inner, heads)
+                    elif first is not dict:
+                        text = _flat(x, bar, comma_bar, inner, heads)
                 if text is not None:
                     out.append(sep + heads[key] + text)
                 else:

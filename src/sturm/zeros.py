@@ -109,16 +109,12 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     Evaluated on (min, max) since the zero number is symmetric and the
     identity is stated for ordered pairs. Independent of :func:`z_matrix`.
     """
-    # Types by argument, ranges by order: the smaller label is j.
-    _check_int(j, "label j")
-    _check_int(k, "label k")
+    _check_int(j, "label j", 1, p.n)
+    _check_int(k, "label k", 1, p.n)
     if j == k:
         raise ValueError("zero number of a pair requires distinct labels")
-    lo, hi = (j, k) if j < k else (k, j)
-    _check_int(lo, "label j", 1, p.n)
-    _check_int(hi, "label k", 1, p.n)
     _require_sturm(p)
-    return _pair_zero(p.inv, p.morse, lo, hi)
+    return _pair_zero(p.inv, p.morse, j, k) if j < k else _pair_zero(p.inv, p.morse, k, j)
 
 
 class SignedZero(NamedTuple):
@@ -140,8 +136,8 @@ def signed_z(p: SturmPermutation, base: int, w: int) -> SignedZero:
     >>> signed_z(SturmPermutation((1, 4, 5, 6, 3, 2, 7)), 3, 2)
     SignedZero(z=1, sign='-')
     """
-    _check_int(base, "label base")
-    _check_int(w, "label w")
+    _check_int(base, "label base", 1, p.n)
+    _check_int(w, "label w", 1, p.n)
     if base == w:
         raise ValueError("signed zero number requires distinct labels")
     return SignedZero(z=z_pair_nsl(p, base, w), sign="+" if w > base else "-")

@@ -4,6 +4,7 @@ import networkx as nx
 import pytest
 
 import sturm.attractor
+from conftest import PERM7, _suspended
 from oracles import (
     distance_extrema,
     paper_cases,
@@ -422,8 +423,8 @@ def _assert_extrema_match_oracle(model):
                 continue
             want = distance_extrema(model.p, base, set(members))
             assert report.extrema[key] == want, (model.p, base, key)
-            # a one-member level takes the model's shared extrema, a larger one its own
-            shared = report.extrema[key] is model._singletons[members[0]]
+            # a one-member level takes the process-wide extrema, a larger one its own
+            shared = report.extrema[key] is sturm.attractor._SINGLETONS[members[0]]
             assert shared == (len(members) == 1), (model.p, base, key)
             assert minimax(model, base, int(key[:-1]), key[-1]) == want, (model.p, base, key)
 
@@ -458,6 +459,38 @@ class TestCasesAgainstOracle:
     def test_large(self, large_inputs):
         for p in large_inputs:
             self._assert_cases(build_model(p))
+
+
+class TestSharedTables:
+    """The one-member extrema and the level names come from process-wide
+    tables that grow with the largest model analyzed so far, so a model
+    gets the same reports after a larger model as after a smaller one."""
+
+    @pytest.mark.parametrize("times", [(1, 12, 1), (12, 1, 12)], ids=["small-first", "large-first"])
+    def test_models_in_either_order(self, monkeypatch, times):
+        # from empty tables; monkeypatch puts the grown ones back after
+        monkeypatch.setattr(sturm.attractor, "_SINGLETONS", ())
+        monkeypatch.setattr(sturm.attractor, "_LEVEL_NAMES", ())
+        for t in times:
+            model = build_model(_suspended(SturmPermutation(PERM7), t))  # n = 9 or 31
+            _assert_extrema_match_oracle(model)
+            TestCasesAgainstOracle._assert_cases(model)
+        assert len(sturm.attractor._SINGLETONS) == 32
+
+
+def test_extended_property_swaps_only_the_extremes():
+    # The extended property holds at this level, but only its extremes
+    # swap between the boundaries: the order by x = 1 distance is not the
+    # x = 0 order reversed. A check of whole reversed orders would be wrong.
+    p = SturmPermutation((1, 10, 3, 4, 9, 6, 7, 8, 5, 2, 11))
+    report = minimax_report(build_model(p), 4)
+    members = report.target_sets["2+"]
+    assert members == (5, 6, 7, 8, 9)
+    assert report.extrema["2+"] == MinimaxExtrema(5, 9, 9, 5)
+    assert report.extended_passed
+    by_x1 = sorted(members, key=lambda w: abs(p.inv[w - 1] - p.inv[4 - 1]))
+    assert by_x1 == [9, 6, 7, 8, 5]
+    assert by_x1 != list(reversed(members))
 
 
 class TestSuccessorStore:

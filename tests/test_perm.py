@@ -362,8 +362,6 @@ def _bound(n):
 
 
 _SPAN = ("need 1 <= first < last <= 3",) * 3
-# z_pair_nsl reads its range by order: the smaller label is j, the larger k.
-_ORDERED = tuple(f"label {x}={{}} out of range 1..3" for x in "jkj")
 _ANCHOR = (None, None, "anchor Morse number must be non-negative")
 
 # The table of the int-argument gate, one row per public label, level and
@@ -389,10 +387,10 @@ _INT_ARGS = {
     "pair": ("ZeroMatrix.pair.j", lambda v: z_matrix(_P3).pair(v, 3), *_label("j")),
     "pair_k": ("ZeroMatrix.pair.k", lambda v: z_matrix(_P3).pair(1, v), *_label("k")),
     "morse": ("ZeroMatrix.morse.j", lambda v: z_matrix(_P3).morse(v), *_label("j")),
-    "z_pair_nsl": ("z_pair_nsl.j", lambda v: z_pair_nsl(_P3, v, 3), "label j", _ORDERED),
-    "z_pair_nsl_k": ("z_pair_nsl.k", lambda v: z_pair_nsl(_P3, 1, v), "label k", _ORDERED),
-    "signed_z": ("signed_z.base", lambda v: signed_z(_P3, v, 3), "label base", _ORDERED),
-    "signed_z_w": ("signed_z.w", lambda v: signed_z(_P3, 1, v), "label w", _ORDERED),
+    "z_pair_nsl": ("z_pair_nsl.j", lambda v: z_pair_nsl(_P3, v, 3), *_label("j")),
+    "z_pair_nsl_k": ("z_pair_nsl.k", lambda v: z_pair_nsl(_P3, 1, v), *_label("k")),
+    "signed_z": ("signed_z.base", lambda v: signed_z(_P3, v, 3), *_label("base")),
+    "signed_z_w": ("signed_z.w", lambda v: signed_z(_P3, 1, v), *_label("w")),
     "window_anchor": (
         "MeanderWindow.__init__.anchor_morse",
         lambda v: MeanderWindow((1, 2), v),

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from conftest import PERM15, PERM7, _suspended
 from oracles import asdict_minimax_record, json_oracle
 from sturm import NEIGHBOR_SLOTS, SturmPermutation, build_model, enumerate_sturm, minimax_report
-from sturm.report import analyze_record, dot_graph, minimax_record, to_json
+from sturm.report import _FIELD_HEADS, analyze_record, dot_graph, minimax_record, to_json
 
 
 def _sha256(text: str) -> str:
@@ -237,6 +237,34 @@ def test_flat_dict_memo_traps(tree):
     assert to_json(tree) == json_oracle(tree)
 
 
+def _keys(tree):
+    if type(tree) is dict:
+        for key, value in tree.items():
+            yield key
+            yield from _keys(value)
+    elif type(tree) is list:
+        for value in tree:
+            yield from _keys(value)
+
+
+def test_field_heads_are_the_record_fields():
+    # Every key of an analyze record but its level names ("0+", "1-", ...)
+    # has a head in the process-wide table, and the table holds no other.
+    keys = set(_keys(analyze_record(build_model(SturmPermutation(PERM15)))))
+    levels = {key for key in keys if key[-1] in "+-"}
+    assert keys - levels == set(_FIELD_HEADS)
+    assert all(head == json_oracle(key)[:-1] + ": " for key, head in _FIELD_HEADS.items())
+
+
+def test_large_then_small_then_large_record():
+    # The process-wide indentation and head tables serve records of any
+    # depth and size in any order.
+    large = analyze_record(build_model(_suspended(SturmPermutation(PERM7), 47)))
+    small = analyze_record(build_model(SturmPermutation(PERM7)))
+    for record in (large, small, large):
+        assert to_json(record) == json_oracle(record)
+
+
 _LISTS = {"a": [1, 2], "b": []}
 
 
@@ -252,6 +280,14 @@ _LISTS = {"a": [1, 2], "b": []}
         [True, [False, [None, {"a": None, "b": [{"c": True}]}]], None],
         True,
         None,
+        {"x": {"a": {"b": 1}, "c": 2}},
+        {"x": {"a": {"b": 1}, "c": [1, 2]}},
+        {"x": {"a": [1], "b": 2}},
+        {"x": {"a": [], "b": None}},
+        {"x": {"a": [1, 2], "b": [True]}},
+        {"x": {"a": 1, "b": [2, 3]}},
+        {"x": {"a": None, "b": []}},
+        [{"a": True, "b": (1, 2)}, {"a": True, "b": (1, 2)}],
     ],
     ids=[
         "empty-lists",
@@ -263,11 +299,22 @@ _LISTS = {"a": [1, 2], "b": []}
         "bool-and-null-in-lists",
         "top-level-bool",
         "top-level-null",
+        "dict-then-scalar",
+        "dict-then-int-list",
+        "list-then-scalar",
+        "empty-list-then-null",
+        "list-then-bool-list",
+        "scalar-then-int-list",
+        "null-then-empty-list",
+        "scalar-then-tuple-in-flat-dicts",
     ],
 )
 def test_int_list_dict_and_scalar_traps(tree):
     # A dict of int lists is written in one join only when every value is
     # a list of exact ints; bools and None go through their own encoders.
+    # A dict value's first value picks its path (a dict recurses, a list
+    # tries the int-list join, anything else the scalar join), and a later
+    # value of another kind sends the whole dict through the recursion.
     assert to_json(tree) == json_oracle(tree)
 
 
@@ -316,6 +363,10 @@ def test_record_shares_no_mutable_member():
         [{"a": [1]}, {"a": 1}, {"a": 1.0}],
         {"x": {"a": [1], 2: [3]}},
         {"x": {"a": [], None: []}},
+        {"n": 1, 2: 3},
+        {"x": {"passed": True, None: 1}},
+        {"x": {"n": [1], 3: [2]}},
+        [{"passed": False, 4: 1}],
     ],
     ids=[
         "float",
@@ -333,6 +384,11 @@ def test_record_shares_no_mutable_member():
         "float-after-unhashable-in-flat-dicts",
         "int-key-beside-int-lists",
         "none-key-beside-empty-lists",
+        # the heads of the record field names are copied in at every call
+        "int-key-beside-field-name",
+        "none-key-beside-field-name-in-flat-dict",
+        "int-key-beside-field-name-in-int-lists",
+        "int-key-beside-field-name-in-flat-dicts",
     ],
 )
 def test_unsupported_types_raise(record):

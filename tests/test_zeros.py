@@ -127,9 +127,9 @@ class TestPairFormula:
         with pytest.raises(ValueError):
             z_pair_nsl(perm7, 3, 3)
 
-    @pytest.mark.parametrize("j, k, message", [(0, 3, "j=0"), (3, 8, "k=8"), (8, 3, "k=8")])
+    @pytest.mark.parametrize("j, k, message", [(0, 3, "j=0"), (3, 8, "k=8"), (8, 3, "j=8")])
     def test_labels_out_of_range_rejected(self, perm7, j, k, message):
-        # the smaller label is reported as j, the larger as k
+        # each label is reported under its own argument's name
         with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
             z_pair_nsl(perm7, j, k)
 
@@ -161,8 +161,11 @@ class TestSignedZ:
             signed_z(perm7, 3, 3)
 
     def test_label_out_of_range_rejected(self, perm7):
-        with pytest.raises(ValueError, match="out of range"):
+        # each label is reported under its own argument's name
+        with pytest.raises(ValueError, match=r"^label base=0 out of range 1\.\.7$"):
             signed_z(perm7, 0, 3)
+        with pytest.raises(ValueError, match=r"^label w=8 out of range 1\.\.7$"):
+            signed_z(perm7, 3, 8)
 
     def test_str(self):
         assert str(SignedZero(1, "-")) == "1-"
