@@ -17,29 +17,38 @@ NamedTuple, with no ``_asdict`` copy to trim and extend.
 ``json.dumps(record, indent=2)`` plus a final newline: two-space
 indentation, ``","`` and ``": "`` separators, ASCII escapes. Under
 ``indent`` the standard library falls back to its pure-Python encoder,
-which is more than twice as slow on the large minimax sections. The
-tests keep ``json.dumps`` as the oracle.
+which takes four to five times as long on the n = 101 suspension-chain
+member's record: 52–63 ms against 11–14 ms (best of several runs, 2-CPU
+Xeon, Python 3.11). The tests keep ``json.dumps`` as the oracle.
 
 The emitter is one generic recursion with fast paths for the flat
 containers that make up most of a report, each written without a call
 per member:
 
-- a dict value that is a list of ints (a ``target_sets`` level) is
-  written inline;
-- a dict value whose values are all scalars (``neighbors``, a verdict, a
-  ``minimax`` entry) or all int lists (``target_sets``) is written in one
-  join;
 - a list of non-empty int lists or tuples (``z_matrix``, ``connections``)
-  is written in one join;
+  is written row by row through a ``%d`` template, built per list for
+  each row length it holds, that carries the row's brackets, separators
+  and indentation, so C-level formatting writes each row in one step;
+- a dict value that is a list of ints is written inline, and a dict whose
+  values are all int lists (``target_sets``) in one join; a one-member
+  list, almost every ``target_sets`` level, is written as its member's
+  ``repr`` between brackets, with no join;
+- a dict value whose values are all scalars (``neighbors``, a verdict, a
+  ``minimax`` entry) is written in one join;
 - a list member that is a dict of scalars (an ``extended`` level) is
   written in one join, and memoized.
 
-The int paths take exact ints only, so a bool or an ``IntEnum`` member in
-a list falls back to the recursion, which writes the one and refuses the
-other. A dict value's first value picks its path: a dict (``verdicts``,
-``minimax``) goes to the recursion, a list to the int-list join, anything
-else to the scalar join. A later value of another kind sends the whole
-dict to the recursion, so no exception steers a report's dicts.
+The int paths take exact ints only, tested by the set of the run's types
+before any template or ``repr`` is applied: ``%d`` would write ``True``
+as ``1``, truncate a float and write an ``IntEnum`` member as its value.
+So a bool, a float or an ``IntEnum`` member in a run falls back to the
+recursion, which writes the first and refuses the others. An int too
+long for ``str`` fails in ``%d`` and ``repr`` with the ``ValueError`` of
+``json.dumps``. A dict value's first value picks its path: a dict
+(``verdicts``, ``minimax``) goes to the recursion, a list to the int-list
+join, anything else to the scalar join. A later value of another kind
+sends the whole dict to the recursion, so no exception steers a report's
+dicts.
 
 Each scalar is written by a callable implemented in C: ``repr`` for an
 int, and a dict's bound ``__getitem__`` for a bool or None. ``repr`` calls
@@ -54,18 +63,18 @@ indentation strings of each depth, kept for the first ``_FRAMES_DEPTH``
 depths, and the encoded ``"key": `` heads of the field names of this
 module's records, ``_FIELD_HEADS``. Neither grows with the input.
 
-The other memos live for one ``to_json`` call, in its ``_Heads``, so each
-is bounded by the record it serves. The heads start as a copy of
-``_FIELD_HEADS`` and add every other key, such as a level name, once per
-call. The flat memo holds the text of each list member that is a dict of
-scalars, so each distinct ``extended`` level is encoded once per call, not
-once per base. That memo is keyed on the indentation, the items and the
-value types: the types are needed because ``True == 1`` and ``1 == 1.0``
-with equal hashes, and each is written differently (or, for a float,
-refused). A list stops using that memo at its first member whose key
-cannot be hashed, and writes it and every later member through the
-recursion. Such a member holds a list or dict, so it is no dict of
-scalars, and its siblings are most likely records like it: the
+The other memos live for one ``to_json`` call, in its ``_Heads``, and the
+row templates for one list, so each is bounded by the record it serves.
+The heads start as a copy of ``_FIELD_HEADS`` and add every other key,
+such as a level name, once per call. The flat memo holds the text of each
+list member that is a dict of scalars, so each distinct ``extended`` level
+is encoded once per call, not once per base. That memo is keyed on the
+indentation, the items and the value types: the types are needed because
+``True == 1`` and ``1 == 1.0`` with equal hashes, and each is written
+differently (or, for a float, refused). A list stops using that memo at
+its first member whose key cannot be hashed, and writes it and every later
+member through the recursion. Such a member holds a list or dict, so it is
+no dict of scalars, and its siblings are most likely records like it: the
 ``minimax`` list of an analyze record holds one per base, and each would
 build a key of some twenty items only to fail hashing it. A per-member
 type test would cost every ``extended`` level instead.
@@ -261,7 +270,11 @@ def _lists(x: dict, inner: str, heads: _Heads) -> Optional[str]:
         return None
     bar, _, later, open_bar, comma_bar, close_bar = _FRAMES.get(inner) or _frame(inner)
     items = [
-        heads[k] + (open_bar + comma_bar.join(map(repr, ws)) + close_bar if ws else "[]")
+        heads[k] + (
+            open_bar + repr(ws[0]) + close_bar if len(ws) == 1
+            else open_bar + comma_bar.join(map(repr, ws)) + close_bar if ws
+            else "[]"
+        )
         for k, ws in x.items()
     ]
     return "{" + bar + later.join(items) + inner + "}"
@@ -289,9 +302,8 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
                 out.append(sep + heads[key] + scalar(x))
             elif tx is list and {*map(type, x)} == _INT:
                 # a value that is an int list, written inline
-                out.append(
-                    sep + heads[key] + open_bar + comma_bar.join(map(repr, x)) + close_inner
-                )
+                run = repr(x[0]) if len(x) == 1 else comma_bar.join(map(repr, x))
+                out.append(sep + heads[key] + open_bar + run + close_inner)
             else:
                 text = None
                 if tx is dict and x:
@@ -314,12 +326,13 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     if types == _INT:
         out.append("[" + inner + later.join(map(repr, v)) + nl + "]")
     elif types <= _ROWS and all(v) and {*map(type, chain.from_iterable(v))} == _INT:
-        # non-empty int rows, written in one join
-        rows = [comma_bar.join(map(repr, row)) for row in v]
-        out.append(
-            "[" + inner + open_bar + (close_inner + later + open_bar).join(rows)
-            + close_inner + nl + "]"
-        )
+        # non-empty int rows, each through the %d template of its length
+        templates = {
+            size: open_bar + comma_bar.join(("%d",) * size) + close_inner
+            for size in {*map(len, v)}
+        }
+        rows = [templates[len(row)] % tuple(row) for row in v]
+        out.append("[" + inner + later.join(rows) + nl + "]")
     else:
         sep = "[" + inner
         flat = heads.flat

@@ -31,6 +31,7 @@ from sturm import (
     suspend,
     target_set,
 )
+from sturm.attractor import _analyze
 from sturm.harness import _levels
 from sturm.report import analyze_record, dot_graph
 
@@ -491,6 +492,23 @@ def test_extended_property_swaps_only_the_extremes():
     by_x1 = sorted(members, key=lambda w: abs(p.inv[w - 1] - p.inv[4 - 1]))
     assert by_x1 == [9, 6, 7, 8, 5]
     assert by_x1 != list(reversed(members))
+
+
+@pytest.mark.slow
+def test_extended_property_at_every_base_of_n15():
+    # Exhaustive at n = 15: the theorem (passed) and the extended property
+    # at every non-empty signed level (extended_passed) hold at every
+    # unstable base. Only levels of two or more members can fail the
+    # latter; their count pins how much the scan checks.
+    members = bases = levels = failed = extended_failed = 0
+    for p in enumerate_sturm(15, bound=15):
+        members += 1
+        for report in _analyze(p)[1].values():
+            bases += 1
+            levels += sum(len(ws) > 1 for ws in report.target_sets.values())
+            failed += not report.passed
+            extended_failed += not report.extended_passed
+    assert (members, bases, levels, failed, extended_failed) == (7342, 82150, 24044, 0, 0)
 
 
 class TestSuccessorStore:

@@ -165,13 +165,22 @@ _leaves = st.none() | st.booleans() | _ints | _texts
 # The emitter's fast-path shapes: int lists, rows of ints (empty rows and
 # bools mixed in at times), and dicts of scalars.
 _int_lists = st.lists(_ints, max_size=4)
+# Rows of up to six ints, lists and tuples of several lengths in one list,
+# each length with its own %d template.
+_row_ints = st.lists(_ints, max_size=6)
 _rows = st.lists(
-    _int_lists | _int_lists.map(tuple) | st.lists(_ints | st.booleans(), max_size=3),
+    _row_ints | _row_ints.map(tuple) | st.lists(_ints | st.booleans(), max_size=3),
     max_size=4,
 )
 _flat_dicts = st.dictionaries(_texts, _leaves, max_size=4)
 # Dicts whose values are all int lists, empty lists included (target_sets)
 _int_list_dicts = st.dictionaries(_texts, _int_lists, min_size=1, max_size=4)
+# One-member int lists, the shape of almost every target_sets level, in
+# lists and in dicts; a bool member goes through the recursion.
+_singles = st.lists(_ints | st.booleans(), min_size=1, max_size=1)
+_single_runs = st.lists(_singles, max_size=4) | st.dictionaries(
+    _texts, _singles, min_size=1, max_size=4
+)
 # Lists that repeat one flat dict of bool and int values, some copies with
 # each bool read as an int and each int as a bool: equal dicts, such as
 # {"a": True} and {"a": 1}, whose texts differ.
@@ -186,7 +195,7 @@ _repeats = st.tuples(_bool_int_dicts, st.lists(st.booleans(), min_size=2, max_si
     ]
 )
 _trees = st.recursive(
-    _leaves | _int_lists | _rows | _flat_dicts | _repeats | _int_list_dicts,
+    _leaves | _int_lists | _rows | _flat_dicts | _repeats | _int_list_dicts | _single_runs,
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(_flat_dicts | children, max_size=4)
@@ -235,6 +244,57 @@ def test_flat_dict_memo_traps(tree):
     # stops memoizing at its first unhashable member, so flat dicts come
     # before, after and on both sides of that switch-off.
     assert to_json(tree) == json_oracle(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        [[1], [2, 3], (4, 5, 6), [7]],
+        [(1, 2), [3, 4], (5, 6), [-7, 10**30]],
+        [[1, True], [2, 3]],
+        [[2, 3], [True]],
+        {"a": [True]},
+        [[False]],
+        {"x": {"a": [1], "b": [True]}},
+        {"x": {"a": [-1], "b": [2], "c": [3, 4], "d": []}},
+    ],
+    ids=[
+        "rows-of-mixed-lengths",
+        "tuple-and-list-rows",
+        "true-in-a-row",
+        "one-member-true-row",
+        "one-member-true-value",
+        "one-member-false-row",
+        "one-member-true-level",
+        "one-member-levels",
+    ],
+)
+def test_int_template_traps(tree):
+    # Rows go through one %d template per length, which would write True as
+    # 1: only rows of exact ints may use them. One-member runs skip the join.
+    assert to_json(tree) == json_oracle(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {"a": [10**5000]},
+        {"x": {"a": [10**5000]}},
+        [[10**5000]],
+        [[1, 10**5000], [2, 3]],
+    ],
+    ids=["one-member-value", "one-member-level", "one-member-row", "row"],
+)
+def test_huge_int_fails_as_json_dumps_does(tree):
+    # int-to-str conversion is capped at 4,300 digits by default; %d and
+    # repr refuse the same ints as json.dumps, with the same exception.
+    try:
+        text = json_oracle(tree)
+    except Exception as error:
+        with pytest.raises(type(error)):
+            to_json(tree)
+    else:
+        assert to_json(tree) == text
 
 
 def _keys(tree):
@@ -326,7 +386,15 @@ def test_int_enum_is_refused():
     # json.dumps writes an IntEnum member as its int value; to_json refuses
     # it, as it refuses every type beyond the documented ones, also inside
     # a dict of int lists.
-    for tree in ({"x": _Level.ONE}, {"x": {"a": [1, _Level.ONE]}}, [[1, _Level.ONE]]):
+    trees = (
+        {"x": _Level.ONE},
+        {"x": {"a": [1, _Level.ONE]}},
+        [[1, _Level.ONE]],
+        # %d would write a member as its int value
+        {"a": [_Level.ONE]},
+        [[_Level.ONE, 2]],
+    )
+    for tree in trees:
         assert json_oracle(tree)
         with pytest.raises(TypeError):
             to_json(tree)
@@ -367,6 +435,9 @@ def test_record_shares_no_mutable_member():
         {"x": {"passed": True, None: 1}},
         {"x": {"n": [1], 3: [2]}},
         [{"passed": False, 4: 1}],
+        {"a": [1.0]},
+        {"x": {"a": [1], "b": [2.5]}},
+        [[1.5, 2], [3, 4]],
     ],
     ids=[
         "float",
@@ -389,6 +460,10 @@ def test_record_shares_no_mutable_member():
         "none-key-beside-field-name-in-flat-dict",
         "int-key-beside-field-name-in-int-lists",
         "int-key-beside-field-name-in-flat-dicts",
+        # %d would truncate a float
+        "float-one-member-value",
+        "float-one-member-level",
+        "float-in-row",
     ],
 )
 def test_unsupported_types_raise(record):
