@@ -29,10 +29,13 @@ per member:
   is written row by row through a ``%d`` template, built per list for
   each row length it holds, that carries the row's brackets, separators
   and indentation, so C-level formatting writes each row in one step;
-- a dict value that is a list of ints is written inline, and a dict whose
-  values are all int lists (``target_sets``) in one join; a one-member
-  list, almost every ``target_sets`` level, is written as its member's
-  ``repr`` between brackets, with no join;
+- a dict value that is a list of ints (``sigma``, ``morse``) is written
+  inline in one join;
+- a dict whose values are all int lists (``target_sets``) is written in
+  one join of its levels, each level a join of its members, except a
+  one-member level (93% of the levels of the n = 13 family, all but one
+  of the n = 101 chain member's), which is its member's ``repr`` between
+  brackets, with no join;
 - a dict value whose values are all scalars (``neighbors``, a verdict, a
   ``minimax`` entry) is written in one join;
 - a list member that is a dict of scalars (an ``extended`` level) is
@@ -302,8 +305,9 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
                 out.append(sep + heads[key] + scalar(x))
             elif tx is list and {*map(type, x)} == _INT:
                 # a value that is an int list, written inline
-                run = repr(x[0]) if len(x) == 1 else comma_bar.join(map(repr, x))
-                out.append(sep + heads[key] + open_bar + run + close_inner)
+                out.append(
+                    sep + heads[key] + open_bar + comma_bar.join(map(repr, x)) + close_inner
+                )
             else:
                 text = None
                 if tx is dict and x:

@@ -271,7 +271,8 @@ def test_flat_dict_memo_traps(tree):
 )
 def test_int_template_traps(tree):
     # Rows go through one %d template per length, which would write True as
-    # 1: only rows of exact ints may use them. One-member runs skip the join.
+    # 1: only rows of exact ints may use them. One-member levels of a dict of
+    # int lists skip the join, behind the same exact-int gate.
     assert to_json(tree) == json_oracle(tree)
 
 
