@@ -34,19 +34,11 @@ _EXPORTS = {
         "minimax_report",
         "target_set",
     ),
+    "crossing": ("CrossingCount", "crossing_number", "quadrant_parity"),
     "enumeration": ("DEFAULT_BOUND", "count_sturm", "enumerate_sturm"),
     "errors": ("NotMeanderError", "NotSturmError", "ParseError", "SturmError", "WindowError"),
     "harness": ("HarnessReport", "PropertyResult", "property_harness"),
-    "meander": (
-        "Arc",
-        "CrossingCount",
-        "MeanderDiagram",
-        "build_diagram",
-        "crossing_number",
-        "is_meander",
-        "is_sturm",
-        "quadrant_parity",
-    ),
+    "meander": ("Arc", "MeanderDiagram", "build_diagram", "is_meander", "is_sturm"),
     "perm": (
         "KleinOrbit",
         "SturmPermutation",
@@ -70,17 +62,8 @@ _EXPORTS = {
         "suspend",
         "verify_suspension",
     ),
-    "zeros": (
-        "MeanderWindow",
-        "SignedZero",
-        "ZeroMatrix",
-        "matrix_text",
-        "signed_z",
-        "window_morse",
-        "window_z",
-        "z_matrix",
-        "z_pair_nsl",
-    ),
+    "window": ("MeanderWindow", "matrix_text", "window_morse", "window_z"),
+    "zeros": ("SignedZero", "ZeroMatrix", "signed_z", "z_matrix", "z_pair_nsl"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli"}

@@ -34,9 +34,13 @@ ends the command with exit code 1 and nothing on stderr.
 Imports: at module level this file imports only the standard library
 and ``.errors``. Each ``cmd_*`` function imports the modules it runs,
 and ``render`` imports per output format, so a cold process compiles
-and loads only what its command needs (``validate`` never loads the
-attractor). The command table imports no compute module: ``--bound``
-defaults to ``None``, which the command resolves to ``DEFAULT_BOUND``.
+and loads only what its command needs: ``validate`` loads the meander
+test but not the crossing kernel (``crossing``) or the attractor, and
+``window`` loads ``crossing`` and ``window`` but neither ``meander`` nor
+``zeros``. The help pages live in ``_help``, which only ``-h`` and
+``--help`` load. The command table imports no compute module:
+``--bound`` defaults to ``None``, which the command resolves to
+``DEFAULT_BOUND``.
 """
 from __future__ import annotations
 
@@ -143,7 +147,7 @@ def cmd_suspend(args: SimpleNamespace) -> int:
 
 def cmd_window(args: SimpleNamespace) -> int:
     from .perm import _parse_ints
-    from .zeros import MeanderWindow, matrix_text, window_morse, window_z
+    from .window import MeanderWindow, matrix_text, window_morse, window_z
 
     order = _parse_ints(args.order, "empty window order")
     if len(order) > MAX_WINDOW:
@@ -245,7 +249,6 @@ class Command:
 REQUIRED = object()  # the default of an option that must be given
 
 _HELP = Option(bool, False, "show this help and exit")
-_PERMUTATION_HELP = "one-line permutation, whitespace or comma separated; '-' or absent reads stdin"
 _PERMUTATION_OPTIONS = {
     "zero-based-input": Option(bool, False, "read labels as 0..n-1 and shift up"),
 }
@@ -363,70 +366,28 @@ def _convert(name: str, kind: Union[type, tuple[str, ...]], value: str) -> objec
         raise _UsageError(f"invalid int value {_echo(value)} for --{name}") from None
 
 
-def _metavar(kind: Union[type, tuple[str, ...]]) -> str:
-    if isinstance(kind, tuple):
-        return "{" + ",".join(kind) + "}"
-    return "" if kind is bool else "INT" if kind is int else "TEXT"
+def _show_help(name: Optional[str]) -> int:
+    from ._help import _command_help, _main_help
 
-
-def _columns(rows: list[tuple[str, str]]) -> list[str]:
-    width = max(len(left) for left, _ in rows) + 2
-    return [f"  {left:<{width}}{right}" for left, right in rows]
-
-
-def _main_help() -> str:
-    lines = [
-        "usage: sturm COMMAND [options]",
-        "",
-        "Exact combinatorics of Sturm meander permutations.",
-        "",
-        "commands:",
-        *_columns([(name, command.help) for name, command in COMMANDS.items()]),
-        "",
-        "'sturm COMMAND --help' lists the options of one command.",
-    ]
-    return "\n".join(lines) + "\n"
-
-
-def _command_help(name: str) -> str:
-    command = COMMANDS[name]
-    rows = []
-    for key, opt in _options(command).items():
-        left = "-h, --help" if opt is _HELP else f"--{key} {_metavar(opt.kind)}".rstrip()
-        if opt.default is REQUIRED:
-            right = f"{opt.help} (required)"
-        elif opt.kind is bool or opt.default is None:
-            right = opt.help
-        else:
-            right = f"{opt.help} (default {opt.default})"
-        rows.append((left, right))
-    positional = " [PERMUTATION]" if command.permutation else ""
-    lines = [f"usage: sturm {name} [options]{positional}", "", command.help, ""]
-    if command.permutation:
-        lines += ["arguments:", *_columns([("PERMUTATION", _PERMUTATION_HELP)]), ""]
-    lines += ["options:", *_columns(rows)]
-    return "\n".join(lines) + "\n"
-
-
-def _show(text: str) -> int:
-    sys.stdout.write(text)
+    sys.stdout.write(_main_help() if name is None else _command_help(name))
     return 0
 
 
 def _parse(argv: list[str]) -> tuple[Callable, object]:
     """The handler of the command line and its argument.
 
-    For ``--help`` that is :func:`_show` and the help text; otherwise the
-    command's handler and a namespace of its options, each under its name
-    with ``-`` spelled ``_``, plus ``permutation`` for the commands that
-    read one. Raises :class:`_UsageError` for a malformed command line.
+    For ``--help`` that is :func:`_show_help` and the command's name, or
+    ``None`` for the list of commands; otherwise the command's handler and
+    a namespace of its options, each under its name with ``-`` spelled
+    ``_``, plus ``permutation`` for the commands that read one. Raises
+    :class:`_UsageError` for a malformed command line.
     """
     commands = ", ".join(COMMANDS)
     if not argv:
         raise _UsageError(f"missing command (choose from {commands})")
     name, rest = argv[0], iter(argv[1:])
     if name == "-h" or name.startswith("--") and _match(name[2:], ["help"]):
-        return _show, _main_help()
+        return _show_help, None
     if name not in COMMANDS:
         raise _UsageError(f"unknown command {name!r} (choose from {commands})")
     command = COMMANDS[name]
@@ -437,7 +398,7 @@ def _parse(argv: list[str]) -> tuple[Callable, object]:
         if token == "--":
             positionals.extend(rest)
         elif token == "-h":
-            return _show, _command_help(name)
+            return _show_help, name
         elif token.startswith("--"):
             key, has_value, value = token[2:].partition("=")
             key = _match(key, options)
@@ -446,7 +407,7 @@ def _parse(argv: list[str]) -> tuple[Callable, object]:
                 if has_value:
                     raise _UsageError(f"option --{key} takes no value")
                 if key == "help":
-                    return _show, _command_help(name)
+                    return _show_help, name
                 values[key] = True
                 continue
             if not has_value:

@@ -11,11 +11,12 @@ import random
 from typing import Callable, Optional
 
 from .attractor import Analysis, MinimaxExtrema, MinimaxReport, _analyze, boundary_neighbors
+from .crossing import crossing_number
 from .enumeration import DEFAULT_BOUND, enumerate_sturm
-from .meander import crossing_number
 from .perm import SturmPermutation, _check_size, apply_kappa, apply_tau
 from .suspension import _suspend_labels, _suspension_items, suspend
-from .zeros import MeanderWindow, window_z, z_pair_nsl
+from .window import MeanderWindow, window_z
+from .zeros import z_pair_nsl
 
 
 class PropertyResult:

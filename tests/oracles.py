@@ -21,7 +21,7 @@ the sides off label parity inline. The minimax record oracle builds each
 record from the report's NamedTuples with ``_asdict``, where
 ``report.minimax_record`` writes dict displays and zips field names onto
 the tuples. The loop crossing oracle adds up the signed crossings one
-curve step at a time, where ``meander._crossings`` sums each run of steps
+curve step at a time, where ``crossing._crossings`` sums each run of steps
 in telescoped form with one count per label parity class. The minimax
 case oracle derives each neighbor slot's case from the paper's rule, with
 the neighbors read off label and axis order, the top-level target set from

@@ -8,7 +8,7 @@ import pytest
 import sturm.attractor
 import sturm.render
 import sturm.suspension
-import sturm.zeros
+import sturm.window
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
 from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
 from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, MAX_WINDOW, main
@@ -268,7 +268,7 @@ class TestWindow:
         # At the cap the real matrix takes seconds, so a stub stands in for
         # it: only the gate is under test.
         seen = []
-        monkeypatch.setattr(sturm.zeros, "window_z", lambda win: seen.append(win.length) or ())
+        monkeypatch.setattr(sturm.window, "window_z", lambda win: seen.append(win.length) or ())
         order = " ".join(map(str, range(1, MAX_WINDOW + 1)))
         status, _, err = run(capsys, "window", "--anchor-morse", "0", "--order", order)
         assert (status, err, seen) == (0, "", [MAX_WINDOW])
@@ -687,16 +687,16 @@ never = [m for m in ("argparse", "gettext", "locale") if m in sys.modules]
 print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("sturm.")), never]))
 """
 
+_HELP_MODULES = {"cli", "errors", "_help"}
 _BASE = {"cli", "errors", "meander", "perm"}
-_ANALYSIS = {"attractor", "cli", "errors", "meander", "perm", "report", "zeros"}
+_WINDOW = {"cli", "errors", "perm", "crossing", "window"}
+_ANALYSIS = {"attractor", "cli", "crossing", "errors", "meander", "perm", "report", "zeros"}
+_WINDOW_ARGV = ["window", "--anchor-morse", "2", "--order", " ".join(map(str, WINDOW_ORDER))]
 _MODULE_BUDGET = [
-    (["--help"], {"cli", "errors"}),
-    (["minimax", "--help"], {"cli", "errors"}),
+    (["--help"], _HELP_MODULES),
+    (["minimax", "--help"], _HELP_MODULES),
     (["validate", PERM7_TEXT], _BASE),
-    (
-        ["window", "--anchor-morse", "2", "--order", " ".join(map(str, WINDOW_ORDER))],
-        _BASE | {"zeros"},
-    ),
+    (_WINDOW_ARGV, _WINDOW),
     (["suspend", PERM7_TEXT], _BASE | {"suspension"}),
     (["enumerate", "--n", "7", "--count-only"], _BASE | {"enumeration"}),
     (["render", "--format", "svg", PERM7_TEXT], _BASE | {"render"}),
@@ -705,7 +705,8 @@ _MODULE_BUDGET = [
     (["render", "--format", "dot", PERM7_TEXT], _ANALYSIS),
     (
         ["harness", "--n-max", "3"],
-        _BASE | {"attractor", "enumeration", "harness", "suspension", "zeros"},
+        _BASE
+        | {"attractor", "crossing", "enumeration", "harness", "suspension", "window", "zeros"},
     ),
 ]
 
@@ -728,13 +729,20 @@ def test_each_command_loads_only_its_modules():
 
 
 @pytest.mark.parametrize(
-    "command, expected", [("validate", _BASE), ("analyze", _ANALYSIS)], ids=["validate", "analyze"]
+    "argv, expected",
+    [
+        (["validate", PERM7_TEXT], _BASE),
+        (["analyze", PERM7_TEXT], _ANALYSIS),
+        (_WINDOW_ARGV, _WINDOW),
+        (["--help"], _HELP_MODULES),
+    ],
+    ids=["validate", "analyze", "window", "help"],
 )
-def test_module_run_loads_only_its_modules(command, expected):
+def test_module_run_loads_only_its_modules(argv, expected):
     # ``python -m sturm`` also runs the package loader and ``__main__``;
     # -X importtime names on stderr every module the interpreter imports.
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "sturm", command, PERM7_TEXT],
+        [sys.executable, "-X", "importtime", "-m", "sturm", *argv],
         capture_output=True,
         text=True,
     )

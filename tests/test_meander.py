@@ -17,7 +17,7 @@ from sturm import (
     is_sturm,
     quadrant_parity,
 )
-from sturm.meander import _crossings
+from sturm.crossing import _crossings
 
 
 class TestDiagram:

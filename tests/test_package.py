@@ -19,9 +19,12 @@ def test_exports_name_every_public_definition():
     # ``_EXPORTS`` is the one list of public names: every function and
     # class a submodule defines without a leading underscore is in it,
     # every name in it is an attribute of its submodule, and no submodule
-    # keeps a second list in ``__all__``.
+    # keeps a second list in ``__all__``. ``cli`` and the ``_``-prefixed
+    # modules (``__main__``, ``_help``) define no public API.
     api = sorted(
-        m.name for m in pkgutil.iter_modules(sturm.__path__) if m.name not in ("cli", "__main__")
+        m.name
+        for m in pkgutil.iter_modules(sturm.__path__)
+        if m.name != "cli" and not m.name.startswith("_")
     )
     assert sorted(sturm._EXPORTS) == api
     for name in api:
