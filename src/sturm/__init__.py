@@ -28,29 +28,24 @@ _EXPORTS = {
         "boundary_neighbors",
         "build_model",
         "connection_graph",
-        "connects",
         "is_z_adjacent",
         "minimax",
         "minimax_report",
         "target_set",
     ),
-    "crossing": ("CrossingCount", "crossing_number", "quadrant_parity"),
+    "crossing": ("CrossingCount", "crossing_number"),
     "enumeration": ("DEFAULT_BOUND", "count_sturm", "enumerate_sturm"),
     "errors": ("NotMeanderError", "NotSturmError", "ParseError", "SturmError", "WindowError"),
     "harness": ("HarnessReport", "PropertyResult", "property_harness"),
     "meander": ("Arc", "MeanderDiagram", "build_diagram", "is_meander", "is_sturm"),
     "perm": (
-        "KleinOrbit",
         "SturmPermutation",
         "apply_kappa",
         "apply_tau",
         "format_permutation",
         "identity",
-        "inverse",
         "is_dissipative",
         "is_morse",
-        "klein_orbit",
-        "morse_indices",
         "parse_permutation",
     ),
     "render": ("RenderStyle", "render_svg"),

@@ -114,15 +114,6 @@ def is_z_adjacent(model: AttractorModel, j: int, k: int) -> tuple[bool, Optional
     return (w is None), w
 
 
-def connects(model: AttractorModel, j: int, k: int) -> bool:
-    """Heteroclinic connection criterion: Morse drop plus z-adjacency."""
-    _check_int(j, "label j", 1, model.n)
-    _check_int(k, "label k", 1, model.n)
-    if j == k:
-        raise ValueError("connection test requires distinct labels")
-    return model.morse[j - 1] > model.morse[k - 1] and _blocker(model.z.values, j, k) is None
-
-
 def build_model(p: SturmPermutation) -> AttractorModel:
     """Assemble Morse vector, zero numbers, and all connections.
 

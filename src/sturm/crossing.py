@@ -24,11 +24,9 @@ from __future__ import annotations
 
 from itertools import repeat
 from operator import lt
-from typing import Literal, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .perm import SturmPermutation, _check_int, _require_sturm
-
-_NO_ARC = "label {value} has no outgoing arc (need 1 <= j < {end})"
+from .perm import SturmPermutation, _check_int
 
 
 class CrossingCount(NamedTuple):
@@ -119,15 +117,3 @@ def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCo
     _check_int(ell, "label ell", 1, p.n)
     value = _crossings(p.inv, 0, min(j, k), max(j, k), ell)
     return CrossingCount(value=-value if j > k else value, j=j, k=k, ell=ell)
-
-
-def quadrant_parity(p: SturmPermutation, j: int) -> Literal["odd", "even"]:
-    """Parity class of the arc leaving crossing j.
-
-    "odd" when the Morse number rises across the step to j+1, "even" when
-    it falls; this is the case selector of the zero-number formula.
-    """
-    _check_int(j, "label j", 1, p.n - 1, _NO_ARC)
-    _require_sturm(p)
-    morse = p.morse
-    return "odd" if morse[j] == morse[j - 1] + 1 else "even"

@@ -156,4 +156,10 @@ def enumerate_sturm(
 
 
 def count_sturm(n: int, engine: Engine = "backtrack", bound: int = DEFAULT_BOUND) -> int:
+    """Number of Sturm permutations of odd size n, checked as in
+    :func:`enumerate_sturm`.
+
+    >>> count_sturm(9)
+    32
+    """
     return sum(1 for _ in enumerate_sturm(n, engine=engine, bound=bound))

@@ -20,6 +20,9 @@ from .zeros import z_pair_nsl
 
 
 class PropertyResult:
+    """Tally of one harness property: checks run, failures and the first
+    counterexample."""
+
     def __init__(self, name: str):
         self.name = name
         self.checked = 0
@@ -39,6 +42,9 @@ class PropertyResult:
 
 
 class HarnessReport:
+    """What :func:`property_harness` found up to size ``n_max``: family
+    counts by size and one :class:`PropertyResult` per property."""
+
     def __init__(self, n_max: int):
         _check_size(n_max)
         self.n_max = n_max

@@ -35,21 +35,12 @@ class Arc(NamedTuple):
     side: Side
     curve_step: int
 
-    @property
-    def span(self) -> tuple[int, int]:
-        """Normalized (left, right) endpoint positions."""
-        a, b = self.from_pos, self.to_pos
-        return (a, b) if a < b else (b, a)
-
 
 class MeanderDiagram(NamedTuple):
     """The n-1 arcs of the canonical diagram of a permutation."""
 
     n: int
     arcs: tuple[Arc, ...]
-
-    def side(self, side: Side) -> tuple[Arc, ...]:
-        return tuple(a for a in self.arcs if a.side == side)
 
 
 def build_diagram(p: SturmPermutation) -> MeanderDiagram:

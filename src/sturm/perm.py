@@ -30,7 +30,7 @@ from __future__ import annotations
 import sys
 from functools import cached_property
 from math import inf
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import NotSturmError, ParseError
 
@@ -262,15 +262,6 @@ def format_permutation(p: SturmPermutation, zero_based: bool = False) -> str:
     return " ".join(str(v - 1 if zero_based else v) for v in p.map)
 
 
-def inverse(p: SturmPermutation) -> SturmPermutation:
-    """The inverse permutation, as a permutation object.
-
-    >>> inverse(SturmPermutation((1, 4, 5, 6, 3, 2, 7))).map
-    (1, 6, 5, 2, 3, 4, 7)
-    """
-    return SturmPermutation(p.inv)
-
-
 def is_dissipative(p: SturmPermutation) -> bool:
     """True when the permutation fixes both end labels."""
     return p.map[0] == 1 and p.map[-1] == p.n
@@ -285,19 +276,6 @@ def _morse_recursion(xs: Sequence[int], anchor: int = 0) -> tuple[int, ...]:
         step = _sign(xs[t] - xs[t - 1])
         out[t] = out[t - 1] + (step if (anchor + t) % 2 == 1 else -step)
     return tuple(out)
-
-
-def morse_indices(p: SturmPermutation) -> tuple[int, ...]:
-    """Morse numbers of the crossings, indexed by meander label.
-
-    Entry j counts the net clockwise half-windings of the unit tangent
-    from the first crossing to crossing j; entries may be negative for
-    non-Morse candidates and the caller decides what to do about it.
-
-    >>> morse_indices(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
-    (0, 1, 2, 1, 0, 1, 0)
-    """
-    return p.morse
 
 
 def is_morse(p: SturmPermutation) -> bool:
@@ -342,38 +320,3 @@ def apply_kappa(p: SturmPermutation) -> SturmPermutation:
     _require_sturm(p)
     n = p.n
     return _derived(tuple(n + 1 - p.map[n - k - 1] for k in range(n)))
-
-
-class KleinOrbit(NamedTuple):
-    """Orbit of a Sturm permutation under the two trivial involutions."""
-
-    base: SturmPermutation
-    tau: SturmPermutation
-    kappa: SturmPermutation
-    tau_kappa: SturmPermutation
-
-    @property
-    def members(self) -> tuple[SturmPermutation, ...]:
-        """Distinct orbit members, in base/tau/kappa/tau-kappa order."""
-        return tuple(dict.fromkeys(self))
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-    @property
-    def collapsed(self) -> bool:
-        """True when the four images are not pairwise distinct."""
-        return self.size < 4
-
-
-def klein_orbit(p: SturmPermutation) -> KleinOrbit:
-    """Orbit {p, tau p, kappa p, tau kappa p}, with repetitions flagged.
-
-    >>> klein_orbit(SturmPermutation((1, 4, 5, 6, 3, 2, 7))).size
-    2
-    """
-    t = apply_tau(p)
-    k = apply_kappa(p)
-    tk = apply_kappa(t)
-    return KleinOrbit(base=p, tau=t, kappa=k, tau_kappa=tk)

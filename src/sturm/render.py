@@ -19,6 +19,8 @@ STROKE_WIDTH = 2  # px, of the arcs
 
 
 class RenderStyle(NamedTuple):
+    """Drawing options of :func:`render_svg`."""
+
     scale: int = 40  # pixels between adjacent crossings
     show_morse: bool = False
     zero_based_labels: bool = False

@@ -22,7 +22,7 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .meander import is_sturm
-from .perm import SturmPermutation, _check_int, _derived, _require_sturm
+from .perm import SturmPermutation, _derived, _require_sturm
 
 if TYPE_CHECKING:
     # The attractor loads only for verification, so suspending alone
@@ -35,10 +35,6 @@ class SuspensionResult(NamedTuple):
 
     original: SturmPermutation
     suspended: SturmPermutation
-
-    def inner_image(self, j: int) -> int:
-        _check_int(j, "label j", 1, self.original.n)
-        return j + 1
 
 
 def suspend(p: SturmPermutation) -> SuspensionResult:
@@ -64,12 +60,16 @@ def _suspend_labels(m: tuple[int, ...], times: int = 1) -> tuple[int, ...]:
 
 
 class CheckItem(NamedTuple):
+    """One suspension law, whether it held, and a detail when it failed."""
+
     name: str
     passed: bool
     detail: Optional[str] = None
 
 
 class SuspensionReport(NamedTuple):
+    """The suspension of a permutation and its itemized law checks."""
+
     result: SuspensionResult
     items: tuple[CheckItem, ...]
 

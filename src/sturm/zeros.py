@@ -49,10 +49,6 @@ class ZeroMatrix(NamedTuple):
             raise ValueError("zero number of a pair requires distinct labels")
         return self.values[j - 1][k - 1]
 
-    def morse(self, j: int) -> int:
-        _check_int(j, "label j", 1, len(self.values))
-        return self.values[j - 1][j - 1]
-
 
 def _zero_matrix_values(p: SturmPermutation) -> tuple[tuple[int, ...], ...]:
     n, pos = p.n, p.inv

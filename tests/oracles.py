@@ -3,15 +3,17 @@
 The two geometric oracles work on the rendered geometry of the canonical
 diagram (crossings at integer abscissae, arcs as true semicircles) with
 float arithmetic, so they share no code path with the sign-bookkeeping
-they cross-check. The numpy zero-number oracle is the vectorized form
-of the descending recursion that ``zeros._zero_matrix_values`` runs row
-by row in plain Python. The connection oracles compute the connection set
+they cross-check; they read only the arcs of ``build_diagram`` and sort
+them by side themselves. The numpy zero-number oracle is the vectorized
+form of the descending recursion that ``zeros._zero_matrix_values`` runs
+row by row in plain Python. The connection oracles compute the connection set
 without the cascade that ``build_model`` relies on: one tests every
 Morse-dropping pair with numpy, one source row at a time, the other
-applies the scalar criterion pair by pair. The target-set oracle scans
-every label for the bucketed target sets. The distance-extrema oracle
-takes the min and max of each boundary distance over a set in any order,
-where ``attractor._extrema`` reads boundary 0 off the ascending members.
+applies the scalar criterion (Morse drop plus ``is_z_adjacent``) pair by
+pair. The target-set oracle scans every label for the bucketed target
+sets and applies the same scalar criterion inline. The distance-extrema
+oracle takes the min and max of each boundary distance over a set in any
+order, where ``attractor._extrema`` reads boundary 0 off the ascending members.
 The JSON oracle is the standard library encoder that ``report.to_json``
 replaces. The prefix backtrack oracle is the enumerator that checks Morse
 numbers only over complete label prefixes, through its own table-driven
@@ -40,7 +42,6 @@ from sturm import (
     MinimaxExtrema,
     SturmPermutation,
     build_diagram,
-    connects,
     is_z_adjacent,
     z_matrix,
 )
@@ -105,9 +106,9 @@ def _circles_cross(a, b) -> bool:
 
 def geometric_is_meander(p: SturmPermutation) -> bool:
     """Meander test from circle intersections of same-side semicircles."""
-    diagram = build_diagram(p)
+    all_arcs = build_diagram(p).arcs
     for side in ("above", "below"):
-        arcs = diagram.side(side)
+        arcs = [a for a in all_arcs if a.side == side]
         for i in range(len(arcs)):
             for j in range(i + 1, len(arcs)):
                 if _circles_cross(arcs[i], arcs[j]):
@@ -123,7 +124,8 @@ def scan_target_set(model, base: int, k: int, sign: str) -> set[int]:
         for w in range(1, model.n + 1)
         if w != base
         and (model.z.pair(base, w), "+" if w > base else "-") == (k, sign)
-        and connects(model, base, w)
+        and model.morse[base - 1] > model.morse[w - 1]
+        and is_z_adjacent(model, base, w)[0]
     }
 
 

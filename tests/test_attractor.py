@@ -22,7 +22,6 @@ from sturm import (
     boundary_neighbors,
     build_model,
     connection_graph,
-    connects,
     enumerate_sturm,
     identity,
     is_z_adjacent,
@@ -118,27 +117,26 @@ class TestZAdjacency:
 
 
 class TestConnects:
+    # The connection criterion (Morse drop plus z-adjacency) on worked
+    # pairs, read off the model's successors.
     def test_worked_example(self, model7):
-        assert connects(model7, 3, 5)
+        assert 5 in model7.successors[3]
+        assert is_z_adjacent(model7, 3, 5) == (True, None)
 
     def test_morse_condition(self, model7):
-        assert not connects(model7, 5, 3)
+        # z-adjacent, but the Morse number rises from 5 to 3
+        assert is_z_adjacent(model7, 5, 3) == (True, None)
+        assert 3 not in model7.successors[5]
 
     def test_blocked(self, model7):
-        assert not connects(model7, 2, 5)
+        # the Morse number drops from 2 to 5, but 3 blocks the pair
+        assert model7.morse[1] > model7.morse[4]
+        assert is_z_adjacent(model7, 2, 5) == (False, 3)
+        assert 5 not in model7.successors[2]
 
     def test_window_pair_of_15(self, perm15):
         model = build_model(perm15)
-        assert connects(model, 3, 8)
-
-    @pytest.mark.parametrize("j, k", [(0, 3), (-4, 3), (8, 3), (3, 0), (3, 8)])
-    def test_labels_out_of_range(self, model7, j, k):
-        with pytest.raises(ValueError, match=r"out of range 1\.\.7$"):
-            connects(model7, j, k)
-
-    def test_equal_labels_rejected(self, model7):
-        with pytest.raises(ValueError, match="^connection test requires distinct labels$"):
-            connects(model7, 3, 3)
+        assert 8 in model.successors[3]
 
 
 class TestConnectionGraph:

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import geometric_crossing, geometric_is_meander, loop_crossings
 from sturm import (
-    NotSturmError,
     SturmPermutation,
     apply_kappa,
     apply_tau,
@@ -15,20 +14,19 @@ from sturm import (
     is_dissipative,
     is_meander,
     is_sturm,
-    quadrant_parity,
 )
 from sturm.crossing import _crossings
 
 
 class TestDiagram:
     def test_worked_example_arcs(self, perm7):
-        diagram = build_diagram(perm7)
-        above = {a.span for a in diagram.side("above")}
-        below = {a.span for a in diagram.side("below")}
-        assert above == {(1, 6), (2, 5), (3, 4)}
-        assert below == {(5, 6), (2, 3), (4, 7)}
+        arcs = build_diagram(perm7).arcs
+        above = [a for a in arcs if a.side == "above"]
+        below = [a for a in arcs if a.side == "below"]
+        assert {tuple(sorted((a.from_pos, a.to_pos))) for a in above} == {(1, 6), (2, 5), (3, 4)}
+        assert {tuple(sorted((a.from_pos, a.to_pos))) for a in below} == {(5, 6), (2, 3), (4, 7)}
         # curve orientation is preserved in the endpoints
-        assert [(a.from_pos, a.to_pos) for a in diagram.side("above")] == [
+        assert [(a.from_pos, a.to_pos) for a in above] == [
             (1, 6),
             (5, 2),
             (3, 4),
@@ -222,20 +220,3 @@ class TestCrossingNumber:
                 assert crossing_number(p, j, k, ell).value == geometric_crossing(
                     p, j, k, ell
                 )
-
-
-class TestQuadrantParity:
-    def test_worked_example(self, perm7):
-        assert quadrant_parity(perm7, 2) == "odd"
-        assert quadrant_parity(perm7, 3) == "even"
-
-    def test_identity(self):
-        assert quadrant_parity(identity(3), 1) == "odd"
-
-    def test_last_label_has_no_arc(self, perm7):
-        with pytest.raises(ValueError):
-            quadrant_parity(perm7, 7)
-
-    def test_requires_sturm(self):
-        with pytest.raises(NotSturmError):
-            quadrant_parity(SturmPermutation((1, 3, 2, 4, 5)), 1)

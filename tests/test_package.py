@@ -1,12 +1,16 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import sturm
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_public_names_are_the_submodule_objects():
@@ -100,3 +104,50 @@ def test_every_int_argument_has_a_gate_row():
 
     rows = {row[0] for row in _INT_ARGS.values()}
     assert _int_parameters() | {"RenderStyle.scale"} == rows
+
+
+def _annotation_words(obj):
+    # The words of a public name's annotations: a function's return type,
+    # a class's fields and its properties' return types. Under postponed
+    # evaluation each annotation is a string.
+    if inspect.isfunction(obj):
+        notes = [inspect.get_annotations(obj).get("return", "")]
+    elif inspect.isclass(obj):
+        notes = list(inspect.get_annotations(obj).values()) + [
+            inspect.get_annotations(value.fget).get("return", "")
+            for value in vars(obj).values()
+            if isinstance(value, property)
+        ]
+    else:
+        return set()
+    return {word for note in notes for word in re.findall(r"\w+", str(note))}
+
+
+def test_every_public_name_has_a_caller():
+    # A public name is reached when code outside its own module uses it:
+    # another module of the package (not __init__.py), a demo, the
+    # benchmark or the README. It is also reached when it appears in the
+    # annotations of a reached name, as a record a reached function returns.
+    # Tests alone do not keep a name public.
+    sources = {
+        path: path.read_text()
+        for pattern in ("src/sturm/*.py", "demos/*.py", "perfbench/*.py", "README.md")
+        for path in ROOT.glob(pattern)
+        if path.name != "__init__.py"
+    }
+    reached = {
+        name
+        for name, module in sturm._MODULE_OF.items()
+        if any(
+            re.search(rf"\b{name}\b", text)
+            for path, text in sources.items()
+            if path != ROOT / "src" / "sturm" / f"{module}.py"
+        )
+    }
+    frontier = set(reached)
+    while frontier:
+        words = set().union(*(_annotation_words(getattr(sturm, name)) for name in frontier))
+        frontier = (words & sturm._MODULE_OF.keys()) - reached
+        reached |= frontier
+    unreached = sorted(sturm._MODULE_OF.keys() - reached)
+    assert not unreached, f"public names with no caller: {', '.join(unreached)}"

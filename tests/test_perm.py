@@ -6,7 +6,6 @@ import sturm.meander
 from conftest import PERM15, PERM7
 from sturm import (
     HarnessReport,
-    KleinOrbit,
     MeanderWindow,
     NotSturmError,
     ParseError,
@@ -16,23 +15,18 @@ from sturm import (
     apply_tau,
     boundary_neighbors,
     build_model,
-    connects,
     count_sturm,
     crossing_number,
     enumerate_sturm,
     format_permutation,
     identity,
-    inverse,
     is_dissipative,
     is_morse,
     is_z_adjacent,
-    klein_orbit,
     minimax,
     minimax_report,
-    morse_indices,
     parse_permutation,
     property_harness,
-    quadrant_parity,
     render_svg,
     signed_z,
     suspend,
@@ -188,19 +182,20 @@ class TestConstruction:
 
 
 class TestInverse:
+    # SturmPermutation(p.inv) is the ungated inverse, for any bijection.
     def test_worked_example(self, perm7):
-        assert inverse(perm7).map == (1, 6, 5, 2, 3, 4, 7)
+        assert SturmPermutation(perm7.inv).map == (1, 6, 5, 2, 3, 4, 7)
 
     def test_identity(self):
-        assert inverse(identity(5)) == identity(5)
+        assert SturmPermutation(identity(5).inv) == identity(5)
 
     def test_self_inverse_involution(self):
         p = SturmPermutation((1, 4, 3, 2, 5))
-        assert inverse(p) == p
+        assert SturmPermutation(p.inv) == p
 
     def test_double_inverse(self, pool):
         for p in pool[7]:
-            assert inverse(inverse(p)) == p
+            assert SturmPermutation(SturmPermutation(p.inv).inv) == p
 
 
 class TestDissipative:
@@ -216,14 +211,14 @@ class TestDissipative:
 
 class TestMorse:
     def test_worked_example(self, perm7):
-        assert morse_indices(perm7) == (0, 1, 2, 1, 0, 1, 0)
+        assert perm7.morse == (0, 1, 2, 1, 0, 1, 0)
 
     def test_identity(self):
-        assert morse_indices(identity(5)) == (0, 1, 0, 1, 0)
+        assert identity(5).morse == (0, 1, 0, 1, 0)
 
     def test_nonzero_tail(self):
         # recursion climbs to 3 and ends at 2, so not a meander candidate
-        assert morse_indices(SturmPermutation((1, 3, 2, 4, 5))) == (0, 1, 2, 3, 2)
+        assert SturmPermutation((1, 3, 2, 4, 5)).morse == (0, 1, 2, 3, 2)
 
     def test_is_morse(self, perm7):
         assert is_morse(perm7)
@@ -232,7 +227,7 @@ class TestMorse:
     def test_dipping_recursion(self):
         # hand recursion: (0, 1, 0, -1, 0)
         p = SturmPermutation((1, 2, 5, 4, 3))
-        assert morse_indices(p)[3] == -1
+        assert p.morse[3] == -1
         assert not is_morse(p)
 
 
@@ -268,12 +263,10 @@ class TestInvolutions:
 GATED = {
     "z_matrix": z_matrix,
     "z_pair_nsl": lambda p: z_pair_nsl(p, 1, 3),
-    "quadrant_parity": lambda p: quadrant_parity(p, 1),
     "build_model": build_model,
     "suspend": suspend,
     "apply_tau": apply_tau,
     "apply_kappa": apply_kappa,
-    "klein_orbit": klein_orbit,
     "window_from_permutation": lambda p: MeanderWindow.from_permutation(p, 1, 5),
 }
 
@@ -317,18 +310,25 @@ class TestSturmGate:
         assert vars(p)["_sturm"] is True
 
 
+def _klein_images(p):
+    # The tau, kappa and tau-kappa images of p under the two involutions.
+    t = apply_tau(p)
+    return t, apply_kappa(p), apply_kappa(t)
+
+
 class TestKleinOrbit:
     def test_worked_example_collapses_to_two(self, perm7):
-        orbit = klein_orbit(perm7)
-        assert isinstance(orbit, KleinOrbit)
-        assert orbit.size == 2
-        assert orbit.collapsed
+        t, k, tk = _klein_images(perm7)
+        assert t == k != perm7
+        assert tk == perm7
 
     def test_identity_orbit(self):
-        assert klein_orbit(identity(3)).size == 1
+        p = identity(3)
+        assert _klein_images(p) == (p, p, p)
 
     def test_symmetric_involution(self):
-        assert klein_orbit(SturmPermutation((1, 4, 3, 2, 5))).size == 1
+        p = SturmPermutation((1, 4, 3, 2, 5))
+        assert _klein_images(p) == (p, p, p)
 
     def test_orbit_members_are_sturm(self, large_inputs, capsys):
         # The involutions and suspension hand out trusted results; each of
@@ -336,7 +336,7 @@ class TestKleinOrbit:
         inputs = [p for n in range(1, 12, 2) for p in enumerate_sturm(n)] + large_inputs
         for p in inputs:
             q = suspend(p).suspended
-            for image in (*klein_orbit(p).members, *klein_orbit(q).members):
+            for image in (*_klein_images(p), *_klein_images(q)):
                 assert is_sturm(image), (p, image)
             assert main(["suspend", str(p), "--times", "3"]) == 0
             assert is_sturm(parse_permutation(capsys.readouterr().out)), p
@@ -378,15 +378,8 @@ _INT_ARGS = {
     "crossing_number_ell": (
         "crossing_number.ell", lambda v: crossing_number(_P3, 1, 3, v), *_label("ell")
     ),
-    "quadrant_parity": (
-        "quadrant_parity.j",
-        lambda v: quadrant_parity(_P3, v),
-        "label j",
-        ("label {} has no outgoing arc (need 1 <= j < 3)",) * 3,
-    ),
     "pair": ("ZeroMatrix.pair.j", lambda v: z_matrix(_P3).pair(v, 3), *_label("j")),
     "pair_k": ("ZeroMatrix.pair.k", lambda v: z_matrix(_P3).pair(1, v), *_label("k")),
-    "morse": ("ZeroMatrix.morse.j", lambda v: z_matrix(_P3).morse(v), *_label("j")),
     "z_pair_nsl": ("z_pair_nsl.j", lambda v: z_pair_nsl(_P3, v, 3), *_label("j")),
     "z_pair_nsl_k": ("z_pair_nsl.k", lambda v: z_pair_nsl(_P3, 1, v), *_label("k")),
     "signed_z": ("signed_z.base", lambda v: signed_z(_P3, v, 3), *_label("base")),
@@ -417,8 +410,6 @@ _INT_ARGS = {
     ),
     "is_z_adjacent": ("is_z_adjacent.j", lambda v: is_z_adjacent(_M3, v, 3), *_label("j")),
     "is_z_adjacent_k": ("is_z_adjacent.k", lambda v: is_z_adjacent(_M3, 1, v), *_label("k")),
-    "connects": ("connects.j", lambda v: connects(_M3, v, 3), *_label("j")),
-    "connects_k": ("connects.k", lambda v: connects(_M3, 1, v), *_label("k")),
     "boundary_neighbors": (
         "boundary_neighbors.base", lambda v: boundary_neighbors(_M3, v), *_label("base")
     ),
@@ -439,9 +430,6 @@ _INT_ARGS = {
         (None, "level k={} out of range 0..0", "level k={} out of range 0..0"),
     ),
     "minimax_report": ("minimax_report.base", lambda v: minimax_report(_M3, v), *_label("base")),
-    "inner_image": (
-        "SuspensionResult.inner_image.j", lambda v: suspend(_P3).inner_image(v), *_label("j")
-    ),
     "enumerate_sturm": ("enumerate_sturm.n", enumerate_sturm, *_SIZE),
     "enumerate_sturm_bound": (
         "enumerate_sturm.bound",

@@ -40,12 +40,6 @@ class TestSuspend:
     def test_morse_shift(self, perm7):
         assert suspend(perm7).suspended.morse == (0, 1, 2, 3, 2, 1, 2, 1, 0)
 
-    def test_inner_image(self, perm7):
-        result = suspend(perm7)
-        assert result.inner_image(3) == 4
-        with pytest.raises(ValueError):
-            result.inner_image(8)
-
 
 class TestVerifySuspension:
     def test_worked_example(self, perm7):
