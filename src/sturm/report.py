@@ -10,16 +10,25 @@ each case unpacks into one verdict dict display, whose
 ``neighbor_is_closest`` and ``passed`` are compared there, and the record's
 ``passed`` is their conjunction, so no case or report property is called.
 The top level's two keys are the last two of ``target_sets``, and
-``neighbors`` and each ``minimax`` entry zip the field names onto the
-NamedTuple, with no ``_asdict`` copy to trim and extend.
+``neighbors`` and each larger ``minimax`` entry zip the field names onto
+the NamedTuple, with no ``_asdict`` copy to trim and extend.
+
+Records that depend on nothing but a level index or a label are interned,
+as ``attractor._SINGLETONS`` shares one ``MinimaxExtrema`` per label: each
+``extended`` entry (one per level index and verdict) and the ``minimax``
+entry of a one-member top level (one per label) is a read-only
+``_Interned`` dict from a process-wide table. A one-member level passes
+with no ``minimax_holds`` call.
 
 ``to_json`` is a hand-written emitter whose output is byte-identical to
 ``json.dumps(record, indent=2)`` plus a final newline: two-space
 indentation, ``","`` and ``": "`` separators, ASCII escapes. Under
 ``indent`` the standard library falls back to its pure-Python encoder,
-which takes four to five times as long on the n = 101 suspension-chain
-member's record: 52–63 ms against 11–14 ms (best of several runs, 2-CPU
-Xeon, Python 3.11). The tests keep ``json.dumps`` as the oracle.
+which takes about seven times as long on the n = 101 suspension-chain
+member's record: 50 ms against 7.3 ms (best of 5 and of 30 runs, 2-CPU
+Xeon, Python 3.11). The tests keep ``json.dumps`` as the oracle. The
+string escaper comes from ``_json``, the C module behind ``json.encoder``,
+so no command loads the ``json`` package.
 
 The emitter is one generic recursion with fast paths for the flat
 containers that make up most of a report, each written without a call
@@ -37,9 +46,9 @@ per member:
   of the n = 101 chain member's), which is its member's ``repr`` between
   brackets, with no join;
 - a dict value whose values are all scalars (``neighbors``, a verdict, a
-  ``minimax`` entry) is written in one join;
-- a list member that is a dict of scalars (an ``extended`` level) is
-  written in one join, and memoized.
+  larger ``minimax`` entry) is written in one join;
+- an ``_Interned`` is written from its cached text wherever it occurs, and
+  a list of them (``extended``) in one join of their texts.
 
 The int paths take exact ints only, tested by the set of the run's types
 before any template or ``repr`` is applied: ``%d`` would write ``True``
@@ -47,9 +56,9 @@ as ``1``, truncate a float and write an ``IntEnum`` member as its value.
 So a bool, a float or an ``IntEnum`` member in a run falls back to the
 recursion, which writes the first and refuses the others. An int too
 long for ``str`` fails in ``%d`` and ``repr`` with the ``ValueError`` of
-``json.dumps``. A dict value's first value picks its path: a dict
-(``verdicts``, ``minimax``) goes to the recursion, a list to the int-list
-join, anything else to the scalar join. A later value of another kind
+``json.dumps``. A dict value's first value picks its path: a dict or an
+``_Interned`` (``verdicts``, ``minimax``) goes to the recursion, a list to
+the int-list join, anything else to the scalar join. A later value of another kind
 sends the whole dict to the recursion, so no exception steers a report's
 dicts.
 
@@ -60,33 +69,23 @@ cost what a lambda does under Python 3.11, and half of what a tuple's
 ``__getitem__`` (a slot wrapper) or ``"null".format`` (which parses its
 format string) costs.
 
-Two tables live for the whole process, since they hold only what a
-record's shape fixes and stay small whatever is serialized: the
-indentation strings of each depth, kept for the first ``_FRAMES_DEPTH``
-depths, and the encoded ``"key": `` heads of the field names of this
-module's records, ``_FIELD_HEADS``. Neither grows with the input.
-
-The other memos live for one ``to_json`` call, in its ``_Heads``, and the
-row templates for one list, so each is bounded by the record it serves.
-The heads start as a copy of ``_FIELD_HEADS`` and add every other key,
-such as a level name, once per call. The flat memo holds the text of each
-list member that is a dict of scalars, so each distinct ``extended`` level
-is encoded once per call, not once per base. That memo is keyed on the
-indentation, the items and the value types: the types are needed because
-``True == 1`` and ``1 == 1.0`` with equal hashes, and each is written
-differently (or, for a float, refused). A list stops using that memo at
-its first member whose key cannot be hashed, and writes it and every later
-member through the recursion. Such a member holds a list or dict, so it is
-no dict of scalars, and its siblings are most likely records like it: the
-``minimax`` list of an analyze record holds one per base, and each would
-build a key of some twenty items only to fail hashing it. A per-member
-type test would cost every ``extended`` level instead.
+Four tables live for the whole process, since they hold only what a
+record's shape fixes: the indentation strings of each depth and the texts
+of each interned record, both kept for the first ``_FRAMES_DEPTH``
+depths; the encoded ``"key": `` heads of this module's field names,
+``_FIELD_HEADS``; and the interned records, which grow with the largest
+Morse number and label seen, not with the size of a document. The heads
+of other keys, such as level names, live for one ``to_json`` call in its
+``_Heads``, and the row templates for one list. Nothing is cached by
+value: equal dicts such as ``{"a": True}`` and ``{"a": 1}`` are written
+apart.
 """
 from __future__ import annotations
 
 from itertools import chain
-from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NoReturn, Optional
+
+from _json import encode_basestring_ascii
 
 from .attractor import (
     NEIGHBOR_SLOTS,
@@ -121,29 +120,29 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     # extrema holds the non-empty ones under the same keys; the top
     # level's two keys are the last two.
     target_sets, extrema = report.target_sets, report.extrema
+    levels = _EXTENDED if len(_EXTENDED) >= len(target_sets) else _grow_extended(len(target_sets))
     extended = [
-        {
-            "k": i >> 1,
-            "sign": "-" if i & 1 else "+",
-            "empty": not members,
-            # one member is closest and most distant at both boundaries
-            "passed": (len(members) == 1 or extrema[key].minimax_holds) if members else None,
-        }
-        for i, (key, members) in enumerate(target_sets.items())
+        # one member is closest and most distant at both boundaries
+        levels[i][(len(ws) == 1 or extrema[key].minimax_holds) if ws else None]
+        for i, (key, ws) in enumerate(target_sets.items())
     ]
     top = reversed(target_sets)
     top_minus = next(top)
     top_plus = next(top)
+    minimax = {}
+    for key in (top_plus, top_minus):
+        ws = target_sets[key]
+        if len(ws) == 1:
+            table = _ONE_MEMBER if len(_ONE_MEMBER) > ws[0] else _grow_one_member(ws[0])
+            minimax[key] = table[ws[0]]
+        elif ws:
+            minimax[key] = dict(zip(MinimaxExtrema._fields, extrema[key]))
     return {
         "O": report.base,
         "n": report.n,
         "neighbors": dict(zip(NEIGHBOR_SLOTS, report.neighbors)),
         "target_sets": dict(zip(target_sets, map(list, target_sets.values()))),
-        "minimax": {
-            key: dict(zip(MinimaxExtrema._fields, extrema[key]))
-            for key in (top_plus, top_minus)
-            if key in extrema
-        },
+        "minimax": minimax,
         "verdicts": verdicts,
         "extended": extended,
         "passed": passed,
@@ -162,6 +161,66 @@ def analyze_record(model: AttractorModel) -> dict[str, Any]:
         "connections": list(model.edges()),
         "minimax": [minimax_record(minimax_report(model, j)) for j in model.unstable()],
     }
+
+
+class _Interned(dict):
+    """A read-only dict of scalars that every report shares, with its text
+    under each closing newline for the first ``_FRAMES_DEPTH`` depths. A
+    copy or pickle of it is a plain dict."""
+
+    __slots__ = ("texts",)
+
+    def __init__(self, **items: Any) -> None:
+        dict.__init__(self, items)
+        self.texts: dict[str, str] = {}
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("a shared report record is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = update = pop = popitem = clear = setdefault = _refuse
+
+    def __reduce__(self) -> tuple:
+        return dict, (dict(self),)
+
+    def text(self, nl: str, heads: _Heads) -> str:
+        # The text of the record closed by nl.
+        text = self.texts.get(nl)
+        if text is None:
+            out: list[str] = []
+            _emit(dict(self), nl, out, heads)
+            text = "".join(out)
+            if len(nl) <= 2 * _FRAMES_DEPTH:
+                self.texts[nl] = text
+        return text
+
+
+# Tables grown as attractor._SINGLETONS is: at index i, the extended entries
+# of level i ("0+", "0-", "1+", ...) under their verdict (True passed, False
+# failed, None empty), and the minimax entry of the one-member level {i}.
+_EXTENDED: tuple[dict[Optional[bool], _Interned], ...] = ()
+_VERDICTS = (True, False, None)
+_ONE_MEMBER: tuple[_Interned, ...] = ()
+
+
+def _grow_extended(size: int) -> tuple[dict[Optional[bool], _Interned], ...]:
+    # The extended entries of the first size levels.
+    global _EXTENDED
+    old = _EXTENDED
+    table = _EXTENDED = old + tuple(
+        {ok: _Interned(k=i >> 1, sign="+-"[i & 1], empty=ok is None, passed=ok) for ok in _VERDICTS}
+        for i in range(len(old), size)
+    )
+    return table
+
+
+def _grow_one_member(w: int) -> tuple[_Interned, ...]:
+    # The one-member minimax entries through label w.
+    global _ONE_MEMBER
+    old = _ONE_MEMBER
+    table = _ONE_MEMBER = old + tuple(
+        [_Interned(**dict.fromkeys(MinimaxExtrema._fields, v)) for v in range(len(old), w + 1)]
+    )
+    return table
 
 
 # Exact types only, so repr is int's own; see the module docstring.
@@ -191,7 +250,7 @@ def to_json(record: dict[str, Any]) -> str:
     }
     """
     out: list[str] = []
-    _emit(record, "\n", out, _Heads())
+    _emit(record, "\n", out, _Heads(_FIELD_HEADS))
     out.append("\n")
     return "".join(out)
 
@@ -219,14 +278,8 @@ _FIELD_HEADS = {
 
 
 class _Heads(dict):
-    """The memos of one ``to_json`` call: the encoded ``"key": `` head of
-    each dict key, seeded with ``_FIELD_HEADS``, and ``flat`` the text of
-    each list member that is a dict of scalars, under its depth, items and
-    value types."""
-
-    def __init__(self) -> None:
-        dict.__init__(self, _FIELD_HEADS)
-        self.flat: dict[tuple, str] = {}
+    """The memo of one ``to_json`` call: the encoded ``"key": `` head of
+    each dict key, seeded with ``_FIELD_HEADS``."""
 
     def __missing__(self, key: Any) -> str:
         if not isinstance(key, str):
@@ -255,6 +308,7 @@ def _frame(nl: str) -> tuple[str, ...]:
 _INT = {int}
 _LIST = {list}
 _ROWS = {list, tuple}
+_SHARED = {_Interned}
 
 
 def _flat(x: dict, bar: str, comma_bar: str, inner: str, heads: _Heads) -> Optional[str]:
@@ -287,6 +341,9 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     # nl is the newline plus indentation of the line that closes v.
     t = type(v)
     if t is not dict and t is not list and t is not tuple:
+        if t is _Interned:
+            out.append(v.text(nl, heads))
+            return
         scalar = _SCALARS.get(t)
         if scalar is None:
             raise TypeError(f"cannot serialize {t.__name__}")
@@ -316,7 +373,7 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
                     first = type(next(iter(x.values())))
                     if first is list:
                         text = _lists(x, inner, heads)
-                    elif first is not dict:
+                    elif first is not dict and first is not _Interned:
                         text = _flat(x, bar, comma_bar, inner, heads)
                 if text is not None:
                     out.append(sep + heads[key] + text)
@@ -329,6 +386,8 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
     types = {*map(type, v)}
     if types == _INT:
         out.append("[" + inner + later.join(map(repr, v)) + nl + "]")
+    elif types == _SHARED:
+        out.append("[" + inner + later.join([x.text(inner, heads) for x in v]) + nl + "]")
     elif types <= _ROWS and all(v) and {*map(type, chain.from_iterable(v))} == _INT:
         # non-empty int rows, each through the %d template of its length
         templates = {
@@ -339,35 +398,7 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
         out.append("[" + inner + later.join(rows) + nl + "]")
     else:
         sep = "[" + inner
-        flat = heads.flat
-        members = iter(v)
-        for x in members:
-            text = None
-            if type(x) is dict and x:
-                # the types tell apart equal values such as True, 1 and 1.0
-                values = x.values()
-                key = (nl, *x, *values, *map(type, values))
-                try:
-                    text = flat.get(key)
-                except TypeError:  # an unhashable value, so no dict of scalars
-                    break
-                if text is None:
-                    text = _flat(x, bar, comma_bar, inner, heads)
-                    if text is not None:
-                        flat[key] = text
-            if text is None:
-                out.append(sep)
-                _emit(x, inner, out, heads)
-            else:
-                out.append(sep + text)
-            sep = later
-        else:
-            out.append(nl + "]")
-            return
-        # x is the first member that cannot be memoized. Its siblings are
-        # most likely records like it (the bases of an analyze record), so
-        # it and the rest skip the memo and its doomed key.
-        for x in chain((x,), members):
+        for x in v:
             out.append(sep)
             _emit(x, inner, out, heads)
             sep = later

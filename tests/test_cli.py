@@ -741,6 +741,8 @@ def test_each_command_loads_only_its_modules():
 def test_module_run_loads_only_its_modules(argv, expected):
     # ``python -m sturm`` also runs the package loader and ``__main__``;
     # -X importtime names on stderr every module the interpreter imports.
+    # report.py takes its string escaper from the C module ``_json``, so no
+    # command loads the ``json`` package.
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "sturm", *argv],
         capture_output=True,
@@ -753,6 +755,7 @@ def test_module_run_loads_only_its_modules(argv, expected):
         if line.startswith("import time:")
     }
     assert {m for m in imported if m.startswith("sturm.")} == {f"sturm.{m}" for m in expected}
+    assert not {m for m in imported if m.split(".")[0] == "json"}
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,9 @@ these literals. ``to_json`` must also agree byte for byte with
 ``json.dumps(record, indent=2)`` on every record and on arbitrary
 JSON-like trees.
 """
+import copy
 import hashlib
+import pickle
 from enum import IntEnum
 
 import numpy as np
@@ -17,8 +19,17 @@ from hypothesis import strategies as st
 
 from conftest import PERM15, PERM7, _suspended
 from oracles import asdict_minimax_record, json_oracle
+import sturm.report
 from sturm import NEIGHBOR_SLOTS, SturmPermutation, build_model, enumerate_sturm, minimax_report
-from sturm.report import _FIELD_HEADS, analyze_record, dot_graph, minimax_record, to_json
+from sturm.report import (
+    _FIELD_HEADS,
+    _FRAMES_DEPTH,
+    _Interned,
+    analyze_record,
+    dot_graph,
+    minimax_record,
+    to_json,
+)
 
 
 def _sha256(text: str) -> str:
@@ -194,8 +205,21 @@ _repeats = st.tuples(_bool_int_dicts, st.lists(st.booleans(), min_size=2, max_si
         for flip in drawn[1]
     ]
 )
+# Interned records that live across examples, so each is written at the
+# depths of earlier draws before those of later ones, in lists of their own
+# and beside other members.
+_POOL = (
+    _Interned(k=0, sign="+", empty=False, passed=True),
+    _Interned(k=3, sign="-", empty=True, passed=None),
+    _Interned(a=1, b="\u00e9\n", c=False),
+    _Interned(a=True),
+    _Interned(a=1),
+    _Interned(),
+)
+_interned = st.sampled_from(_POOL)
 _trees = st.recursive(
-    _leaves | _int_lists | _rows | _flat_dicts | _repeats | _int_list_dicts | _single_runs,
+    _leaves | _int_lists | _rows | _flat_dicts | _repeats | _int_list_dicts | _single_runs
+    | _interned | st.lists(_interned, min_size=1, max_size=4),
     lambda children: st.lists(children, max_size=4)
     | st.lists(children, max_size=4).map(tuple)
     | st.lists(_flat_dicts | children, max_size=4)
@@ -240,10 +264,34 @@ _SHARED = {"a": 1, "b": None}
 )
 def test_flat_dict_memo_traps(tree):
     # Equal dicts that differ in a value's type or in depth are written
-    # apart; the memo of one to_json call must not mix them up. A list
-    # stops memoizing at its first unhashable member, so flat dicts come
-    # before, after and on both sides of that switch-off.
+    # apart, so no text may be reused on equality: flat dicts come before,
+    # after and on both sides of members that hold lists or dicts.
     assert to_json(tree) == json_oracle(tree)
+
+
+def _interned_contexts(x):
+    deep = x
+    for _ in range(_FRAMES_DEPTH + 2):
+        deep = [deep, 0]
+    return {
+        "top-level": x,
+        "in-a-tuple": (1, x),
+        "dict-value": {"a": x, "b": {"c": x}},
+        "list-member": [1, x, [x]],
+        "only-member": [[x, x]],
+        "below-frames-depth": deep,
+    }
+
+
+@pytest.mark.parametrize("first", list(_interned_contexts(None)))
+def test_interned_text_depth_traps(first):
+    # An interned record keeps one text per depth: written first at any
+    # depth, it must still be written right at every other, below the
+    # depths it caches too.
+    x = _Interned(k=1, sign="-", empty=False, passed=True)
+    contexts = _interned_contexts(x)
+    for name in (first, *contexts, first):
+        assert to_json(contexts[name]) == json_oracle(contexts[name]), name
 
 
 @pytest.mark.parametrize(
@@ -299,7 +347,7 @@ def test_huge_int_fails_as_json_dumps_does(tree):
 
 
 def _keys(tree):
-    if type(tree) is dict:
+    if isinstance(tree, dict):
         for key, value in tree.items():
             yield key
             yield from _keys(value)
@@ -401,17 +449,83 @@ def test_int_enum_is_refused():
             to_json(tree)
 
 
-def test_record_shares_no_mutable_member():
+_MUTATORS = {
+    "setitem": lambda d: d.__setitem__("k", 0),
+    "delitem": lambda d: d.__delitem__("k"),
+    "ior": lambda d: d.__ior__({"k": 0}),
+    "update": lambda d: d.update(k=0),
+    "pop": lambda d: d.pop("k"),
+    "popitem": lambda d: d.popitem(),
+    "clear": lambda d: d.clear(),
+    "setdefault": lambda d: d.setdefault("k", 0),
+}
+
+
+def _containers(tree):
+    # every dict, list and tuple of a tree
+    if isinstance(tree, (dict, list, tuple)):
+        yield tree
+        for value in tree.values() if isinstance(tree, dict) else tree:
+            yield from _containers(value)
+
+
+def test_record_shares_only_read_only_entries():
     record = analyze_record(build_model(_suspended(SturmPermutation(PERM7), 12)))
-    extended = [level for mm in record["minimax"] for level in mm["extended"]]
-    target_lists = [ws for mm in record["minimax"] for ws in mm["target_sets"].values()]
-    assert len({*map(id, extended)}) == len(extended)
-    assert len({*map(id, target_lists)}) == len(target_lists)
+    bases = record["minimax"]
+    extended = [level for mm in bases for level in mm["extended"]]
+    # every extended level and every one-member top level is an interned
+    # record, shared between bases, and none of them can be changed
+    assert all(type(level) is _Interned for level in extended)
+    assert all(
+        (type(entry) is _Interned) == (len(mm["target_sets"][key]) == 1)
+        for mm in bases
+        for key, entry in mm["minimax"].items()
+    )
+    shared = {id(c): c for c in _containers(record) if type(c) is _Interned}
+    assert len(shared) < len(extended)
+    for entry in shared.values():
+        before = dict(entry)
+        for name, mutate in _MUTATORS.items():
+            with pytest.raises(TypeError):
+                mutate(entry)
+            assert entry == before, name
+    # the rest is the record's own
+    target_lists = [ws for mm in bases for ws in mm["target_sets"].values()]
+    verdicts = [v for mm in bases for v in mm["verdicts"].values()]
+    larger = [e for mm in bases for e in mm["minimax"].values() if type(e) is not _Interned]
+    assert larger
+    for own in (target_lists, verdicts, larger):
+        assert len({*map(id, own)}) == len(own)
     text = to_json(record)
-    assert to_json(record) == text == json_oracle(record)
-    # nothing of the first call is reused by the next
-    extended[0]["passed"] = None
+    assert text == json_oracle(record)
+    # a copy holds plain dicts only, and an edit to it shows in its text
+    for copied in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert copied == record
+        assert {type(c) for c in _containers(copied)} == {dict, list, tuple}
+        copied["minimax"][0]["extended"][0]["passed"] = "edited"
+        assert to_json(copied) == json_oracle(copied) != text
+    # a plain dict in an entry's place is written as it is
+    level = dict(extended[0], passed="edited")
+    bases[0]["extended"][0] = level
     assert to_json(record) == json_oracle(record) != text
+
+
+@pytest.mark.parametrize("times", [(1, 12, 1), (12, 1, 12)], ids=["small-first", "large-first"])
+def test_interned_tables_in_either_order(monkeypatch, times):
+    # The tables of interned records grow with the largest report written
+    # so far, so a model gets the same records after a larger model as
+    # after a smaller one; monkeypatch puts the grown tables back after.
+    monkeypatch.setattr(sturm.report, "_EXTENDED", ())
+    monkeypatch.setattr(sturm.report, "_ONE_MEMBER", ())
+    for t in times:
+        model = build_model(_suspended(SturmPermutation(PERM7), t))  # n = 9 or 31
+        for base in model.unstable():
+            report = minimax_report(model, base)
+            record = minimax_record(report)
+            assert _same_record(record, asdict_minimax_record(report)), (t, base)
+            assert to_json(record) == json_oracle(record), (t, base)
+    # two levels per Morse number of the top base at n = 31, 14
+    assert len(sturm.report._EXTENDED) == 2 * 14
 
 
 @pytest.mark.parametrize(
