@@ -17,12 +17,8 @@ pass over a base's successors buckets them all, and the whole analysis of
 that base is derived from those buckets in one ``MinimaxReport``. Almost
 every signed level has one member, which is every extremum and trivially
 minimax; such levels share one immutable ``MinimaxExtrema`` per label,
-from a table that the whole process shares, since it depends on nothing
-but n. The level names ``"0+", "0-", "1+", ...`` come from a second
-process-wide table, which depends on nothing but the largest Morse number;
-each report reads its own as a slice, so neither a base nor a model formats
-names or builds singletons. Each table grows to the largest model analyzed
-so far, by replacing the whole tuple, and is never cleared.
+and every report reads its level names ``"0+", "0-", "1+", ...`` as a
+slice. Both come from process-wide ``_Grown`` tables.
 
 The four cases of a report come from one loop over a module-level slot
 table: per neighbor slot, whether the neighbor is at the left boundary and
@@ -37,7 +33,9 @@ NamedTuple's generated Python ``__new__``.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal, NamedTuple, Optional, Sequence
+from typing import (
+    TYPE_CHECKING, Callable, Generic, Iterator, Literal, NamedTuple, Optional, Sequence, TypeVar,
+)
 
 from .perm import SturmPermutation, _check_int, _Frozen, _require_sturm
 from .zeros import Sign, ZeroMatrix, z_matrix
@@ -48,6 +46,7 @@ if TYPE_CHECKING:
     import networkx as nx
 
 Iota = Literal[0, 1]
+_T = TypeVar("_T")
 
 # Builds a NamedTuple from the tuple of all its fields in order, at about
 # half the cost of calling the class, whose generated __new__ is Python
@@ -278,35 +277,34 @@ def _unstable_morse(model: AttractorModel, base: int) -> int:
     return n_base
 
 
-# Process-wide tables, shared by every model since they depend on no input
-# but its size: at index w, the extrema of a one-member signed level {w}
-# (w at every boundary), and the level names "0+", "0-", "1+", ... Each
-# grows by replacing the whole tuple with a longer one that keeps the old
-# entries, so a reader never sees a partial table; two threads that grow
-# one at once may each build an extension, and either is correct.
-_SINGLETONS: tuple[MinimaxExtrema, ...] = ()
-_LEVEL_NAMES: tuple[str, ...] = ()
+class _Grown(Generic[_T]):
+    """A process-wide table ``build(0), build(1), ...`` of what depends on
+    nothing but an index, so every caller shares one object per index.
+
+    ``upto(size)`` returns the table as a tuple of at least ``size``
+    entries. The table is never cleared: it grows by replacing the whole
+    tuple with a longer one that keeps the old entries, so a reader never
+    sees a partial table. Two threads that grow it at once may each build
+    an extension; either is correct, and each gets one long enough.
+    """
+
+    __slots__ = ("build", "items")
+
+    def __init__(self, build: Callable[[int], _T]) -> None:
+        self.build = build
+        self.items: tuple[_T, ...] = ()
+
+    def upto(self, size: int) -> tuple[_T, ...]:
+        items = self.items
+        if len(items) < size:
+            items = self.items = items + tuple([self.build(i) for i in range(len(items), size)])
+        return items
 
 
-def _grow_singletons(n: int) -> tuple[MinimaxExtrema, ...]:
-    # The singleton table through index n.
-    global _SINGLETONS
-    old = _SINGLETONS
-    table = _SINGLETONS = old + tuple(
-        [MinimaxExtrema(w, w, w, w) for w in range(len(old), n + 1)]
-    )
-    return table
-
-
-def _grow_level_names(top: int) -> tuple[str, ...]:
-    # The level names through level top - 1: a base of Morse number
-    # m <= top names its 2m signed levels with the first 2m.
-    global _LEVEL_NAMES
-    old = _LEVEL_NAMES
-    table = _LEVEL_NAMES = old + tuple(
-        [f"{k}{sign}" for k in range(len(old) // 2, top) for sign in "+-"]
-    )
-    return table
+# At index w, the extrema of a one-member signed level {w}: w at every boundary.
+_SINGLETONS: _Grown[MinimaxExtrema] = _Grown(lambda w: MinimaxExtrema(w, w, w, w))
+# At index i, the name of the signed level i: "0+", "0-", "1+", ...
+_LEVEL_NAMES: _Grown[str] = _Grown(lambda i: f"{i >> 1}{'+-'[i & 1]}")
 
 
 class MinimaxCase(NamedTuple):
@@ -399,12 +397,8 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     (True, True)
     """
     n_base = _unstable_morse(model, base)
-    names, single = _LEVEL_NAMES, _SINGLETONS
-    if len(names) < 2 * n_base:
-        names = _grow_level_names(max(model.morse))
-    if len(single) <= model.n:
-        single = _grow_singletons(model.n)
-    names = names[: 2 * n_base]
+    names = _LEVEL_NAMES.upto(2 * n_base)[: 2 * n_base]
+    single = _SINGLETONS.upto(model.n + 1)
     target_sets = dict(zip(names, map(tuple, _buckets(model, base))))
     p = model.p
     extrema = {

@@ -30,9 +30,13 @@ import itertools
 from typing import Iterator, Literal
 
 from .meander import is_meander
-from .perm import SturmPermutation, _check_size, is_morse
+from .perm import SturmPermutation, _check_size, _echo_int, is_morse
 
 DEFAULT_BOUND = 11
+# The backtrack engine nests one generator frame per axis position, so a
+# size near the interpreter's recursion limit (1,000 frames by default)
+# overflows the stack; this cap leaves the rest for the caller's frames.
+_SIZE_LIMIT = 501
 
 Engine = Literal["backtrack", "filter"]
 
@@ -143,11 +147,14 @@ def enumerate_sturm(
     """All Sturm permutations of odd size n, in lexicographic map order.
 
     Size, bound and engine are checked at the call, before any iteration.
+    Whatever the bound, a size above 501 raises ``ValueError``.
 
     >>> [p.map for p in enumerate_sturm(5)]
     [(1, 2, 3, 4, 5), (1, 4, 3, 2, 5)]
     """
     _check_size(n, bound)
+    if n > _SIZE_LIMIT:
+        raise ValueError(f"size {_echo_int(n)} exceeds the enumeration limit {_SIZE_LIMIT}")
     if engine == "backtrack":
         return _enumerate_backtrack(n)
     if engine == "filter":

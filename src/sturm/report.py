@@ -13,12 +13,11 @@ The top level's two keys are the last two of ``target_sets``, and
 ``neighbors`` and each larger ``minimax`` entry zip the field names onto
 the NamedTuple, with no ``_asdict`` copy to trim and extend.
 
-Records that depend on nothing but a level index or a label are interned,
-as ``attractor._SINGLETONS`` shares one ``MinimaxExtrema`` per label: each
-``extended`` entry (one per level index and verdict) and the ``minimax``
-entry of a one-member top level (one per label) is a read-only
-``_Interned`` dict from a process-wide table. A one-member level passes
-with no ``minimax_holds`` call.
+Records that depend on nothing but a level index or a label are interned
+in process-wide ``attractor._Grown`` tables: each ``extended`` entry (one
+per level index and verdict) and the ``minimax`` entry of a one-member top
+level (one per label) is a read-only ``_Interned`` dict. A one-member level
+passes with no ``minimax_holds`` call.
 
 ``to_json`` is a hand-written emitter whose output is byte-identical to
 ``json.dumps(record, indent=2)`` plus a final newline: two-space
@@ -73,12 +72,12 @@ Four tables live for the whole process, since they hold only what a
 record's shape fixes: the indentation strings of each depth and the texts
 of each interned record, both kept for the first ``_FRAMES_DEPTH``
 depths; the encoded ``"key": `` heads of this module's field names,
-``_FIELD_HEADS``; and the interned records, which grow with the largest
-Morse number and label seen, not with the size of a document. The heads
-of other keys, such as level names, live for one ``to_json`` call in its
-``_Heads``, and the row templates for one list. Nothing is cached by
-value: equal dicts such as ``{"a": True}`` and ``{"a": 1}`` are written
-apart.
+``_FIELD_HEADS``; and the interned records, whose ``_Grown`` tables
+follow the largest Morse number and label seen, not the size of a
+document. The heads of other keys, such as level names, live for one
+``to_json`` call in its ``_Heads``, and the row templates for one list.
+Nothing is cached by value: equal dicts such as ``{"a": True}`` and
+``{"a": 1}`` are written apart.
 """
 from __future__ import annotations
 
@@ -92,6 +91,7 @@ from .attractor import (
     AttractorModel,
     MinimaxExtrema,
     MinimaxReport,
+    _Grown,
     minimax_report,
 )
 
@@ -120,7 +120,7 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     # extrema holds the non-empty ones under the same keys; the top
     # level's two keys are the last two.
     target_sets, extrema = report.target_sets, report.extrema
-    levels = _EXTENDED if len(_EXTENDED) >= len(target_sets) else _grow_extended(len(target_sets))
+    levels = _EXTENDED.upto(len(target_sets))
     extended = [
         # one member is closest and most distant at both boundaries
         levels[i][(len(ws) == 1 or extrema[key].minimax_holds) if ws else None]
@@ -133,8 +133,7 @@ def minimax_record(report: MinimaxReport) -> dict[str, Any]:
     for key in (top_plus, top_minus):
         ws = target_sets[key]
         if len(ws) == 1:
-            table = _ONE_MEMBER if len(_ONE_MEMBER) > ws[0] else _grow_one_member(ws[0])
-            minimax[key] = table[ws[0]]
+            minimax[key] = _ONE_MEMBER.upto(ws[0] + 1)[ws[0]]
         elif ws:
             minimax[key] = dict(zip(MinimaxExtrema._fields, extrema[key]))
     return {
@@ -194,33 +193,18 @@ class _Interned(dict):
         return text
 
 
-# Tables grown as attractor._SINGLETONS is: at index i, the extended entries
-# of level i ("0+", "0-", "1+", ...) under their verdict (True passed, False
-# failed, None empty), and the minimax entry of the one-member level {i}.
-_EXTENDED: tuple[dict[Optional[bool], _Interned], ...] = ()
-_VERDICTS = (True, False, None)
-_ONE_MEMBER: tuple[_Interned, ...] = ()
-
-
-def _grow_extended(size: int) -> tuple[dict[Optional[bool], _Interned], ...]:
-    # The extended entries of the first size levels.
-    global _EXTENDED
-    old = _EXTENDED
-    table = _EXTENDED = old + tuple(
-        {ok: _Interned(k=i >> 1, sign="+-"[i & 1], empty=ok is None, passed=ok) for ok in _VERDICTS}
-        for i in range(len(old), size)
-    )
-    return table
-
-
-def _grow_one_member(w: int) -> tuple[_Interned, ...]:
-    # The one-member minimax entries through label w.
-    global _ONE_MEMBER
-    old = _ONE_MEMBER
-    table = _ONE_MEMBER = old + tuple(
-        [_Interned(**dict.fromkeys(MinimaxExtrema._fields, v)) for v in range(len(old), w + 1)]
-    )
-    return table
+# At index i, the extended entries of level i ("0+", "0-", "1+", ...) under
+# their verdict: True passed, False failed, None empty.
+_EXTENDED: _Grown[dict[Optional[bool], _Interned]] = _Grown(
+    lambda i: {
+        ok: _Interned(k=i >> 1, sign="+-"[i & 1], empty=ok is None, passed=ok)
+        for ok in (True, False, None)
+    }
+)
+# At index w, the minimax entry of the one-member level {w}.
+_ONE_MEMBER: _Grown[_Interned] = _Grown(
+    lambda w: _Interned(**dict.fromkeys(MinimaxExtrema._fields, w))
+)
 
 
 # Exact types only, so repr is int's own; see the module docstring.

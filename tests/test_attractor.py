@@ -30,7 +30,7 @@ from sturm import (
     suspend,
     target_set,
 )
-from sturm.attractor import _analyze
+from sturm.attractor import _analyze, _Grown
 from sturm.harness import _levels
 from sturm.report import analyze_record, dot_graph
 
@@ -423,7 +423,7 @@ def _assert_extrema_match_oracle(model):
             want = distance_extrema(model.p, base, set(members))
             assert report.extrema[key] == want, (model.p, base, key)
             # a one-member level takes the process-wide extrema, a larger one its own
-            shared = report.extrema[key] is sturm.attractor._SINGLETONS[members[0]]
+            shared = report.extrema[key] is sturm.attractor._SINGLETONS.items[members[0]]
             assert shared == (len(members) == 1), (model.p, base, key)
             assert minimax(model, base, int(key[:-1]), key[-1]) == want, (model.p, base, key)
 
@@ -468,13 +468,25 @@ class TestSharedTables:
     @pytest.mark.parametrize("times", [(1, 12, 1), (12, 1, 12)], ids=["small-first", "large-first"])
     def test_models_in_either_order(self, monkeypatch, times):
         # from empty tables; monkeypatch puts the grown ones back after
-        monkeypatch.setattr(sturm.attractor, "_SINGLETONS", ())
-        monkeypatch.setattr(sturm.attractor, "_LEVEL_NAMES", ())
+        monkeypatch.setattr(sturm.attractor._SINGLETONS, "items", ())
+        monkeypatch.setattr(sturm.attractor._LEVEL_NAMES, "items", ())
         for t in times:
             model = build_model(_suspended(SturmPermutation(PERM7), t))  # n = 9 or 31
             _assert_extrema_match_oracle(model)
             TestCasesAgainstOracle._assert_cases(model)
-        assert len(sturm.attractor._SINGLETONS) == 32
+        assert len(sturm.attractor._SINGLETONS.items) == 32
+
+    def test_growth_keeps_every_entry(self):
+        table = _Grown(lambda i: [i])
+        small = table.upto(3)
+        assert small == ([0], [1], [2]) and table.items is small
+        # a smaller size returns the table as it is, never shorter
+        assert table.upto(1) is small and table.upto(0) is small
+        large = table.upto(7)
+        assert large == tuple([i] for i in range(7)) and table.items is large
+        # each old entry stays the same object, and a tie grows nothing
+        assert all(a is b for a, b in zip(small, large))
+        assert table.upto(7) is large
 
 
 def test_extended_property_swaps_only_the_extremes():

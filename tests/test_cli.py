@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -304,6 +305,20 @@ class TestEnumerate:
         status, _, err = run(capsys, "enumerate", "--n", "13")
         assert status == 1 and "bound" in err
 
+    def test_size_above_the_limit_prints_one_line(self):
+        # At the recursion limit the backtrack engine's generator stack
+        # overflowed into a traceback; the size limit is one error line.
+        proc = subprocess.run(
+            [sys.executable, "-m", "sturm", "enumerate", "--n", "1001", "--bound", "1001"],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "",
+            "error: value: size 1001 exceeds the enumeration limit 501\n",
+        )
+
 
 class TestRender:
     def test_svg(self, capsys):
@@ -358,6 +373,15 @@ class TestHarnessCommand:
         status, out, _ = run(capsys, "harness", "--n-max", "5")
         assert status == 0
         assert "overall: pass" in out
+
+    def test_stdout_is_pinned(self, capsys):
+        # Guards each property's name and check count as the command prints them.
+        status, out, _ = run(capsys, "harness", "--n-max", "7")
+        assert status == 0
+        assert (
+            hashlib.sha256(out.encode()).hexdigest()
+            == "ae452e28bb80d100605599dc47b26293f2555be53f7287f89d4606e630c4a79c"
+        )
 
 
 _COMMAND_NAMES = "validate, analyze, minimax, suspend, window, enumerate, render, harness"

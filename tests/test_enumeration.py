@@ -62,6 +62,8 @@ class TestEnumerate:
             (4, {}, "size must be odd and positive, got 4"),
             (13, {}, "size 13 exceeds the configured bound 11"),
             (7, {"bound": 5, "engine": "filter"}, "size 7 exceeds the configured bound 5"),
+            (503, {"bound": 503}, "size 503 exceeds the enumeration limit 501"),
+            (503, {"bound": 503, "engine": "filter"}, "size 503 exceeds the enumeration limit 501"),
             # bool and float sizes compare like ints: 5.0 failed only at
             # the first member, True gave the n = 1 family and a bound of
             # 11.5 counted like 11
@@ -76,6 +78,8 @@ class TestEnumerate:
             "even",
             "bound",
             "filter-bound",
+            "limit",
+            "filter-limit",
             "float-size",
             "bool-size",
             "float-bound",
@@ -104,6 +108,11 @@ class TestEnumerate:
         start = time.perf_counter()
         assert next(enumerate_sturm(21, bound=21)) == identity(21)
         assert time.perf_counter() - start < 5
+
+    def test_size_limit_streams_its_first_member(self):
+        # The backtrack engine nests a generator per axis position, so a
+        # size near the recursion limit overflowed it; the limit still runs.
+        assert next(enumerate_sturm(501, bound=501)) == identity(501)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("n, count", [(17, 53372), (19, 409982)])

@@ -515,8 +515,8 @@ def test_interned_tables_in_either_order(monkeypatch, times):
     # The tables of interned records grow with the largest report written
     # so far, so a model gets the same records after a larger model as
     # after a smaller one; monkeypatch puts the grown tables back after.
-    monkeypatch.setattr(sturm.report, "_EXTENDED", ())
-    monkeypatch.setattr(sturm.report, "_ONE_MEMBER", ())
+    monkeypatch.setattr(sturm.report._EXTENDED, "items", ())
+    monkeypatch.setattr(sturm.report._ONE_MEMBER, "items", ())
     for t in times:
         model = build_model(_suspended(SturmPermutation(PERM7), t))  # n = 9 or 31
         for base in model.unstable():
@@ -525,7 +525,7 @@ def test_interned_tables_in_either_order(monkeypatch, times):
             assert _same_record(record, asdict_minimax_record(report)), (t, base)
             assert to_json(record) == json_oracle(record), (t, base)
     # two levels per Morse number of the top base at n = 31, 14
-    assert len(sturm.report._EXTENDED) == 2 * 14
+    assert len(sturm.report._EXTENDED.items) == 2 * 14
 
 
 @pytest.mark.parametrize(
