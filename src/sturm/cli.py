@@ -59,7 +59,8 @@ FAIL_EXIT = 1
 # render --scale cap, px: render.MAX_SCALE, repeated so the parser loads no renderer
 MAX_SCALE = 10**6
 MAX_TIMES = 10**6  # suspend --times cap; each suspension adds two labels
-# window --order cap: window_z runs in about L**3 steps, 3 s at the cap
+# window --order cap: window_z runs in about L**2 steps; at the cap it takes
+# 0.13 s and the whole command 0.35 s on a 2-CPU Xeon
 MAX_WINDOW = 701
 
 
@@ -286,7 +287,7 @@ COMMANDS = {
                 str,
                 REQUIRED,
                 "window labels (1-based, within the window) in axis order, left to right; "
-                f"at most {MAX_WINDOW}, about 3 s at the cap",
+                f"at most {MAX_WINDOW}, about 0.35 s at the cap",
             ),
         },
     ),

@@ -1,20 +1,27 @@
-"""Crossing numbers and the pairwise zero-number kernel.
+"""Crossing numbers from one cached prefix-crossing kernel.
 
-Crossing counts and the pairwise zero-number identity share one kernel
-over a sequence of axis coordinates with an anchor Morse parity:
-:func:`crossing_number` runs it over axis positions with anchor 0,
+:func:`_prefix_line` counts, for the vertical line through one label and
+for every m, the signed crossings of the curve steps 1..m with that line,
+over a sequence of axis coordinates with an anchor Morse parity. Its
+three readers take differences of two entries of a line:
+:func:`crossing_number` over axis positions with anchor 0,
 ``zeros.z_pair_nsl`` over the same positions, and ``window.window_z``
 over the axis ranks of a window with the window's anchor Morse number.
-The kernel sums a run of steps in telescoped form: two end terms plus,
-for each parity class of the interior labels, one count of the labels
-left of the line over a stride-2 slice, so a pair costs two C-level
-passes instead of one Python step per arc.
+A permutation keeps each line it has built in a private cached slot, so
+a line costs one C-level pass per label, once.
+
+The kernel counts in half-steps: with g(t) = 1 when label t sits right
+of the line and 0 otherwise, step m adds e(m) (g(m+1) - g(m)), where
+e(m) = +1 for odd ``anchor + m`` and -1 otherwise. That is half the
+change of side d(t) = 2 g(t) - 1, so each step adds an integer and no
+odd doubled count can arise; the older doubled form needed an assert on
+its parity, which the half-step form has nothing left for.
 
 The descending recursion of ``zeros.z_matrix`` stays an independent
 route that the kernel is checked against. It starts each row from the
 zero boundary value at label n and adds one step at a time downward,
 while the kernel starts from the Morse number of the lower label and
-counts the segment above it in one piece. The two share no code; only
+reads the segment above it off one line. The two share no code; only
 the Morse numbers come from :mod:`sturm.perm`.
 
 This module is apart from :mod:`sturm.meander` so that the commands that
@@ -22,8 +29,8 @@ only draw or test a meander do not load it.
 """
 from __future__ import annotations
 
-from itertools import repeat
-from operator import lt
+from itertools import accumulate, cycle, repeat
+from operator import gt, mul, sub
 from typing import NamedTuple, Sequence
 
 from .perm import SturmPermutation, _check_int
@@ -38,65 +45,33 @@ class CrossingCount(NamedTuple):
     ell: int
 
 
-def _twice_run(xs: Sequence[int], anchor: int, a: int, b: int, x: int) -> int:
-    """Twice the signed crossings of the steps a..b-1 with the vertical
-    line at axis coordinate ``x``, where no label a..b sits at ``x``.
-
-    With e(m) = +1 for odd ``anchor + m`` and -1 otherwise, step m adds
-    e(m) (d(m+1) - d(m)), where d(t) is the side of label t: +1 right of
-    the line, -1 left of it, never 0 in the run. Since e(m) = -e(m-1)
-    the sum telescopes to the two end terms e(b-1) d(b) - e(a) d(a) plus
-    2 e(t-1) d(t) for each interior label t = a+1..b-1. The interior
-    labels of one parity share their weight, so each class sums to its
-    size minus twice its count left of the line: one C-level count over a
-    stride-2 slice of ``xs``.
-    """
-    if a >= b:
-        return 0
-    left_first = sum(map(lt, xs[a : b - 1 : 2], repeat(x)))  # labels a+1, a+3, ...: e(a)
-    left_second = sum(map(lt, xs[a + 1 : b - 1 : 2], repeat(x)))  # labels a+2, ...: -e(a)
-    # The interior sum over e(a): the first class has (b - a + 1) % 2 more labels.
-    inner = (b - a + 1) % 2 - 2 * (left_first - left_second)
-    d_a = 1 if xs[a - 1] > x else -1
-    d_b = 1 if xs[b - 1] > x else -1
-    # Over e(a) as well; e(b-1) = e(a) exactly when b - a is odd.
-    twice = (d_b if (b - a) % 2 else -d_b) - d_a + 2 * inner
-    return twice if (anchor + a) % 2 else -twice
-
-
-def _crossings(xs: Sequence[int], anchor: int, lo: int, hi: int, ell: int) -> int:
-    """Signed crossings of the curve steps lo..hi-1 (lo <= hi) with the
-    vertical line through the crossing labeled ell.
+def _prefix_line(xs: Sequence[int], anchor: int, ell: int) -> tuple[int, ...]:
+    """Signed crossings of the curve steps 1..m with the vertical line
+    through the crossing labeled ell, at index m = 0..len(xs) - 1.
 
     ``xs[t-1]`` is the axis coordinate of label t: an axis position, or a
     rank among the labels of a window. Step m is oriented as in the Morse
     recursion, clockwise when ``anchor + m`` is odd. Steps whose arc ends
-    at ell (steps ell - 1 and ell) contribute nothing: touching the line
-    at the crossing itself is not a transverse crossing. They split the
-    segment into at most two runs, one below ell and one above it, and
-    each run is summed in the telescoped form of :func:`_twice_run`.
+    at ell (steps ell - 1 and ell) count 0: touching the line at the
+    crossing itself is not a transverse crossing. The steps lo..hi-1 thus
+    cross the line ``line[hi - 1] - line[lo - 1]`` times.
     """
-    x = xs[ell - 1]
-    doubled = _twice_run(xs, anchor, lo, min(hi, ell - 1), x) + _twice_run(
-        xs, anchor, max(lo, ell + 1), hi, x
-    )
-    assert doubled % 2 == 0, "crossing count must be an integer"
-    return doubled // 2
+    right = list(map(gt, xs, repeat(xs[ell - 1])))
+    steps = list(map(mul, map(sub, right[1:], right), cycle((-1, 1) if anchor % 2 else (1, -1))))
+    if ell > 1:
+        steps[ell - 2] = 0
+    if ell < len(xs):
+        steps[ell - 1] = 0
+    return tuple(accumulate(steps, initial=0))
 
 
-def _pair_zero(xs: Sequence[int], morse: Sequence[int], s: int, t: int) -> int:
-    """Zero number z(v_t - v_s) of labels s < t by the nonlinear
-    Sturm-Liouville identity: the Morse number of s plus the crossings
-    of the segment s..t with the line at s, minus one when the Morse
-    number falls across step s ("even" quadrant parity).
-
-    ``morse[0]`` anchors the orientation; ``xs`` as in :func:`_crossings`.
-    Step s ends at the line, so the crossings are the one run s+1..t-1.
-    """
-    doubled = _twice_run(xs, morse[0], s + 1, t, xs[s - 1])
-    assert doubled % 2 == 0, "crossing count must be an integer"
-    value = morse[s - 1] + doubled // 2
-    return value - 1 if morse[s] < morse[s - 1] else value
+def _line(p: SturmPermutation, ell: int) -> tuple[int, ...]:
+    # The prefix line of label ell over p's axis positions, built on first use.
+    lines = p._lines
+    line = lines.get(ell)
+    if line is None:
+        line = lines[ell] = _prefix_line(p.inv, 0, ell)
+    return line
 
 
 def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCount:
@@ -115,5 +90,5 @@ def crossing_number(p: SturmPermutation, j: int, k: int, ell: int) -> CrossingCo
     _check_int(j, "label j", 1, p.n)
     _check_int(k, "label k", 1, p.n)
     _check_int(ell, "label ell", 1, p.n)
-    value = _crossings(p.inv, 0, min(j, k), max(j, k), ell)
-    return CrossingCount(value=-value if j > k else value, j=j, k=k, ell=ell)
+    line = _line(p, ell)
+    return CrossingCount(value=line[k - 1] - line[j - 1], j=j, k=k, ell=ell)

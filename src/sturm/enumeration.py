@@ -41,6 +41,14 @@ _SIZE_LIMIT = 501
 Engine = Literal["backtrack", "filter"]
 
 
+def _check_family_size(n: int, bound: int) -> None:
+    # The size rule of the enumerators and the harness: _check_size, then
+    # the enumeration limit, whatever the bound.
+    _check_size(n, bound)
+    if n > _SIZE_LIMIT:
+        raise ValueError(f"size {_echo_int(n)} exceeds the enumeration limit {_SIZE_LIMIT}")
+
+
 def _enumerate_filter(n: int) -> Iterator[SturmPermutation]:
     if n == 1:
         yield SturmPermutation((1,))
@@ -152,9 +160,7 @@ def enumerate_sturm(
     >>> [p.map for p in enumerate_sturm(5)]
     [(1, 2, 3, 4, 5), (1, 4, 3, 2, 5)]
     """
-    _check_size(n, bound)
-    if n > _SIZE_LIMIT:
-        raise ValueError(f"size {_echo_int(n)} exceeds the enumeration limit {_SIZE_LIMIT}")
+    _check_family_size(n, bound)
     if engine == "backtrack":
         return _enumerate_backtrack(n)
     if engine == "filter":

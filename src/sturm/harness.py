@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .attractor import Analysis, MinimaxExtrema, MinimaxReport, _analyze, boundary_neighbors
 from .crossing import crossing_number
-from .enumeration import DEFAULT_BOUND, enumerate_sturm
+from .enumeration import DEFAULT_BOUND, _check_family_size, enumerate_sturm
 from .perm import SturmPermutation, _check_size, apply_kappa, apply_tau
 from .suspension import _suspend_labels, _suspension_items, suspend
 from .window import MeanderWindow, window_z
@@ -272,12 +272,14 @@ def property_harness(n_max: int = 7, *, bound: int = DEFAULT_BOUND) -> HarnessRe
     Each family is enumerated once, and each member's model and minimax
     reports are built once, up front; the symmetry and suspension checks
     compare those analyses.
+    Size and bound are checked at the call, before any enumeration, as in
+    :func:`sturm.enumeration.enumerate_sturm`.
     Randomized spot checks (crossing triples, window placement) draw from
     a generator with a fixed seed, so reports are reproducible. Suspension
     laws are checked up to n_max - 2, so the suspended sizes stay within
     the enumerated range.
     """
-    _check_size(n_max, bound)
+    _check_family_size(n_max, bound)
     rng = random.Random(20240)
     report = HarnessReport(n_max)
     families = {n: list(enumerate_sturm(n, bound=bound)) for n in range(1, n_max + 1, 2)}

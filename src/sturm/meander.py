@@ -10,7 +10,7 @@ open arc on that side. The side of an arc is read off label parity, as
 in :func:`build_diagram`, and the backtrack enumerator runs the same
 stack step inline.
 
-The crossing numbers and the pairwise zero-number kernel live in
+The crossing numbers and their prefix-crossing kernel live in
 :mod:`sturm.crossing`, so validating, drawing and enumerating load none
 of them.
 """

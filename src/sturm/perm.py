@@ -131,6 +131,12 @@ class SturmPermutation(_Frozen):
         return _morse_recursion(self.inv)
 
     @cached_property
+    def _lines(self) -> dict[int, tuple[int, ...]]:
+        # The prefix-crossing lines of crossing._line, one per label, filled on
+        # first use; two threads that race for a line store equal tuples.
+        return {}
+
+    @cached_property
     def _sturm(self) -> bool:
         # local import: meander.py needs perm.py types
         from .meander import is_sturm

@@ -5,8 +5,9 @@ label range: the relative axis order of its labels plus one anchoring
 Morse number. That data suffices to reproduce the exact sub-block of the
 full zero-number matrix, because every sign comparison in the pairwise
 identity for a window pair involves window labels only: :func:`window_z`
-runs the kernel ``crossing._pair_zero`` over window ranks, and
-``zeros.z_pair_nsl`` is the window of all n labels.
+builds each prefix line of the kernel ``crossing._prefix_line`` once over
+the window ranks, with the window's anchor parity, and ``zeros.z_pair_nsl``
+is the window of all n labels.
 
 This module needs neither :mod:`sturm.meander` nor :mod:`sturm.zeros`:
 ``sturm window`` loads only the permutation helpers, the kernel and
@@ -14,9 +15,11 @@ this file.
 """
 from __future__ import annotations
 
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
-from .crossing import _pair_zero
+from .crossing import _prefix_line
 from .errors import WindowError
 from .perm import (
     SturmPermutation, _check_bijection, _check_int, _Frozen, _morse_recursion, _require_sturm
@@ -113,21 +116,30 @@ def window_z(win: MeanderWindow) -> tuple[tuple[int, ...], ...]:
     of window labels; the result equals the corresponding sub-block of
     the full matrix whenever the window comes from an actual Sturm
     permutation with the correct anchor. Rows are tuples of ints, like
-    :attr:`ZeroMatrix.values`.
+    :attr:`ZeroMatrix.values`. Row s reads one prefix line, built over
+    the window ranks once, so the whole matrix costs O(L**2).
     """
     morse = window_morse(win)
-    L = win.length
-    out = [[morse[s] if s == t else 0 for t in range(L)] for s in range(L)]
+    ranks, anchor, L = win.axis_rank, win.anchor_morse, win.length
+    upper = []
     for s in range(1, L):
-        for t in range(s + 1, L + 1):
-            value = _pair_zero(win.axis_rank, morse, s, t)
-            if value < 0:
-                raise WindowError(
-                    f"window pair ({s}, {t}) gets zero number {value}; "
-                    "window is inconsistent with any Sturm completion"
-                )
-            out[s - 1][t - 1] = out[t - 1][s - 1] = value
-    return tuple(map(tuple, out))
+        # z(s, t) for t = s+1..L, as in zeros.z_pair_nsl.
+        line = _prefix_line(ranks, anchor, s)
+        base = morse[s - 1] - (morse[s] < morse[s - 1]) - line[s]
+        row = tuple(map(add, line[s:], repeat(base)))
+        if min(row) < 0:
+            t, value = next((t, v) for t, v in enumerate(row, start=s + 1) if v < 0)
+            raise WindowError(
+                f"window pair ({s}, {t}) gets zero number {value}; "
+                "window is inconsistent with any Sturm completion"
+            )
+        upper.append((0,) * s + row)
+    upper.append((0,) * L)
+    # zip(*upper) transposes: column s of upper is the lower part of row s.
+    return tuple(
+        lower[:s] + (morse[s],) + row[s + 1 :]
+        for s, (row, lower) in enumerate(zip(upper, zip(*upper)))
+    )
 
 
 def matrix_text(values: Sequence[Sequence[int]]) -> str:

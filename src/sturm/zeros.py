@@ -11,15 +11,16 @@ Two independent routes compute the same quantity:
 
 Their exact agreement on every pair is a core invariant of the test
 suite, which is also what pins down the quadrant-parity convention. The
-pairwise identity is the kernel ``crossing._pair_zero``, which
-``window.window_z`` runs as well; the recursion here shares nothing with
-it but Morse numbers. The windowed analysis lives in :mod:`sturm.window`.
+pairwise identity reads two entries of one cached prefix-crossing line
+of ``crossing._prefix_line``, the kernel that ``window.window_z`` runs
+as well; the recursion here shares nothing with it but Morse numbers.
+The windowed analysis lives in :mod:`sturm.window`.
 """
 from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .crossing import _pair_zero
+from .crossing import _line
 from .perm import SturmPermutation, _check_int, _require_sturm
 
 Sign = Literal["+", "-"]
@@ -99,7 +100,11 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     if j == k:
         raise ValueError("zero number of a pair requires distinct labels")
     _require_sturm(p)
-    return _pair_zero(p.inv, p.morse, j, k) if j < k else _pair_zero(p.inv, p.morse, k, j)
+    s, t = (j, k) if j < k else (k, j)
+    # Morse number of s, minus one when it falls across step s ("even"
+    # quadrant parity), plus the crossings of steps s+1..t-1 with line s.
+    morse, line = p.morse, _line(p, s)
+    return morse[s - 1] - (morse[s] < morse[s - 1]) + line[t - 1] - line[s]
 
 
 class SignedZero(NamedTuple):

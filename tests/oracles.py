@@ -23,8 +23,11 @@ the sides off label parity inline. The minimax record oracle builds each
 record from the report's NamedTuples with ``_asdict``, where
 ``report.minimax_record`` writes dict displays and zips field names onto
 the tuples. The loop crossing oracle adds up the signed crossings one
-curve step at a time, where ``crossing._crossings`` sums each run of steps
-in telescoped form with one count per label parity class. The minimax
+curve step at a time, where ``crossing._prefix_line`` builds all prefix
+counts of one line in a single C-level pass and its readers take the
+difference of two entries; the loop window oracle runs the pairwise
+identity over it pair by pair, where ``window.window_z`` reads each row
+off one prefix line. The minimax
 case oracle derives each neighbor slot's case from the paper's rule, with
 the neighbors read off label and axis order, the top-level target set from
 the label scan and the extrema from the distance-extrema oracle, where
@@ -41,8 +44,10 @@ from sturm import (
     MinimaxCase,
     MinimaxExtrema,
     SturmPermutation,
+    WindowError,
     build_diagram,
     is_z_adjacent,
+    window_morse,
     z_matrix,
 )
 
@@ -93,6 +98,26 @@ def loop_crossings(xs, anchor: int, lo: int, hi: int, ell: int) -> int:
         doubled += diff if (anchor + m) % 2 == 1 else -diff
     assert doubled % 2 == 0, "crossing count must be an integer"
     return doubled // 2
+
+
+def loop_window_z(win) -> tuple[tuple[int, ...], ...]:
+    """Zero numbers of all window pairs by the pairwise identity, one pair
+    and one curve step at a time through :func:`loop_crossings`; raises
+    the ``WindowError`` of the first negative pair, row by row."""
+    morse = window_morse(win)
+    L = win.length
+    out = [[morse[s] if s == t else 0 for t in range(L)] for s in range(L)]
+    for s in range(1, L):
+        for t in range(s + 1, L + 1):
+            value = morse[s - 1] - (morse[s] < morse[s - 1])
+            value += loop_crossings(win.axis_rank, win.anchor_morse, s + 1, t, s)
+            if value < 0:
+                raise WindowError(
+                    f"window pair ({s}, {t}) gets zero number {value}; "
+                    "window is inconsistent with any Sturm completion"
+                )
+            out[s - 1][t - 1] = out[t - 1][s - 1] = value
+    return tuple(map(tuple, out))
 
 
 def _circles_cross(a, b) -> bool:

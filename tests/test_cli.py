@@ -9,9 +9,17 @@ import pytest
 import sturm.attractor
 import sturm.render
 import sturm.suspension
-import sturm.window
 from conftest import PERM15, PERM7, WINDOW_ORDER, WINDOW_Z
-from sturm import SturmPermutation, format_permutation, is_sturm, parse_permutation, suspend
+from sturm import (
+    SturmPermutation,
+    format_permutation,
+    identity,
+    is_sturm,
+    matrix_text,
+    parse_permutation,
+    suspend,
+    z_matrix,
+)
 from sturm.cli import COMMANDS, MAX_SCALE, MAX_TIMES, MAX_WINDOW, main
 from sturm.enumeration import DEFAULT_BOUND
 
@@ -258,21 +266,23 @@ class TestWindow:
             assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
 
     def test_order_above_cap_rejected(self, capsys):
-        # window_z grows as L**3: 701 labels took 3.1 s on a 2-CPU Xeon, so
-        # 2,001 labels ran for minutes
+        # window_z costs O(L**2), 0.13 s at the 701-label cap on a 2-CPU
+        # Xeon; raising the cap is a behaviour change of its own
         count = MAX_WINDOW + 1
         order = " ".join(map(str, range(1, count + 1)))
         line = f"error: parse: --order must list at most {MAX_WINDOW} labels, got {count}\n"
         assert run(capsys, "window", "--anchor-morse", "0", "--order", order) == (2, "", line)
 
-    def test_order_cap_admitted_and_documented(self, capsys, monkeypatch):
-        # At the cap the real matrix takes seconds, so a stub stands in for
-        # it: only the gate is under test.
-        seen = []
-        monkeypatch.setattr(sturm.window, "window_z", lambda win: seen.append(win.length) or ())
+    def test_order_cap_admitted_and_documented(self, capsys):
+        # The real window at the cap: labels 1..701 of identity(701) in
+        # identity order with anchor 0, whose matrix is the full z_matrix.
         order = " ".join(map(str, range(1, MAX_WINDOW + 1)))
-        status, _, err = run(capsys, "window", "--anchor-morse", "0", "--order", order)
-        assert (status, err, seen) == (0, "", [MAX_WINDOW])
+        status, out, err = run(capsys, "window", "--anchor-morse", "0", "--order", order)
+        assert (status, err) == (0, "")
+        p = identity(MAX_WINDOW)
+        expected = "morse: " + " ".join(map(str, p.morse)) + "\nz-matrix:\n"
+        expected += matrix_text(z_matrix(p).values) + "\n"
+        assert out == expected
         status, out, _ = run(capsys, "window", "--help")
         assert status == 0 and f"at most {MAX_WINDOW}" in out
 
@@ -373,6 +383,21 @@ class TestHarnessCommand:
         status, out, _ = run(capsys, "harness", "--n-max", "5")
         assert status == 0
         assert "overall: pass" in out
+
+    def test_size_above_the_limit_prints_one_line(self):
+        # The enumeration limit holds before any family is enumerated; the
+        # command used to enumerate n = 21 first and hang.
+        proc = subprocess.run(
+            [sys.executable, "-m", "sturm", "harness", "--n-max", "1001", "--bound", "1001"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1,
+            "",
+            "error: value: size 1001 exceeds the enumeration limit 501\n",
+        )
 
     def test_stdout_is_pinned(self, capsys):
         # Guards each property's name and check count as the command prints them.

@@ -160,6 +160,18 @@ class TestHarness:
         with pytest.raises(ValueError, match="^size must be of type int, got float$"):
             property_harness(7.0)
 
+    @pytest.mark.parametrize("n_max", [503, 1001])
+    def test_size_above_the_enumeration_limit_rejected_at_call(self, monkeypatch, n_max):
+        # used to enumerate every family below the limit first: n = 21 alone
+        # holds 3.3 million members
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerated before the size check")
+
+        monkeypatch.setattr("sturm.harness.enumerate_sturm", refuse)
+        message = f"^size {n_max} exceeds the enumeration limit 501$"
+        with pytest.raises(ValueError, match=message):
+            property_harness(n_max, bound=n_max)
+
     def test_text_summary(self):
         report = property_harness(5)
         text = report.text()

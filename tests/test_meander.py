@@ -1,5 +1,8 @@
 import itertools
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -14,8 +17,9 @@ from sturm import (
     is_dissipative,
     is_meander,
     is_sturm,
+    z_pair_nsl,
 )
-from sturm.crossing import _crossings
+from sturm.crossing import _prefix_line
 
 
 class TestDiagram:
@@ -161,9 +165,10 @@ class TestCrossingNumber:
                 crossing_number(perm7, j, k, ell)
 
     def test_kernel_matches_the_loop_oracle(self, pool, pool9):
-        # Every segment lo..hi and every line, over the axis positions of
-        # all Sturm permutations up to n = 9 and over every rank tuple of
-        # up to six window labels under anchors 0..3.
+        # Every segment j..k, reversed and empty ones included, and every
+        # line from ell = 1 to ell = n, over the axis positions of all
+        # Sturm permutations up to n = 9 and over every rank tuple of up
+        # to six window labels under anchors 0..3.
         cases = [(p.inv, a) for members in (*pool.values(), pool9) for p in members for a in (0, 1)]
         cases += [
             (ranks, a)
@@ -173,11 +178,80 @@ class TestCrossingNumber:
         ]
         for xs, anchor in cases:
             labels = range(1, len(xs) + 1)
-            for lo, hi, ell in itertools.product(labels, repeat=3):
-                if lo <= hi:
-                    assert _crossings(xs, anchor, lo, hi, ell) == loop_crossings(
-                        xs, anchor, lo, hi, ell
-                    ), (xs, anchor, lo, hi, ell)
+            for ell in labels:
+                line = _prefix_line(xs, anchor, ell)
+                assert len(line) == len(xs) and line[0] == 0
+                for j, k in itertools.product(labels, repeat=2):
+                    lo, hi = min(j, k), max(j, k)
+                    count = loop_crossings(xs, anchor, lo, hi, ell)
+                    assert line[k - 1] - line[j - 1] == (count if j <= k else -count), (
+                        xs, anchor, j, k, ell
+                    )
+
+    def test_cached_lines_change_no_answer(self, pool9):
+        # A permutation keeps each prefix line it builds. The answers of a
+        # fresh permutation, of one whose lines were built in another call
+        # order and of its pickled copy are the same, and the filled cache
+        # changes neither equality nor hash.
+        rng = random.Random(9)
+        labels = range(1, 10)
+        calls = [("crossing", *jkl) for jkl in itertools.product(labels, repeat=3)]
+        calls += [("pair", j, k) for j, k in itertools.product(labels, repeat=2) if j != k]
+
+        def answers(p, order):
+            return {
+                call: crossing_number(p, *call[1:]).value
+                if call[0] == "crossing"
+                else z_pair_nsl(p, *call[1:])
+                for call in order
+            }
+
+        for member in rng.sample(pool9, 6):
+            # one fresh permutation per call: no line is ever reused
+            expected = {call: answers(SturmPermutation(member.map), [call])[call] for call in calls}
+            assert answers(SturmPermutation(member.map), calls) == expected
+            shuffled = calls[:]
+            rng.shuffle(shuffled)
+            warm = SturmPermutation(member.map)
+            answers(warm, shuffled[:5])
+            assert 0 < len(warm._lines) < 9
+            assert answers(warm, shuffled) == expected
+            assert answers(warm, calls[::-1]) == expected
+            assert sorted(warm._lines) == list(labels)
+            copied = pickle.loads(pickle.dumps(warm))
+            assert copied == warm == SturmPermutation(member.map)
+            assert hash(copied) == hash(warm) == hash(SturmPermutation(member.map))
+            assert answers(copied, calls) == expected
+
+    def test_threads_share_one_permutation(self, large_inputs):
+        # Racing threads may build the same line twice, but every line they
+        # store is equal, so each thread gets the single-threaded answers.
+        member = large_inputs[3]
+        n = member.n
+        calls = list(itertools.product(range(1, n + 1, 3), range(1, n + 1, 5), range(1, n + 1, 2)))
+        expected = [crossing_number(SturmPermutation(member.map), *c).value for c in calls]
+        shared = SturmPermutation(member.map)
+        results = {}
+
+        def work(seed):
+            order = list(range(len(calls)))
+            random.Random(seed).shuffle(order)
+            got = {i: crossing_number(shared, *calls[i]).value for i in order}
+            results[seed] = [got[i] for i in range(len(calls))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {seed: expected for seed in range(6)}
+        assert sorted(shared._lines) == list(range(1, n + 1, 2))
 
     def test_geometric_oracle_on_large_inputs(self, large_inputs):
         # The line before the segment, inside it, at either end and after

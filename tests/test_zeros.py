@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from conftest import PERM7, WINDOW_MORSE, WINDOW_ORDER, WINDOW_Z, _suspended, block
-from oracles import numpy_z_values
+from oracles import loop_window_z, numpy_z_values
 from sturm import (
     MeanderWindow,
     SignedZero,
@@ -213,6 +215,25 @@ class TestWindow:
             window_morse(win)
         with pytest.raises(WindowError):
             window_z(win)
+
+    def test_loop_oracle_errors_included(self):
+        # Every axis order of up to six labels under anchors 0..3: the same
+        # matrix, or the same WindowError naming the same first pair.
+        errors = set()
+        for size in range(2, 7):
+            for order in itertools.permutations(range(1, size + 1)):
+                for anchor in range(4):
+                    win = MeanderWindow.from_axis_order(order, anchor_morse=anchor)
+                    try:
+                        expected = loop_window_z(win)
+                    except WindowError as exc:
+                        with pytest.raises(WindowError) as info:
+                            window_z(win)
+                        assert str(info.value) == str(exc), (order, anchor)
+                        errors.add(str(exc).split(";")[0])
+                    else:
+                        assert window_z(win) == expected, (order, anchor)
+        assert any("pair" in e for e in errors) and any("label" in e for e in errors)
 
     def test_validation(self):
         with pytest.raises(ValueError):
