@@ -6,6 +6,12 @@ third equilibrium between them (in left-boundary order) realizes the
 triple zero-number equality that blocks the connection. Connections
 cascade (Fiedler & Rocha, J. Differential Equations 125, 1996), so only
 edges that drop the Morse number by one are tested, then closed.
+``build_model`` runs one blocker scan per base, over all the labels one
+Morse level down; the scan jumps between the labels at which one row
+reads the pair's zero number, found by ``tuple.index``. The closure is
+kept as one bit mask per label, and each mask becomes its successor tuple
+through a byte table: its reversed binary digits, translated to the
+bytes 0 and 1, select the set bits with ``itertools.compress``.
 
 On top of the connection criterion this module identifies, for a chosen
 unstable equilibrium, its four boundary neighbors, the signed target
@@ -33,6 +39,7 @@ NamedTuple's generated Python ``__new__``.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress, count
 from typing import (
     TYPE_CHECKING, Callable, Generic, Iterator, Literal, NamedTuple, Optional, Sequence, TypeVar,
 )
@@ -88,14 +95,21 @@ class AttractorModel(_Frozen):
         return frozenset(self.edges())
 
 
-def _blocker(rows, j: int, k: int) -> Optional[int]:
-    # The smallest blocking label; rows are zero-number matrix rows.
-    row_j, row_k = rows[j - 1], rows[k - 1]
-    level = row_j[k - 1]
-    for w in range(min(j, k) + 1, max(j, k)):
-        if row_j[w - 1] == level and row_k[w - 1] == level:
-            return w
-    return None
+def _blockers(rows, j: int, ks) -> list[Optional[int]]:
+    # For each label k in ks, the smallest label blocking j and k, or None;
+    # rows are zero-number matrix rows. Between lo and hi, the candidates are
+    # the labels at which row lo reads the pair's level z(lo, hi), found by
+    # tuple.index; z(lo, hi) itself, at index hi - 1, ends every search.
+    out = []
+    for k in ks:
+        lo, hi = (j, k) if j < k else (k, j)
+        row_lo, row_hi, end = rows[lo - 1], rows[hi - 1], hi - 1
+        level = row_lo[end]
+        i = row_lo.index(level, lo)
+        while i < end and row_hi[i] != level:
+            i = row_lo.index(level, i + 1)
+        out.append(i + 1 if i < end else None)
+    return out
 
 
 def is_z_adjacent(model: AttractorModel, j: int, k: int) -> tuple[bool, Optional[int]]:
@@ -109,8 +123,13 @@ def is_z_adjacent(model: AttractorModel, j: int, k: int) -> tuple[bool, Optional
     _check_int(k, "label k", 1, model.n)
     if j == k:
         raise ValueError("z-adjacency requires distinct labels")
-    w = _blocker(model.z.values, j, k)
+    (w,) = _blockers(model.z.values, j, (k,))
     return (w is None), w
+
+
+# Maps the digits of bin() to the bytes 0 and 1: byte k of a mask's reversed
+# digits is then bit k, and compress() keeps the indices of the set bits.
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def build_model(p: SturmPermutation) -> AttractorModel:
@@ -122,17 +141,23 @@ def build_model(p: SturmPermutation) -> AttractorModel:
     _require_sturm(p)
     morse = p.morse
     z = z_matrix(p)
+    rows = z.values
     # Ascending Morse order: reach[j] gets bit k for each target k of j,
     # from each unblocked drop-one edge j -> k and the targets of k, which
     # are complete since level[m] holds the visited labels of Morse number m.
+    # One blocker scan per base covers all of its drop-one edges.
     reach = [0] * (p.n + 1)
     level: dict[int, list[int]] = {}
     for j in sorted(range(1, p.n + 1), key=lambda v: morse[v - 1]):
-        for k in level.get(morse[j - 1] - 1, ()):
-            if _blocker(z.values, j, k) is None:
-                reach[j] |= (1 << k) | reach[k]
+        ks = level.get(morse[j - 1] - 1)
+        if ks:
+            for k, w in zip(ks, _blockers(rows, j, ks)):
+                if w is None:
+                    reach[j] |= (1 << k) | reach[k]
         level.setdefault(morse[j - 1], []).append(j)
-    successors = tuple([tuple([k for k, b in enumerate(bin(r)[::-1]) if b == "1"]) for r in reach])
+    successors = tuple(
+        [tuple(compress(count(), bin(r)[:1:-1].encode().translate(_BITS))) for r in reach]
+    )
     return AttractorModel(p=p, morse=morse, z=z, successors=successors)
 
 

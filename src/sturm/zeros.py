@@ -4,7 +4,9 @@ Two independent routes compute the same quantity:
 
 * :func:`z_matrix` fills the whole symmetric matrix by the descending
   boundary recursion (rows start from the zero boundary values forced by
-  dissipativity);
+  dissipativity) in half steps: row j moves by exactly one at each curve
+  step that passes the axis position of j, with a sign read off the step's
+  parity and side;
 * :func:`z_pair_nsl` evaluates a single pair through the nonlinear
   Sturm-Liouville identity, Morse number plus crossing count with a
   quadrant-parity correction.
@@ -53,20 +55,24 @@ class ZeroMatrix(NamedTuple):
 
 def _zero_matrix_values(p: SturmPermutation) -> tuple[tuple[int, ...], ...]:
     n, pos = p.n, p.inv
+    # Row j (0-based) descends from the boundary value z(j, n) = 0 in half
+    # steps. With g(t) = [position of t > position of j], the 1-based step m
+    # moves the row by exactly one when g(m) != g(m + 1): up when m + g(m + 1)
+    # is odd, down when it is even. z(j, k) sums the steps m = k..n-1, and
+    # the loop's 0-based column k takes the step m = k + 1, so rise[k] is the
+    # move when g(m + 1) holds and fall[k] the move when it does not.
+    rise = [-1, 1] * (n // 2 + 1)
+    fall = [1, -1] * (n // 2 + 1)
     upper = []
     for j in range(n):
-        # Row j (0-based) descends from the boundary value z(j, n) = 0. The
-        # 1-based step m adds half of (-1)^m (d(m+1) - d(m)), with
-        # d(m) = sign(pos m - pos j), so z(j, k) sums the steps m = k..n-1;
-        # the loop's 0-based column k takes the step m = k + 1.
-        pj, row, twice = pos[j], [0] * n, 0
-        d_next = (pos[n - 1] > pj) - (pos[n - 1] < pj)
+        pj, row, z = pos[j], [0] * n, 0
+        g_next = pos[n - 1] > pj
         for k in range(n - 2, j, -1):
-            d = (pos[k] > pj) - (pos[k] < pj)
-            twice += d_next - d if k % 2 else d - d_next
-            assert twice % 2 == 0, "doubled recursion must stay even"
-            row[k] = twice // 2
-            d_next = d
+            g = pos[k] > pj
+            if g is not g_next:
+                z += rise[k] if g_next else fall[k]
+            row[k] = z
+            g_next = g
         upper.append(row)
     # zip(*upper) transposes: column j of upper is the lower part of row j.
     return tuple(
@@ -95,9 +101,13 @@ def z_pair_nsl(p: SturmPermutation, j: int, k: int) -> int:
     Evaluated on (min, max) since the zero number is symmetric and the
     identity is stated for ordered pairs. Independent of :func:`z_matrix`.
     """
-    _check_int(j, "label j", 1, p.n)
-    _check_int(k, "label k", 1, p.n)
-    if j == k:
+    n = p.n
+    # One test of both labels at once. Only a pair that fails it runs the
+    # gates, in their order, so the error names the first fault; a pair that
+    # passes both label gates failed on equal labels.
+    if not (type(j) is int and type(k) is int and 0 < j <= n and 0 < k <= n and j != k):
+        _check_int(j, "label j", 1, n)
+        _check_int(k, "label k", 1, n)
         raise ValueError("zero number of a pair requires distinct labels")
     _require_sturm(p)
     s, t = (j, k) if j < k else (k, j)

@@ -10,8 +10,13 @@ row by row in plain Python. The connection oracles compute the connection set
 without the cascade that ``build_model`` relies on: one tests every
 Morse-dropping pair with numpy, one source row at a time, the other
 applies the scalar criterion (Morse drop plus ``is_z_adjacent``) pair by
-pair. The target-set oracle scans every label for the bucketed target
-sets and applies the same scalar criterion inline. The distance-extrema
+pair. That scalar criterion shares its blocker scan with ``build_model``,
+so the numpy blocker oracle witnesses the scan itself: it finds the
+smallest blocking label of each pair by whole-row comparisons on the
+numpy zero numbers, where ``attractor._blockers`` jumps between the
+labels at which one row reads the pair's level. The target-set oracle
+scans every label for the bucketed target sets and applies the same
+scalar criterion inline. The distance-extrema
 oracle takes the min and max of each boundary distance over a set in any
 order, where ``attractor._extrema`` reads boundary 0 off the ascending members.
 The JSON oracle is the standard library encoder that ``report.to_json``
@@ -209,6 +214,25 @@ def scan_connections(p: SturmPermutation) -> frozenset[tuple[int, int]]:
         ).any(axis=1)
         edges.extend((j + 1, int(k) + 1) for k in ks[~blocked])
     return frozenset(edges)
+
+
+def numpy_blockers(p: SturmPermutation) -> dict[tuple[int, int], int | None]:
+    """Smallest blocking label of every Morse-dropping ordered pair (j, k),
+    or None, from the numpy zero-number oracle: a mask of every label
+    strictly between, then the first hit of a whole-row comparison."""
+    morse = np.asarray(p.morse)
+    zv = numpy_z_values(p)
+    idx = np.arange(1, p.n + 1)
+    out = {}
+    for j in range(1, p.n + 1):
+        for k in np.flatnonzero(morse < morse[j - 1]) + 1:
+            level = zv[j - 1, k - 1]
+            hits = (
+                (idx > min(j, k)) & (idx < max(j, k))
+                & (zv[j - 1] == level) & (zv[k - 1] == level)
+            )
+            out[j, int(k)] = int(idx[hits.argmax()]) if hits.any() else None
+    return out
 
 
 def distance_extrema(p: SturmPermutation, base: int, members) -> MinimaxExtrema:

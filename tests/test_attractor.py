@@ -7,6 +7,7 @@ import sturm.attractor
 from conftest import PERM7, _suspended
 from oracles import (
     distance_extrema,
+    numpy_blockers,
     paper_cases,
     scalar_connections,
     scan_connections,
@@ -105,6 +106,18 @@ class TestZAdjacency:
             for k in range(1, 8):
                 if j != k:
                     assert is_z_adjacent(model7, j, k)[0] == is_z_adjacent(model7, k, j)[0]
+
+    def test_witness_matches_the_numpy_oracle(self, large_inputs):
+        # every Morse-dropping ordered pair of every member up to n = 11 and
+        # of the larger fixtures: the same verdict and the same smallest
+        # blocking label as the whole-row numpy scan
+        members = [p for n in range(1, 12, 2) for p in enumerate_sturm(n)]
+        for p in members + list(large_inputs):
+            model = build_model(p)
+            expected = numpy_blockers(p)
+            assert expected or p.n == 1
+            for (j, k), w in expected.items():
+                assert is_z_adjacent(model, j, k) == (w is None, w), (p, j, k)
 
     def test_equal_labels_rejected(self, model7):
         with pytest.raises(ValueError):

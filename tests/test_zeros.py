@@ -133,6 +133,22 @@ class TestPairFormula:
         with pytest.raises(ValueError, match=rf"^label {message} out of range 1\.\.7$"):
             z_pair_nsl(perm7, j, k)
 
+    @pytest.mark.parametrize(
+        "j, k, line",
+        [
+            (4, 4, "label j=4 out of range 1..3"),
+            (True, True, "label j must be of type int, got bool"),
+            (2.0, 2, "label j must be of type int, got float"),
+            (0, 3, "label j=0 out of range 1..3"),
+        ],
+    )
+    def test_first_fault_named_when_several(self, j, k, line):
+        # the one-test fast path fails, and the gates then name the first
+        # fault in their order: j's type, j's range, k's, then equal labels
+        with pytest.raises(ValueError) as info:
+            z_pair_nsl(SturmPermutation((1, 2, 3)), j, k)
+        assert str(info.value) == line
+
     def test_agrees_with_matrix_everywhere(self, pool):
         for n in (1, 3, 5, 7):
             for p in pool[n]:
