@@ -156,8 +156,6 @@ def cmd_window(args: SimpleNamespace) -> int:
     try:
         win = MeanderWindow.from_axis_order(order, anchor_morse=args.anchor_morse)
     except ValueError as exc:
-        if isinstance(exc, SturmError):
-            raise
         raise ParseError(str(exc)) from None
     morse = window_morse(win)
     print("morse: " + " ".join(str(i) for i in morse))
@@ -171,7 +169,7 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
     from .perm import format_permutation
 
     bound = DEFAULT_BOUND if args.bound is None else args.bound
-    stream = enumerate_sturm(args.n, engine=args.engine, bound=bound)
+    stream = enumerate_sturm(args.n, bound=bound)
     if args.count_only:
         print(sum(1 for _ in stream))
     else:
@@ -298,9 +296,6 @@ COMMANDS = {
         {
             "n": Option(int, REQUIRED, "odd size"),
             "count-only": Option(bool, False, "print only the number of permutations"),
-            "engine": Option(
-                ("backtrack", "filter"), "backtrack", "filter is the brute-force cross-check"
-            ),
             "bound": _BOUND,
         },
     ),

@@ -1,28 +1,25 @@
 """Exhaustive generation of Sturm permutations.
 
-Two engines produce every Sturm permutation of a given odd size in
-lexicographic order:
+The *backtrack* engine produces every Sturm permutation of a given odd
+size in lexicographic order. It grows the axis sequence left to right and
+hands out each member as it completes. It tries the free labels in
+ascending order and keeps those that pass the stack step of
+``meander.is_meander``, run inline: one stack of open arcs per side, each
+arc's side read off label parity. The arc from n - 1 to n ends in the
+last slot, so it may open under no other arc. Step m of the curve joins
+labels m and m + 1. Its direction is decided as soon as either label is
+placed, and from then on its Morse step is known. The engine runs the
+Morse numbers over the decided steps up from i(1) = 0 and down from
+i(n) = 0, and drops a prefix when one goes negative or the undecided gap
+between the two runs cannot be bridged by unit steps. Every Sturm
+permutation has i(n) = 0: a loop over the top from label n back to label
+1 closes its curve to a simple closed curve turning once
+counterclockwise, all of it in the loop. So no member is lost.
 
-* the *backtrack* engine, the default, grows the axis sequence left to
-  right and hands out each member as it completes. It
-  tries the free labels in ascending order and keeps those that pass the
-  stack step of ``meander.is_meander``, run inline: one stack of open
-  arcs per side, each arc's side read off label parity. The arc from
-  n - 1 to n ends in the last slot, so it may open under no other arc.
-  Step m of the curve joins labels m and m + 1. Its direction is decided
-  as soon as either label is placed, and from then on its Morse step is
-  known. The engine runs the Morse numbers over the decided steps up
-  from i(1) = 0 and down from i(n) = 0, and drops a prefix when one goes
-  negative or the undecided gap between the two runs cannot be bridged
-  by unit steps. Every Sturm permutation has i(n) = 0: a loop over the
-  top from label n back to label 1 closes its curve to a simple closed
-  curve turning once counterclockwise, all of it in the loop. So no
-  member is lost;
-* the *filter* engine tests all permutations fixing the end labels. It
-  is the brute-force cross-check, fine up to size 9 or so.
-
-``sturm.harness`` replays the documented invariants of every module over
-the families enumerated here.
+``_enumerate_filter`` tests all permutations fixing the end labels. It is
+factorial, so it has no public path: ``sturm.harness`` compares the
+backtrack engine with it at sizes up to 7, and replays the documented
+invariants of every module over the families enumerated here.
 """
 from __future__ import annotations
 
@@ -38,7 +35,8 @@ DEFAULT_BOUND = 11
 # overflows the stack; this cap leaves the rest for the caller's frames.
 _SIZE_LIMIT = 501
 
-Engine = Literal["backtrack", "filter"]
+# The one engine; enumerate_sturm keeps the keyword for callers that name it.
+Engine = Literal["backtrack"]
 
 
 def _check_family_size(n: int, bound: int) -> None:
@@ -155,24 +153,23 @@ def enumerate_sturm(
     """All Sturm permutations of odd size n, in lexicographic map order.
 
     Size, bound and engine are checked at the call, before any iteration.
-    Whatever the bound, a size above 501 raises ``ValueError``.
+    Whatever the bound, a size above 501 raises ``ValueError``. The only
+    engine is ``"backtrack"``; any other value raises ``ValueError``.
 
     >>> [p.map for p in enumerate_sturm(5)]
     [(1, 2, 3, 4, 5), (1, 4, 3, 2, 5)]
     """
     _check_family_size(n, bound)
-    if engine == "backtrack":
-        return _enumerate_backtrack(n)
-    if engine == "filter":
-        return _enumerate_filter(n)
-    raise ValueError(f"unknown engine {engine!r}")
+    if engine != "backtrack":
+        raise ValueError(f"unknown engine {engine!r}")
+    return _enumerate_backtrack(n)
 
 
-def count_sturm(n: int, engine: Engine = "backtrack", bound: int = DEFAULT_BOUND) -> int:
+def count_sturm(n: int, bound: int = DEFAULT_BOUND) -> int:
     """Number of Sturm permutations of odd size n, checked as in
     :func:`enumerate_sturm`.
 
     >>> count_sturm(9)
     32
     """
-    return sum(1 for _ in enumerate_sturm(n, engine=engine, bound=bound))
+    return sum(1 for _ in enumerate_sturm(n, bound=bound))

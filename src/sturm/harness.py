@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 from .attractor import Analysis, MinimaxExtrema, MinimaxReport, _analyze, boundary_neighbors
 from .crossing import crossing_number
-from .enumeration import DEFAULT_BOUND, _check_family_size, enumerate_sturm
+from .enumeration import DEFAULT_BOUND, _check_family_size, _enumerate_filter, enumerate_sturm
 from .perm import SturmPermutation, _check_size, apply_kappa, apply_tau
 from .suspension import _suspend_labels, _suspension_items, suspend
 from .window import MeanderWindow, window_z
@@ -294,8 +294,9 @@ def property_harness(n_max: int = 7, *, bound: int = DEFAULT_BOUND) -> HarnessRe
         report.counts[n] = len(members)
 
         if n <= 7:
-            via_filter = list(enumerate_sturm(n, engine="filter", bound=bound))
-            report.prop("both enumeration engines agree").record(via_filter == members, f"n={n}")
+            report.prop("both enumeration engines agree").record(
+                list(_enumerate_filter(n)) == members, f"n={n}"
+            )
         report.prop("the family is closed under the involutions").record(
             all(apply_tau(q).map in analyses and apply_kappa(q).map in analyses for q in members),
             f"n={n}",

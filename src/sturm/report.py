@@ -37,8 +37,7 @@ per member:
   is written row by row through a ``%d`` template, built per list for
   each row length it holds, that carries the row's brackets, separators
   and indentation, so C-level formatting writes each row in one step;
-- a dict value that is a list of ints (``sigma``, ``morse``) is written
-  inline in one join;
+- a list of ints (``sigma``, ``morse``) is written in one join;
 - a dict whose values are all int lists (``target_sets``) is written in
   one join of its levels, each level a join of its members, except a
   one-member level (93% of the levels of the n = 13 family, all but one
@@ -344,11 +343,6 @@ def _emit(v: Any, nl: str, out: list[str], heads: _Heads) -> None:
             scalar = _SCALARS.get(tx)
             if scalar is not None:
                 out.append(sep + heads[key] + scalar(x))
-            elif tx is list and {*map(type, x)} == _INT:
-                # a value that is an int list, written inline
-                out.append(
-                    sep + heads[key] + open_bar + comma_bar.join(map(repr, x)) + close_inner
-                )
             else:
                 text = None
                 if tx is dict and x:

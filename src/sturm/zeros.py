@@ -39,10 +39,6 @@ class ZeroMatrix(NamedTuple):
 
     values: tuple[tuple[int, ...], ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
     def pair(self, j: int, k: int) -> int:
         """Zero number z(v_k - v_j) for distinct labels j, k."""
         n = len(self.values)

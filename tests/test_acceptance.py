@@ -29,6 +29,7 @@ from sturm import (
     z_matrix,
     z_pair_nsl,
 )
+from sturm.enumeration import _enumerate_filter
 
 
 def _verdict(num: int, label: str, ok: bool) -> None:
@@ -131,9 +132,7 @@ def test_criterion_07_suspension_sweep():
 def test_criterion_08_enumeration_baselines():
     ok = count_sturm(1) == 1 and count_sturm(3) == 1 and count_sturm(5) == 2
     for n in (1, 3, 5, 7):
-        ok = ok and list(enumerate_sturm(n, engine="filter")) == list(
-            enumerate_sturm(n, engine="backtrack")
-        )
+        ok = ok and list(_enumerate_filter(n)) == list(enumerate_sturm(n))
     # regression values pinned at first computation
     ok = ok and count_sturm(7) == 7 and count_sturm(9) == 32
     _verdict(8, "enumeration counts and engine agreement", ok)

@@ -437,10 +437,7 @@ class TestUsage:
             (["enumerate", "--n", "1_1"], "invalid int value '1_1' for --n"),
             (["enumerate", "--n", "\uff17"], "invalid int value '\uff17' for --n"),
             (["minimax", "--eq=3 ", PERM7_TEXT], "invalid int value '3 ' for --eq"),
-            (
-                ["enumerate", "--n", "5", "--engine", "x"],
-                "invalid choice 'x' for --engine (choose from backtrack, filter)",
-            ),
+            (["enumerate", "--n", "5", "--engine", "filter"], "unknown option --engine"),
             (
                 ["render", "--format", "x", PERM7_TEXT],
                 "invalid choice 'x' for --format (choose from svg, dot)",
@@ -465,7 +462,7 @@ class TestUsage:
             "non-int-underscore",
             "non-int-full-width",
             "non-int-trailing-blank",
-            "bad-engine",
+            "removed-engine",
             "bad-format",
             "flag-with-value",
             "second-positional",
@@ -540,10 +537,10 @@ class TestIntegerTokens:
             "",
             f"error: usage: invalid int value {cut} for --n\n",
         )
-        status, out, err = run(capsys, "enumerate", "--n", "5", "--engine", "x" * 5000)
+        status, out, err = run(capsys, "render", "--format", "x" * 5000, PERM7_TEXT)
         assert (status, out) == (2, "")
-        choices = "(choose from backtrack, filter)"
-        assert err == f"error: usage: invalid choice '{'x' * 20}...' for --engine {choices}\n"
+        choices = "(choose from svg, dot)"
+        assert err == f"error: usage: invalid choice '{'x' * 20}...' for --format {choices}\n"
 
     @pytest.mark.parametrize(
         "argv, line",
@@ -658,7 +655,6 @@ class TestHelp:
             ("suspend", "--times INT", "0..1000000 (default 1)"),
             ("render", "--scale INT", "1..1000000 (default 40)"),
             ("render", "--format {svg,dot}", "(default svg)"),
-            ("enumerate", "--engine {backtrack,filter}", "(default backtrack)"),
             ("enumerate", "--bound INT", f"(default {DEFAULT_BOUND})"),
             ("harness", "--bound INT", f"(default {DEFAULT_BOUND})"),
             ("window", "--order TEXT", "(required)"),

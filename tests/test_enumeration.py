@@ -19,6 +19,8 @@ from sturm import (
 )
 from sturm import enumeration
 from sturm.attractor import _analyze
+from sturm.cli import main
+from sturm.crossing import crossing_number
 from sturm.harness import HarnessReport, _check_klein_equivariance, _check_suspension
 
 # Counts for sizes 7 and 9 are regression values pinned at first
@@ -59,6 +61,8 @@ class TestEnumerate:
         [
             (5, {"engine": "bogus"}, "unknown engine 'bogus'"),
             (5, {"engine": "auto"}, "unknown engine 'auto'"),
+            # the brute-force filter is the harness's private reference
+            (5, {"engine": "filter"}, "unknown engine 'filter'"),
             (4, {}, "size must be odd and positive, got 4"),
             (13, {}, "size 13 exceeds the configured bound 11"),
             (7, {"bound": 5, "engine": "filter"}, "size 7 exceeds the configured bound 5"),
@@ -75,6 +79,7 @@ class TestEnumerate:
         ids=[
             "engine",
             "auto-engine",
+            "filter-engine",
             "even",
             "bound",
             "filter-bound",
@@ -93,9 +98,7 @@ class TestEnumerate:
 
     def test_engines_agree(self):
         for n in (1, 3, 5, 7, 9):
-            assert list(enumerate_sturm(n, engine="filter")) == list(
-                enumerate_sturm(n, engine="backtrack")
-            )
+            assert list(enumeration._enumerate_filter(n)) == list(enumerate_sturm(n))
 
     def test_pruning_matches_the_prefix_oracle(self):
         # Pruning at every decided step and from both ends loses no member.
@@ -121,9 +124,7 @@ class TestEnumerate:
 
     @pytest.mark.slow
     def test_engines_agree_at_eleven(self):
-        assert list(enumerate_sturm(11, engine="filter", bound=11)) == list(
-            enumerate_sturm(11, engine="backtrack")
-        )
+        assert list(enumeration._enumerate_filter(11)) == list(enumerate_sturm(11))
 
     def test_lexicographic_order(self, pool9):
         maps = [p.map for p in pool9]
@@ -257,10 +258,30 @@ class TestHarness:
         # up in the engine agreement property, and only at that size.
         real = enumeration._enumerate_filter
         monkeypatch.setattr(
-            enumeration, "_enumerate_filter", lambda n: list(real(n))[:-1] if n == 5 else real(n)
+            "sturm.harness._enumerate_filter",
+            lambda n: list(real(n))[:-1] if n == 5 else real(n),
         )
         prop = property_harness(7).properties["both enumeration engines agree"]
         assert (prop.checked, prop.failures, prop.first_counterexample) == (4, 1, "n=5")
+
+    def test_failed_property_is_reported(self, monkeypatch, capsys):
+        # Skewing the crossing numbers of one member with j > k breaks
+        # antisymmetry there, and only the crossing property fails.
+        def skewed(p, j, k, ell):
+            c = crossing_number(p, j, k, ell)
+            return c._replace(value=c.value + 1) if p.map == (1, 4, 3, 2, 5) and j > k else c
+
+        monkeypatch.setattr("sturm.harness.crossing_number", skewed)
+        report = property_harness(5)
+        assert report.passed is False
+        line = (
+            "  FAIL  crossing numbers are additive and antisymmetric"
+            "  (4 checks, 1 failures, first: 1 4 3 2 5)"
+        )
+        failed = [text for text in report.text().splitlines() if "FAIL" in text]
+        assert failed == [line, "overall: FAIL"]
+        assert main(["harness", "--n-max", "5"]) == 1
+        assert capsys.readouterr().out == report.text() + "\n"
 
     def test_suspension_outside_the_family_is_a_failure(self):
         p = SturmPermutation(PERM7)

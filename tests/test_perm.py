@@ -35,6 +35,7 @@ from sturm import (
     z_pair_nsl,
 )
 from sturm.cli import main
+from sturm.enumeration import _enumerate_filter
 from sturm.meander import is_sturm
 from sturm.perm import _decimal, _echo_int
 
@@ -299,7 +300,7 @@ class TestSturmGate:
         # Trust comes only from a Sturm-preserving law applied to a gated
         # input; members, parsed text and built maps are all tested first.
         members = [q for n in range(1, 10, 2) for q in enumerate_sturm(n)]
-        members += enumerate_sturm(7, engine="filter")
+        members += _enumerate_filter(7)
         parsed = [parse_permutation("1 4 5 6 3 2 7"), parse_permutation("1 3 2 4 5")]
         built = [SturmPermutation(PERM15), SturmPermutation((1, 3, 2, 4, 5)), identity(9)]
         for q in members + parsed + built:
