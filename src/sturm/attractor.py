@@ -225,6 +225,11 @@ def _neighbors(p: SturmPermutation, base: int) -> NeighborQuartet:
 def target_set(model: AttractorModel, base: int, k: int, sign: Sign) -> set[int]:
     """Connected targets of ``base`` at signed zero-number level ``k``.
 
+    Level ``k+`` (``k-``) of base O is the signed hemisphere Sigma^k_+
+    (Sigma^k_-) of the boundary of O's cell, in the paper's words: the
+    equilibria w that O connects to with z(w - O) = k, above O (below O)
+    at x = 0.
+
     >>> model = build_model(SturmPermutation((1, 4, 5, 6, 3, 2, 7)))
     >>> sorted(target_set(model, 3, 1, "+"))
     [4, 5, 6]
@@ -374,8 +379,10 @@ class MinimaxReport(NamedTuple):
 
     ``target_sets`` holds every signed level ``"k+"``/``"k-"`` below the
     base's Morse number in the order ``"0+", "0-", "1+", ...``, empty ones
-    included; ``extrema`` holds the non-empty ones only, in the same
-    order; ``cases`` holds one record per neighbor slot.
+    included: level ``k±`` is the signed hemisphere Sigma^k_± of the base's
+    cell boundary (see :func:`target_set`). ``extrema`` holds the non-empty
+    levels only, in the same order; ``cases`` holds one record per
+    neighbor slot.
     """
 
     base: int
@@ -407,8 +414,11 @@ def minimax_report(model: AttractorModel, base: int) -> MinimaxReport:
     For each boundary neighbor with Morse number one below the base, the
     member of the associated signed target set closest to the base at the
     neighbor's boundary must be the one most distant at the opposite
-    boundary. Levels below the top one are evaluated as well and reported
-    separately; they are not part of the theorem's hypothesis. A level
+    boundary. The signed target sets are the signed hemispheres of the
+    base's cell boundary, and these cases read the top two, Sigma^(m-1)_+
+    and Sigma^(m-1)_- for a base of Morse number m. Lower hemispheres are
+    evaluated as well and reported separately (``extended_passed``); they
+    are not part of the theorem's hypothesis. A level
     with one member w gets the process-wide ``MinimaxExtrema(w, w, w, w)``,
     which every report shares; a larger level gets its own.
 

@@ -49,7 +49,7 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, Collection, Optional, Sequence, Union
 
-from .errors import NotMeanderError, NotSturmError, ParseError, SturmError, WindowError
+from .errors import NotMeanderError, NotSturmError, ParseError, WindowError
 
 if TYPE_CHECKING:
     from .perm import SturmPermutation
@@ -448,8 +448,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _fail("not-meander", str(exc), FAIL_EXIT)
     except WindowError as exc:
         return _fail("window-inconsistent", str(exc), FAIL_EXIT)
-    except SturmError as exc:
-        return _fail("domain", str(exc), FAIL_EXIT)
     except ValueError as exc:
         return _fail("value", str(exc), FAIL_EXIT)
     return status

@@ -119,10 +119,13 @@ def _check_permutation_properties(
     report.prop("adjacent zero number is the smaller Morse number").record(
         all(zm.pair(j, j + 1) == min(morse[j - 1], morse[j]) for j in range(1, n)), ctx
     )
+    # The pairwise formula and the crossing numbers read prefix lines, which
+    # a permutation caches; a fresh copy keeps them off the family's members.
+    fresh = SturmPermutation(p.map)
     r = report.prop("pairwise zero formula agrees with the matrix recursion")
     r.record(
         all(
-            z_pair_nsl(p, j, k) == zm.pair(j, k)
+            z_pair_nsl(fresh, j, k) == zm.pair(j, k)
             for j in range(1, n + 1)
             for k in range(1, n + 1)
             if j != k
@@ -134,17 +137,17 @@ def _check_permutation_properties(
     ok = True
     for _ in range(min(20, n * n)):
         j1, j2, j3, ell = (rng.randint(1, n) for _ in range(4))
-        c12 = crossing_number(p, j1, j2, ell).value
-        c23 = crossing_number(p, j2, j3, ell).value
-        c13 = crossing_number(p, j1, j3, ell).value
-        if c12 + c23 != c13 or crossing_number(p, j2, j1, ell).value != -c12:
+        c12 = crossing_number(fresh, j1, j2, ell).value
+        c23 = crossing_number(fresh, j2, j3, ell).value
+        c13 = crossing_number(fresh, j1, j3, ell).value
+        if c12 + c23 != c13 or crossing_number(fresh, j2, j1, ell).value != -c12:
             ok = False
             break
     r.record(ok, ctx)
     report.prop("arc endpoints never count as crossings").record(
         all(
-            crossing_number(p, j, j + 1, j).value == 0
-            and crossing_number(p, j, j + 1, j + 1).value == 0
+            crossing_number(fresh, j, j + 1, j).value == 0
+            and crossing_number(fresh, j, j + 1, j + 1).value == 0
             for j in range(1, n)
         ),
         ctx,

@@ -40,11 +40,11 @@ _RANGE = "{name}={value} out of range {lo}..{hi}"
 
 def _check_int(value: int, name: str, lo: float = -inf, hi: float = inf, line=_RANGE) -> None:
     # The one test of an int argument: an exact int in lo..hi, else a ValueError
-    # whose ``line`` is formatted with name, value, lo, hi and end = hi + 1.
+    # whose ``line`` is formatted with name, value, lo and hi.
     if type(value) is not int:
         raise ValueError(f"{name} must be of type int, got {type(value).__name__}")
     if not lo <= value <= hi:
-        raise ValueError(line.format(name=name, value=_echo_int(value), lo=lo, hi=hi, end=hi + 1))
+        raise ValueError(line.format(name=name, value=_echo_int(value), lo=lo, hi=hi))
 
 
 def _check_size(n: int, bound: int = sys.maxsize) -> None:

@@ -517,6 +517,28 @@ def test_extended_property_swaps_only_the_extremes():
     assert by_x1 != list(reversed(members))
 
 
+def test_extended_property_holds_at_a_level_no_theorem_case_reads():
+    # The first level at n = 15 that no applicable theorem case covers: no
+    # successor of Morse number 2 (one up from level 1) reads it as the top
+    # "+" level of an applicable case. The extended property still holds
+    # there, so it is observed at this level, not implied by the theorem at
+    # a successor.
+    model = build_model(SturmPermutation((1, 8, 9, 12, 5, 4, 13, 14, 3, 6, 11, 10, 7, 2, 15)))
+    report = minimax_report(model, 6)
+    assert model.morse[6 - 1] == 3
+    level = report.target_sets["1+"]
+    assert level == (8, 9, 12, 13, 14)
+    extrema = report.extrema["1+"]
+    assert extrema == MinimaxExtrema(8, 14, 14, 8)
+    assert extrema.minimax_holds and report.passed and report.extended_passed
+    uppers = [w for w in model.successors[6] if model.morse[w - 1] == 2]
+    assert uppers == [3, 5, 7, 11]
+    for w in uppers:
+        upper = minimax_report(model, w)
+        reads_plus = any(case.sign == "+" for case in upper.applicable_cases)
+        assert not (reads_plus and upper.target_sets["1+"] == level), w
+
+
 @pytest.mark.slow
 def test_extended_property_at_every_base_of_n15():
     # Exhaustive at n = 15: the theorem (passed) and the extended property

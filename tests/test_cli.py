@@ -81,6 +81,7 @@ class TestValidate:
         "text, line",
         [
             ("0 5 2", "label 5 out of range 0..2 (token 2)"),
+            ("0 1 3", "label 3 out of range 0..2 (token 3)"),
             ("-1 1 2", "label -1 out of range 0..2 (token 1)"),
             ("0 1 1", "duplicate label 1, first at token 2 (token 3)"),
         ],
@@ -89,6 +90,12 @@ class TestValidate:
         # labels as typed, in the range 0..n-1 of the input, not shifted up
         result = run(capsys, "validate", "--zero-based-input", text)
         assert result == (2, "", f"error: parse: {line}\n")
+
+    def test_label_one_past_the_end_is_out_of_range(self, capsys):
+        # the first label past the range is a parse error (exit 2), not a
+        # permutation that fails as a non-bijection (exit 1)
+        line = "error: parse: label 4 out of range 1..3 (token 3)\n"
+        assert run(capsys, "validate", "1 2 4") == (2, "", line)
 
 
 class TestAnalyze:

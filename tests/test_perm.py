@@ -103,6 +103,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_permutation("1 5 3")
 
+    def test_label_one_past_the_end(self):
+        # n + 1, the first label past the range, fails at its token, not
+        # later in the bijection check of SturmPermutation
+        with pytest.raises(ParseError, match=r"^label 4 out of range 1\.\.3 \(token 3\)$") as err:
+            parse_permutation("1 2 4")
+        assert err.value.position == 3
+
     def test_even_length(self):
         with pytest.raises(ParseError):
             parse_permutation("1 2")
